@@ -22,9 +22,11 @@ score jobs of another cluster (Figure 8) and unseen users/pipelines
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -114,20 +116,75 @@ class FeatureMatrix:
         )
 
 
-def _hash_metadata(trace: Trace, n_buckets: int) -> tuple[np.ndarray, list[str]]:
-    """Feature-hash the five metadata string fields into binary columns."""
-    n = len(trace)
-    X = np.zeros((n, len(METADATA_FIELDS) * n_buckets))
-    names: list[str] = []
-    for f_idx, field in enumerate(METADATA_FIELDS):
-        names.extend(f"{field}_h{b}" for b in range(n_buckets))
-    for i, job in enumerate(trace):
-        for f_idx, field in enumerate(METADATA_FIELDS):
-            value = job.metadata.get(field, "")
-            base = f_idx * n_buckets
-            for token in tokenize(value):
-                X[i, base + stable_hash(token, seed=f_idx) % n_buckets] = 1.0
-    return X, names
+#: Distinct ``(field, value)`` pairs whose group-B columns stay memoized;
+#: served metadata has a few to a few hundred distinct values per field.
+_METADATA_MEMO_SIZE = 1 << 16
+
+#: Group C of a job without a resource map.
+_NO_RESOURCES = (0.0,) * len(RESOURCE_FEATURES)
+
+#: The numeric job fields the group-A/T core reads, in its argument order.
+_NUMERIC = attrgetter("arrival", "duration", "size", "write_bytes", "read_ops")
+
+
+@functools.lru_cache(maxsize=_METADATA_MEMO_SIZE)
+def _metadata_columns(f_idx: int, value: str, n_buckets: int) -> tuple[int, ...]:
+    """Group-B columns (offsets into the group) that one metadata value sets.
+
+    The hashing rule: every alphanumeric token of field ``f_idx``'s
+    value sets column ``f_idx * n_buckets + stable_hash(token,
+    seed=f_idx) % n_buckets``.  A pure function of its arguments, so
+    memoized process-wide rather than in any extractor's state.
+    """
+    base = f_idx * n_buckets
+    return tuple(
+        sorted({base + stable_hash(t, seed=f_idx) % n_buckets for t in tokenize(value)})
+    )
+
+
+def _hash_metadata(out: np.ndarray, col0: int, metas, n_buckets: int) -> None:
+    """Set the group-B ones of ``metas`` (one map or None per row) in the
+    zeroed ``out``, whose group B starts at column ``col0``."""
+    stride = out.shape[1]
+    flat: list[int] = []
+    for r, meta in enumerate(metas):
+        if meta:
+            base = r * stride + col0
+            for f_idx, field in enumerate(METADATA_FIELDS):
+                for c in _metadata_columns(f_idx, meta.get(field, ""), n_buckets):
+                    flat.append(base + c)
+    out.put(flat, 1.0)
+
+
+def _fill_resources(out: np.ndarray, col0: int, resources) -> None:
+    """Group C of ``resources`` (one map per row) into ``out[:, col0:]``."""
+    if any(resources):
+        out[:, col0:col0 + len(RESOURCE_FEATURES)] = [
+            list(map(res.get, RESOURCE_FEATURES, _NO_RESOURCES)) if res else _NO_RESOURCES
+            for res in resources
+        ]
+
+
+def _metric_rows(read_ops, write_bytes, durations, sizes, rates: CostRates) -> np.ndarray:
+    """Group-A contribution of each job once it completes, ``(k, 4)``.
+
+    ``[tcio, size, lifetime, io_density]`` with the elementwise
+    arithmetic of :func:`~repro.workloads.history.compute_history`'s
+    fold, so incremental sums stay bit-identical to the offline scan.
+    """
+    sizes = np.asarray(sizes, dtype=float)
+    tcio = tcio_rate(read_ops, write_bytes, durations, rates)
+    total_ops = tcio * np.maximum(durations, 1.0) * rates.hdd_ops_per_second
+    density = total_ops / np.maximum(sizes / GIB, 1e-9)
+    return np.column_stack([tcio, sizes, durations, density])
+
+
+def _fill_times(out: np.ndarray, col0: int, arrivals: np.ndarray) -> None:
+    """Group T (hour of day, second of day, weekday) into ``out[:, col0:]``."""
+    seconds_of_day = arrivals % DAY
+    out[:, col0] = np.floor(seconds_of_day / HOUR)
+    out[:, col0 + 1] = seconds_of_day
+    out[:, col0 + 2] = np.floor(arrivals / DAY) % 7
 
 
 class OnlineFeatureExtractor:
@@ -175,26 +232,6 @@ class OnlineFeatureExtractor:
             + len(TIME_FEATURES)
         )
 
-    def _metrics(self, job) -> np.ndarray:
-        """The group-A metric vector one completed execution contributes.
-
-        Matches :func:`~repro.workloads.history.compute_history`'s
-        per-job fold — ``[tcio, size, lifetime, io_density]`` with the
-        same elementwise arithmetic, so incremental sums stay
-        bit-identical to the offline scan.
-        """
-        tcio = tcio_rate(job.read_ops, job.write_bytes, job.duration, self.rates)
-        total_ops = (
-            tcio * np.maximum(job.duration, 1.0) * self.rates.hdd_ops_per_second
-        )
-        density = total_ops / np.maximum(job.size / GIB, 1e-9)
-        return np.array([tcio, job.size, job.duration, density])
-
-    def _schedule(self, job) -> None:
-        entry = (job.arrival + job.duration, self._index, self._metrics(job))
-        heapq.heappush(self._pending.setdefault(job.pipeline, []), entry)
-        self._index += 1
-
     def _fold(self, pipeline: str, t: float) -> None:
         """Fold same-pipeline completions with ``end <= t`` into the sums."""
         heap = self._pending.get(pipeline)
@@ -210,9 +247,22 @@ class OnlineFeatureExtractor:
             self._counts[pipeline] += 1
 
     def warm_start(self, trace: Trace) -> "OnlineFeatureExtractor":
-        """Seed the causal state from already-observed jobs (no rows)."""
-        for job in trace:
-            self._schedule(job)
+        """Seed the causal state from already-observed jobs (no rows).
+
+        Completions pop in ``(end, global index)`` order, and those keys
+        are unique, so scheduling the whole trace at once leaves exactly
+        the state per-job scheduling would.
+        """
+        metrics = _metric_rows(
+            trace.read_ops, trace.write_bytes, trace.durations, trace.sizes, self.rates
+        )
+        pending = self._pending
+        first = self._index
+        for index, pipeline, end, row in zip(
+            range(first, first + len(trace)), trace.pipelines, trace.ends.tolist(), metrics
+        ):
+            heapq.heappush(pending.setdefault(pipeline, []), (end, index, row))
+        self._index = first + len(trace)
         return self
 
     def push(self, jobs) -> np.ndarray:
@@ -224,34 +274,16 @@ class OnlineFeatureExtractor:
         objects; jobs synthesized from streamed columns (empty
         metadata/resources) produce zero group-B/C columns, exactly as
         the offline extractor would for the same materialized trace.
+        The returned matrix belongs to the caller.
         """
-        n_b = self.n_hash_buckets
         rows = np.zeros((len(jobs), self.n_features))
+        if not len(jobs):
+            return rows
         meta_base = len(HISTORY_FEATURES)
-        res_base = meta_base + len(METADATA_FIELDS) * n_b
-        time_base = res_base + len(RESOURCE_FEATURES)
-        for r, job in enumerate(jobs):
-            # Group A: running same-pipeline averages, causally folded.
-            self._fold(job.pipeline, job.arrival)
-            count = self._counts.get(job.pipeline, 0)
-            if count > 0:
-                rows[r, :meta_base] = self._sums[job.pipeline] / count
-            # Group B: feature-hashed metadata tokens.
-            for f_idx, fld in enumerate(METADATA_FIELDS):
-                value = job.metadata.get(fld, "") if job.metadata else ""
-                base = meta_base + f_idx * n_b
-                for token in tokenize(value):
-                    rows[r, base + stable_hash(token, seed=f_idx) % n_b] = 1.0
-            # Group C: allocated resources.
-            if job.resources:
-                for c, key in enumerate(RESOURCE_FEATURES):
-                    rows[r, res_base + c] = job.resources.get(key, 0.0)
-            # Group T: timestamp features.
-            seconds_of_day = job.arrival % DAY
-            rows[r, time_base] = np.floor(seconds_of_day / HOUR)
-            rows[r, time_base + 1] = seconds_of_day
-            rows[r, time_base + 2] = np.floor(job.arrival / DAY) % 7
-            self._schedule(job)
+        res_base = meta_base + len(METADATA_FIELDS) * self.n_hash_buckets
+        _hash_metadata(rows, meta_base, [j.metadata for j in jobs], self.n_hash_buckets)
+        _fill_resources(rows, res_base, [j.resources for j in jobs])
+        self._push_columns(rows, *zip(*map(_NUMERIC, jobs)), [j.pipeline for j in jobs])
         return rows
 
     def push_block(
@@ -266,14 +298,11 @@ class OnlineFeatureExtractor:
     ) -> np.ndarray:
         """Feature rows for a micro-batch of column-submitted jobs.
 
-        The fused-admission path: equivalent to materializing each
-        column row as a job and calling :meth:`push`, but the group-A
-        metric fold is computed vectorized over the block and the rows
-        land in one scratch matrix reused across calls (the returned
-        view is overwritten by the next ``push_block``).  Column
-        submissions carry no metadata or resource maps, so the group-B
-        and group-C columns are exactly zero — the same rows
-        :meth:`push` produces for jobs synthesized from the columns.
+        The fused-admission path: :meth:`push`'s group-A/T core over the
+        columns, into one scratch matrix reused across calls (the
+        returned view is overwritten by the next ``push_block``).
+        Column submissions carry no metadata or resource maps, so groups
+        B and C are exactly zero, as :meth:`push` gives for such jobs.
         """
         k = len(arrivals)
         n_feat = self.n_features
@@ -281,22 +310,26 @@ class OnlineFeatureExtractor:
         if rows is None or rows.shape[0] < k or rows.shape[1] != n_feat:
             rows = self._rows = np.zeros((max(k, 256), n_feat))
         rows = rows[:k]
+        self._push_columns(rows, arrivals, durations, sizes, write_bytes, read_ops, pipelines)
+        return rows
+
+    def _push_columns(
+        self, rows, arrivals, durations, sizes, write_bytes, read_ops, pipelines
+    ) -> None:
+        """Groups A and T of arriving jobs (columns: arrays or float
+        sequences) into ``rows``, advancing the causal state."""
+        k = len(arrivals)
         meta_base = len(HISTORY_FEATURES)
-        time_base = n_feat - len(TIME_FEATURES)
+        time_base = rows.shape[1] - len(TIME_FEATURES)
         if k == 1:
             # Request-at-a-time: all arithmetic in python floats (IEEE
             # doubles, identical to the elementwise block path below).
             arrival = float(arrivals[0])
             duration = float(durations[0])
             size = float(sizes[0])
-            tcio = tcio_rate_scalar(
-                float(read_ops[0]), float(write_bytes[0]), duration, self.rates
-            )
-            total_ops = (
-                tcio
-                * (duration if duration > 1.0 else 1.0)
-                * self.rates.hdd_ops_per_second
-            )
+            rates = self.rates
+            tcio = tcio_rate_scalar(float(read_ops[0]), float(write_bytes[0]), duration, rates)
+            total_ops = tcio * (duration if duration > 1.0 else 1.0) * rates.hdd_ops_per_second
             size_gib = size / GIB
             density = total_ops / (size_gib if size_gib > 1e-9 else 1e-9)
             pipeline = pipelines[0]
@@ -306,57 +339,39 @@ class OnlineFeatureExtractor:
                 np.divide(self._sums[pipeline], count, out=rows[0, :meta_base])
             else:
                 rows[0, :meta_base] = 0.0
-            heapq.heappush(
-                self._pending.setdefault(pipeline, []),
-                (
-                    arrival + duration,
-                    self._index,
-                    np.array([tcio, size, duration, density]),
-                ),
-            )
+            entry = (arrival + duration, self._index, np.array([tcio, size, duration, density]))
+            heapq.heappush(self._pending.setdefault(pipeline, []), entry)
             self._index += 1
             sod = arrival % DAY
             rows[0, time_base] = math.floor(sod / HOUR)
             rows[0, time_base + 1] = sod
             rows[0, time_base + 2] = math.floor(arrival / DAY) % 7
-            return rows
-        # Group-A contribution of each job once it completes, computed
-        # elementwise over the block (bit-identical to _metrics per job).
-        tcio = tcio_rate(read_ops, write_bytes, durations, self.rates)
-        total_ops = (
-            tcio * np.maximum(durations, 1.0) * self.rates.hdd_ops_per_second
-        )
-        metrics = np.empty((k, 4))
-        metrics[:, 0] = tcio
-        metrics[:, 1] = sizes
-        metrics[:, 2] = durations
-        metrics[:, 3] = total_ops / np.maximum(sizes / GIB, 1e-9)
-        ends = arrivals + durations
-        rows[:, :meta_base] = 0.0
-        for r in range(k):
-            pipeline = pipelines[r]
-            self._fold(pipeline, arrivals[r])
+            return
+        arrivals = np.asarray(arrivals, dtype=float)
+        durations = np.asarray(durations, dtype=float)
+        metrics = _metric_rows(read_ops, write_bytes, durations, sizes, self.rates)
+        ends = (arrivals + durations).tolist()
+        # Group A: fold, then snapshot each observed row's running sums;
+        # one division over the block gives the averages.
+        seen: list[int] = []
+        sums: list[list[float]] = []
+        counts: list[int] = []
+        for r, (pipeline, arrival) in enumerate(zip(pipelines, arrivals.tolist())):
+            self._fold(pipeline, arrival)
             count = self._counts.get(pipeline, 0)
             if count > 0:
-                np.divide(
-                    self._sums[pipeline], count, out=rows[r, :meta_base]
-                )
+                seen.append(r)
+                sums.append(self._sums[pipeline].tolist())
+                counts.append(count)
             heapq.heappush(
                 self._pending.setdefault(pipeline, []),
-                (ends[r], self._index, metrics[r]),
+                (ends[r], self._index + r, metrics[r]),
             )
-            self._index += 1
-        # Group T, vectorized in place (elementwise-identical to push).
-        sod = rows[:, time_base + 1]
-        np.mod(arrivals, DAY, out=sod)
-        hour = rows[:, time_base]
-        np.divide(sod, HOUR, out=hour)
-        np.floor(hour, out=hour)
-        wday = rows[:, time_base + 2]
-        np.divide(arrivals, DAY, out=wday)
-        np.floor(wday, out=wday)
-        np.mod(wday, 7, out=wday)
-        return rows
+        self._index += k
+        rows[:, :meta_base] = 0.0
+        if seen:
+            rows[seen, :meta_base] = np.divide(sums, np.array(counts, dtype=float)[:, None])
+        _fill_times(rows, time_base, arrivals)
 
 
 def extract_features(
@@ -370,37 +385,19 @@ def extract_features(
     jobs see training-week history, extract features on the combined
     trace and :meth:`FeatureMatrix.take` the split indices.
     """
-    n = len(trace)
-    history = compute_history(trace, rates).as_matrix()  # group A
+    meta_base = len(HISTORY_FEATURES)
+    res_base = meta_base + len(METADATA_FIELDS) * n_hash_buckets
+    time_base = res_base + len(RESOURCE_FEATURES)
+    X = np.zeros((len(trace), time_base + len(TIME_FEATURES)))
+    X[:, :meta_base] = compute_history(trace, rates).as_matrix()  # group A
+    _hash_metadata(X, meta_base, [job.metadata for job in trace], n_hash_buckets)
+    _fill_resources(X, res_base, [job.resources for job in trace])  # group C
+    _fill_times(X, time_base, trace.arrivals)  # group T
 
-    resources = np.zeros((n, len(RESOURCE_FEATURES)))  # group C
-    for i, job in enumerate(trace):
-        for c, key in enumerate(RESOURCE_FEATURES):
-            resources[i, c] = job.resources.get(key, 0.0)
-
-    arrivals = trace.arrivals  # group T
-    seconds_of_day = arrivals % DAY
-    times = np.column_stack(
-        [
-            np.floor(seconds_of_day / HOUR),
-            seconds_of_day,
-            np.floor(arrivals / DAY) % 7,
-        ]
+    meta_names = [f"{fld}_h{b}" for fld in METADATA_FIELDS for b in range(n_hash_buckets)]
+    names = (*HISTORY_FEATURES, *meta_names, *RESOURCE_FEATURES, *TIME_FEATURES)
+    groups = tuple(
+        "A" * len(HISTORY_FEATURES) + "B" * len(meta_names) + "C" * len(RESOURCE_FEATURES)
+        + "T" * len(TIME_FEATURES)
     )
-
-    meta_X, meta_names = _hash_metadata(trace, n_hash_buckets)  # group B
-
-    X = np.hstack([history, meta_X, resources, times])
-    names = (
-        list(HISTORY_FEATURES)
-        + meta_names
-        + list(RESOURCE_FEATURES)
-        + list(TIME_FEATURES)
-    )
-    groups = (
-        ["A"] * len(HISTORY_FEATURES)
-        + ["B"] * len(meta_names)
-        + ["C"] * len(RESOURCE_FEATURES)
-        + ["T"] * len(TIME_FEATURES)
-    )
-    return FeatureMatrix(X=X, names=tuple(names), groups=tuple(groups))
+    return FeatureMatrix(X=X, names=names, groups=groups)

@@ -61,6 +61,20 @@ class TestExtractFeatures:
         b_cols = fm.group_columns("B")
         assert np.array_equal(fm.X[0, b_cols], fm.X[1, b_cols])
 
+    @pytest.mark.parametrize("n_buckets", [16, 8])
+    def test_hashed_columns_follow_token_rule(self, handmade_trace, n_buckets):
+        """Group B sets exactly the bucket of every token of every field."""
+        from repro.workloads import METADATA_FIELDS, stable_hash, tokenize
+
+        fm = extract_features(handmade_trace, n_hash_buckets=n_buckets)
+        ref = np.zeros((len(handmade_trace), len(METADATA_FIELDS) * n_buckets))
+        for i, job in enumerate(handmade_trace):
+            for f, field in enumerate(METADATA_FIELDS):
+                for token in tokenize(job.metadata.get(field, "")):
+                    ref[i, f * n_buckets + stable_hash(token, seed=f) % n_buckets] = 1.0
+        assert ref.any()
+        assert np.array_equal(fm.X[:, fm.group_columns("B")], ref)
+
     def test_custom_bucket_count(self, handmade_trace):
         fm = extract_features(handmade_trace, n_hash_buckets=8)
         assert len(fm.group_columns("B")) == 40

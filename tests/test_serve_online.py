@@ -17,6 +17,10 @@ on the admission path, incrementally — and land on the same numbers:
    the submission horizon are the one legitimate difference).
 """
 
+import dataclasses
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -24,7 +28,7 @@ from repro.core import AdaptiveCategoryPolicy, ByomPipeline, prepare_cluster
 from repro.serve import OnlineAdaptivePolicy, OnlineCategorizer, PlacementService
 from repro.storage import simulate
 from repro.units import DAY
-from repro.workloads import ClusterSpec, extract_features, generate_cluster_trace
+from repro.workloads import ClusterSpec, Trace, extract_features, generate_cluster_trace
 from repro.workloads.features import OnlineFeatureExtractor
 
 
@@ -88,6 +92,116 @@ class TestOnlineFeatures:
         # Groups A and T survive (numeric columns are intact).
         t_cols = [i for i, g in enumerate(offline.groups) if g == "T"]
         assert np.array_equal(rows[0, t_cols], offline.X[0, t_cols])
+
+
+def _block(ex, trace, lo, hi):
+    """``push_block`` over jobs ``[lo, hi)`` of ``trace`` (a scratch view)."""
+    return ex.push_block(
+        trace.arrivals[lo:hi], trace.durations[lo:hi], trace.sizes[lo:hi],
+        trace.read_bytes[lo:hi], trace.write_bytes[lo:hi],
+        trace.read_ops[lo:hi], trace.pipelines[lo:hi],
+    )
+
+
+class TestOnlineFeatureEdges:
+    """Ties, empty pushes, odd metadata and output ownership."""
+
+    @pytest.fixture(scope="class")
+    def tied(self, cluster):
+        """``cluster.full`` with arrivals and durations on whole minutes,
+        so same-pipeline completions often share an ``end``.
+
+        Durations round up to at least a minute: a zero-duration job
+        completes at its own arrival instant, where offline and online
+        extraction differ by design (docs/serving.md).
+        """
+        jobs = [
+            dataclasses.replace(
+                j,
+                arrival=60.0 * round(j.arrival / 60.0),
+                duration=60.0 * max(1, math.ceil(j.duration / 60.0)),
+            )
+            for j in cluster.full
+        ]
+        return Trace(jobs, name="tied")
+
+    def test_tied_ends_warm_start_and_mixed_pushes(self, tied):
+        ends = {}
+        for j in tied:
+            ends.setdefault((j.pipeline, j.arrival + j.duration), []).append(j)
+        assert any(len(v) > 1 for v in ends.values())  # the regime under test
+        train, test = tied.split_at(7 * DAY)
+        full = extract_features(tied)
+        ref = full.X[len(train):]
+        ex = OnlineFeatureExtractor().warm_start(train)
+        jobs = list(test)
+        rows = np.vstack(
+            [ex.push(jobs[:1]), ex.push(jobs[1:8]), ex.push(jobs[8:40])]
+        )
+        assert np.array_equal(rows, ref[:40])
+        # Column pushes (block and single) continue the same state.
+        a_t = np.r_[full.group_columns("A"), full.group_columns("T")]
+        assert np.array_equal(_block(ex, test, 40, 90)[:, a_t], ref[40:90, a_t])
+        assert np.array_equal(_block(ex, test, 90, 91)[:, a_t], ref[90:91, a_t])
+        rest = ex.push(jobs[91:])
+        assert np.array_equal(rest, ref[91:])
+
+    def test_empty_push_leaves_state(self, cluster):
+        jobs = list(cluster.test)
+        ex = OnlineFeatureExtractor().warm_start(cluster.train)
+        state = pickle.dumps(ex)
+        empty = ex.push([])
+        assert empty.shape == (0, ex.n_features)
+        assert pickle.dumps(ex) == state
+        fresh = OnlineFeatureExtractor().warm_start(cluster.train)
+        assert np.array_equal(ex.push(jobs[:30]), fresh.push(jobs[:30]))
+        assert np.array_equal(ex.push(jobs[30:31]), fresh.push(jobs[30:31]))
+
+    def test_odd_metadata_matches_offline(self, cluster):
+        from repro.workloads import METADATA_FIELDS, stable_hash
+
+        # Two distinct tokens landing in one bucket of the step field.
+        f_idx = METADATA_FIELDS.index("step_name")
+        bucket = {}
+        for i in range(1000):
+            b = stable_hash(f"tok{i}", seed=f_idx) % 16
+            if b in bucket:
+                pair = (bucket[b], f"tok{i}")
+                break
+            bucket[b] = f"tok{i}"
+        variants = [
+            {k: v for k, v in list(cluster.test)[0].metadata.items()
+             if k != "user_name"},  # field missing
+            {fld: "" for fld in METADATA_FIELDS},  # empty strings
+            {"step_name": f"{pair[0]}/{pair[1]}::{pair[0]}"},  # collision
+            {},  # no metadata at all
+        ]
+        jobs = [
+            dataclasses.replace(j, metadata=variants[i % len(variants)])
+            for i, j in enumerate(list(cluster.test)[:40])
+        ]
+        trace = Trace(jobs, name="odd-metadata")
+        offline = extract_features(trace)
+        ex = OnlineFeatureExtractor()
+        rows = np.vstack([ex.push(jobs[:1]), ex.push(jobs[1:])])
+        assert np.array_equal(rows, offline.X)
+        step = [
+            i for i, n in enumerate(offline.names) if n.startswith("step_name_h")
+        ]
+        assert rows[2, step].sum() == 1.0  # three tokens, one bucket
+
+    def test_push_returns_owned_rows(self, cluster):
+        jobs = list(cluster.test)
+        ex = OnlineFeatureExtractor()
+        scratch = _block(ex, cluster.test, 0, 12)
+        r1 = ex.push(jobs[12:20])
+        kept = r1.copy()
+        r2 = ex.push(jobs[20:28])
+        r3 = ex.push(jobs[28:29])
+        r4 = ex.push(jobs[29:30])
+        for a, b in ((r1, r2), (r3, r4), (r1, scratch), (r3, scratch)):
+            assert not np.shares_memory(a, b)
+        assert np.array_equal(r1, kept)
 
 
 class TestOnlineCategorizer:
