@@ -21,7 +21,7 @@ space:
   bounded in-flight window and warmup/measure split); retries
   transient submit failures with bounded backoff.
 - :class:`MetricsRegistry` / :meth:`PlacementService.metrics` — a
-  dependency-free Prometheus-style metrics surface (counters pinned to
+  dependency-free Prometheus-style metrics surface (counters read from
   the roll-up sources, per-lane gauges, exact-merge histograms), with
   text exposition and an optional :class:`MetricsServer` scrape
   endpoint; the fleet router aggregates per-worker partials through
@@ -41,7 +41,7 @@ space:
   scenarios and the adaptive-vs-baseline runner live in
   :mod:`repro.serve.scenarios`.
 - :class:`AlertRule` / :class:`SloSpec` / :class:`AlertManager` —
-  deterministic alerting and SLO burn-rate accounting over the pinned
+  deterministic alerting and SLO burn-rate accounting over the
   metrics surface, evaluated on the logical clock so the alert event
   stream is bit-identical across engines, worker counts, transports,
   and WAL recovery (see :mod:`repro.serve.alerts`).

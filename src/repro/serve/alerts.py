@@ -1,8 +1,8 @@
 """Deterministic alerting and SLO burn-rate accounting over the metrics.
 
-The serving layer's metrics surface (:mod:`repro.serve.metrics`) pins
-every counter to the same authoritative sources the end-of-run roll-up
-is computed from.  This module builds the operator layer on top of it:
+The serving layer's metrics surface (:mod:`repro.serve.metrics`) reads
+every counter from the same authoritative sources the end-of-run
+roll-up is computed from.  This module builds the operator layer on top of it:
 
 - :class:`AlertRule` — a threshold or rate-of-change condition over
   any counter, gauge, or histogram in a
@@ -18,8 +18,8 @@ is computed from.  This module builds the operator layer on top of it:
   folded per-worker registries produce the same pair one process
   would.  Burn rates come from deltas over two logical-time windows
   (fast/slow), the standard multi-window paging recipe.
-- :class:`AlertManager` — evaluates rules and SLOs against the pinned
-  registry on the service's metrics-sync cadence, runs the
+- :class:`AlertManager` — evaluates rules and SLOs against that
+  registry on every service metrics read or alert tick, runs the
   ``ok -> pending -> firing -> resolved`` state machine per condition,
   and appends one structured event per transition (optionally to a
   JSONL log).  Rules and SLOs load from JSON
@@ -27,8 +27,8 @@ is computed from.  This module builds the operator layer on top of it:
 
 Determinism contract: evaluation is driven by the service's *logical*
 clock (the last submitted arrival time), never wall time, and every
-value a rule can observe is either a pinned counter/gauge or derived
-from integer histogram buckets.  Feed the manager rules over the
+value a rule can observe is either a counter/gauge read from its source
+or derived from integer histogram buckets.  Feed the manager rules over the
 deterministic surface (anything except the wall-clock gauges
 ``serve_uptime_seconds`` / ``serve_decisions_per_second`` and the
 latency histograms' ``sum``), drive it at deterministic points, and
@@ -330,11 +330,11 @@ def _new_state() -> dict:
 
 
 class AlertManager:
-    """Evaluates rules and SLOs against a pinned registry.
+    """Evaluates rules and SLOs against a metrics registry.
 
     One :meth:`evaluate` call is one tick: the caller (the service's
-    metrics-sync path) passes the registry *after* pinning plus the
-    logical clock; the manager reads each condition's inputs, steps its
+    metrics read) passes the registry *after* setting the derived
+    metrics the rules reference, plus the logical clock; the manager reads each condition's inputs, steps its
     state machine, and appends one event per transition to
     :attr:`events` (and, when ``log_path`` is set, one JSON line per
     event to that file).

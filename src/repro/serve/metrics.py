@@ -3,11 +3,11 @@
 Three instrument kinds, the same vocabulary Prometheus clients use:
 
 - :class:`Counter` — a monotonically increasing count (decisions,
-  spills, evictions, degraded jobs...).  The service *pins* most of its
-  counters to authoritative sources (``ServiceStats``, the kernel's
-  admission counters) at snapshot time, so a metric can never drift
-  from the end-of-run :class:`~repro.storage.engine.SimResult` roll-up
-  — the property tests assert bit-exact equality.
+  spills, evictions, degraded jobs...).  The service *sets* most of
+  its counters from authoritative sources (``ServiceStats``, the
+  kernel's admission counters) on every read, so a metric can never
+  drift from the end-of-run :class:`~repro.storage.engine.SimResult`
+  roll-up — the property tests assert bit-exact equality.
 - :class:`Gauge` — a point-in-time value (queue depth, per-lane free
   bytes and occupancy, per-shard ACT positions).
 - :class:`Histogram` — fixed upper-bound buckets with **integer**
@@ -82,9 +82,10 @@ def _label_suffix(labels: tuple) -> str:
 class Counter:
     """A monotonic count.
 
-    ``inc`` adds; ``set`` pins the value to an authoritative monotonic
-    source (the service's sync path uses it so metrics can never
-    disagree with the roll-up counters) and refuses to move backwards.
+    ``inc`` adds; ``set`` assigns the value of an authoritative
+    monotonic source (the service's derived metrics use it so they can
+    never disagree with the roll-up counters) and refuses to move
+    backwards.
     """
 
     kind = "counter"

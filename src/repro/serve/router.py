@@ -941,18 +941,20 @@ class FleetRouter(PlacementService):
 
     # -- metrics --------------------------------------------------------
 
-    def _sync_metrics(self) -> None:
+    def _sync_metrics(self, rows) -> None:
         """Fleet metrics: the service sync plus a worker gather.
 
         The serve-side counters come from the reply-refreshed counter
-        cache (via ``kernel.counters()``), so they are exact even with
-        dead workers.  On top of that, each live worker's partial op
-        metrics are fetched and folded — counter sums, exact histogram
-        bucket merges, order-independent — then installed by overwrite,
-        so repeated gathers never double count.  A worker that is down
-        and unrecoverable simply drops out of this round's gather.
+        cache (the fleet kernels' counter properties), so they are
+        exact even with dead workers.  On top of that, each live
+        worker's partial op metrics are fetched and folded — counter
+        sums, exact histogram bucket merges, order-independent — then
+        installed by overwrite, so repeated gathers never double count.
+        The gather runs on every scrape and every alert tick: it is
+        what transparently rebuilds a dead worker.  A worker that is
+        down and unrecoverable simply drops out of this round's gather.
         """
-        super()._sync_metrics()
+        super()._sync_metrics(rows)
         reg = self.registry
         pool = self.pool
         reg.gauge(

@@ -137,8 +137,9 @@ SCENARIOS = (
 def default_alert_rules() -> list[AlertRule]:
     """The standard chaos alert set, fresh rule objects per call.
 
-    Every input is a pinned, mode-invariant metric, so the alert event
-    stream these rules produce is part of the determinism contract:
+    Every input is a mode-invariant metric read from its source, so the
+    alert event stream these rules produce is part of the determinism
+    contract:
 
     - ``capacity-shock`` — the fleet quota moved down between two
       evaluations (rate-of-change of ``serve_capacity_bytes``); fires

@@ -70,6 +70,7 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+from itertools import groupby
 from pathlib import Path
 from time import perf_counter
 from typing import Sequence
@@ -93,66 +94,6 @@ from .alerts import AlertManager
 from .log import GrowArray, JobLog
 from .metrics import SIZE_BUCKETS_JOBS, MetricsRegistry
 from .tracing import Tracer, _PRIME
-
-#: Tracer sampling constants, hoisted so the per-stride hash pass pays
-#: no per-call numpy scalar conversions.
-_F_INF = float("inf")
-
-_PRIME_U64 = np.uint64(_PRIME)
-_MASK32 = np.uint64(0xFFFFFFFF)
-#: Auto-id sampling hashes this many ids per vector pass, running ahead
-#: of the log (the hash needs only the integer id).
-_TRACE_SCAN_BLOCK = 1 << 16
-
-#: Per-metric value sources for the selective alert sync (the subset of
-#: ``_sync_metrics`` an evaluation tick can pin one metric at a time).
-#: Values live at module level so an alert-sync plan pickles as plain
-#: metric-object/name pairs inside WAL checkpoints.
-_ALERT_SYNC_GETTERS = {
-    "serve_submitted_total": lambda s, kc: s.stats.n_submitted,
-    "serve_decided_total": lambda s, kc: s.stats.n_decided,
-    "serve_chunks_total": lambda s, kc: s.stats.n_chunks,
-    "serve_forced_chunks_total": lambda s, kc: s.stats.forced_chunks,
-    "serve_completions_total": lambda s, kc: s.stats.n_completions,
-    "serve_duplicate_completes_total":
-        lambda s, kc: s.stats.duplicate_completes,
-    "serve_stale_completes_total": lambda s, kc: s.stats.stale_completes,
-    "serve_shocks_total": lambda s, kc: s.stats.n_shocks,
-    "serve_evictions_total": lambda s, kc: s.stats.n_evicted,
-    "serve_evicted_bytes_total": lambda s, kc: s.stats.evicted_bytes,
-    "serve_degraded_jobs_total": lambda s, kc: s.stats.degraded_jobs,
-    "serve_degraded_intervals_total":
-        lambda s, kc: len(s.stats.degraded_intervals),
-    "serve_categorizer_failures_total":
-        lambda s, kc: s.stats.categorizer_failures,
-    "serve_ssd_requested_total": lambda s, kc: s.kernel.n_ssd_requested,
-    "serve_spilled_total": lambda s, kc: s.kernel.n_spilled,
-    "serve_kernel_evictions_total": lambda s, kc: s.kernel.n_evicted,
-    "serve_scalar_fallback_total": lambda s, kc: kc["scalar_fallback_jobs"],
-    "serve_wal_records_total": lambda s, kc: s._wal_seq,
-    "serve_pending_jobs": lambda s, kc: s.pending,
-    "serve_max_pending_seen": lambda s, kc: s.stats.max_pending_seen,
-    "serve_capacity_bytes": lambda s, kc: float(s.capacity),
-    "serve_peak_ssd_used_bytes": lambda s, kc: s.kernel.peak_used,
-    "serve_degraded": lambda s, kc: 1 if s._degraded_since is not None else 0,
-}
-
-#: Getter-table entries whose value comes from ``kernel.counters()``.
-# Getters that read the kernel ``counters()`` dict (the rest of the
-# kernel-derived metrics read attributes both kernel shapes expose).
-_KERNEL_SYNCED = frozenset({
-    "serve_scalar_fallback_total",
-})
-
-#: Every metric ``_sync_metrics`` pins.  Referenced metrics outside
-#: this set are live-updated (histograms, per-category counters) and
-#: need no sync before an evaluation tick.
-_SYNCED_METRICS = frozenset(_ALERT_SYNC_GETTERS) | frozenset({
-    "serve_lane_capacity_bytes", "serve_lane_free_bytes",
-    "serve_lane_occupancy_ratio", "serve_act_position",
-    "serve_act_lane_position", "serve_uptime_seconds",
-    "serve_decisions_per_second",
-})
 from .types import (
     COMPAT_SNAPSHOT_SCHEMAS,
     SNAPSHOT_SCHEMA,
@@ -165,6 +106,123 @@ from .types import (
     _DecisionConcat,
 )
 from .wal import WalCorruption, WriteAheadLog, job_from_record, job_to_record
+
+#: Tracer sampling constants, hoisted so the per-stride hash pass pays
+#: no per-call numpy scalar conversions.
+_F_INF = float("inf")
+
+_PRIME_U64 = np.uint64(_PRIME)
+_MASK32 = np.uint64(0xFFFFFFFF)
+#: Auto-id sampling hashes this many ids per vector pass, running ahead
+#: of the log (the hash needs only the integer id).
+_TRACE_SCAN_BLOCK = 1 << 16
+
+
+def _occupancy(svc, lane: int) -> float:
+    cap = float(svc.lane_capacities[lane])
+    return 1.0 - float(svc.kernel.free[lane]) / cap if cap > 0 else 0.0
+
+
+def _threshold(act, lane: int | None = None) -> int | None:
+    """An adaptive threshold (global, or one lane's), if the policy has one."""
+    return None if act is None else int(act if lane is None else act[lane])
+
+
+def _decision_rate(svc, _) -> float:
+    dt = perf_counter() - svc._metrics_t0
+    return svc.stats.n_decided / dt if dt > 0 else 0.0
+
+
+#: Every metric read from an authoritative source instead of
+#: accumulated on the hot path: one ``(kind, name, help, source)`` row
+#: each, in render order.  ``source(svc, lane)`` reads the value —
+#: ``ServiceStats``, kernel attributes (wrapped in ``int`` / ``float``
+#: as ``counters()`` does, so numpy scalars never reach the
+#: exposition), the WAL sequence, per-lane capacity/free, the policy's
+#: thresholds, or the wall clock — and metrics take it *by
+#: assignment*, so a snapshot can never disagree with the end-of-run
+#: roll-up.  ``"lane"`` rows are gauges with one ``lane``-labelled
+#: sample per shard; a run of them registers lane-major.  A sample
+#: whose source reads ``None`` at registration is never registered (no
+#: threshold gauges for a policy without one).  Sources live here, not
+#: on the instance, so no callable enters a snapshot payload.
+_DERIVED = (
+    ("counter", "serve_submitted_total", "Jobs submitted to the service",
+     lambda s, _: s.stats.n_submitted),
+    ("counter", "serve_decided_total", "Placement decisions made",
+     lambda s, _: s.stats.n_decided),
+    ("counter", "serve_chunks_total", "Policy chunks decided (batch mode)",
+     lambda s, _: s.stats.n_chunks),
+    ("counter", "serve_forced_chunks_total",
+     "Chunks force-closed by backpressure",
+     lambda s, _: s.stats.forced_chunks),
+    ("counter", "serve_completions_total",
+     "Early completions that freed space",
+     lambda s, _: s.stats.n_completions),
+    ("counter", "serve_duplicate_completes_total",
+     "complete() calls for unknown or already-completed jobs",
+     lambda s, _: s.stats.duplicate_completes),
+    ("counter", "serve_stale_completes_total",
+     "complete() timestamps clamped forward to the service clock",
+     lambda s, _: s.stats.stale_completes),
+    ("counter", "serve_shocks_total", "Capacity shocks applied",
+     lambda s, _: s.stats.n_shocks),
+    ("counter", "serve_evictions_total",
+     "Residents evicted by capacity shocks",
+     lambda s, _: s.stats.n_evicted),
+    ("counter", "serve_evicted_bytes_total",
+     "Bytes evicted by capacity shocks",
+     lambda s, _: s.stats.evicted_bytes),
+    ("counter", "serve_degraded_jobs_total",
+     "Jobs categorized by the fallback heuristic",
+     lambda s, _: s.stats.degraded_jobs),
+    ("counter", "serve_degraded_intervals_total",
+     "Closed categorizer outage intervals",
+     lambda s, _: len(s.stats.degraded_intervals)),
+    ("counter", "serve_categorizer_failures_total",
+     "Categorizer calls that raised",
+     lambda s, _: s.stats.categorizer_failures),
+    ("counter", "serve_ssd_requested_total", "Jobs the policy sent to SSD",
+     lambda s, _: int(s.kernel.n_ssd_requested)),
+    ("counter", "serve_spilled_total", "SSD admissions that spilled to HDD",
+     lambda s, _: int(s.kernel.n_spilled)),
+    ("counter", "serve_kernel_evictions_total", "Kernel-level shock evictions",
+     lambda s, _: int(s.kernel.n_evicted)),
+    ("counter", "serve_scalar_fallback_total",
+     "Chunk jobs that took the scalar arithmetic path",
+     lambda s, _: s.kernel.counters()["scalar_fallback_jobs"]),
+    ("counter", "serve_wal_records_total",
+     "Write-ahead log records written or replayed",
+     lambda s, _: s._wal_seq),
+    ("gauge", "serve_pending_jobs", "Submitted jobs awaiting a decision",
+     lambda s, _: s.pending),
+    ("gauge", "serve_max_pending_seen", "Peak admission-queue depth",
+     lambda s, _: s.stats.max_pending_seen),
+    ("gauge", "serve_capacity_bytes", "Total SSD capacity",
+     lambda s, _: float(s.capacity)),
+    ("gauge", "serve_peak_ssd_used_bytes", "Peak SSD bytes in use",
+     lambda s, _: float(s.kernel.peak_used)),
+    ("gauge", "serve_degraded",
+     "1 while the categorizer outage is open, else 0",
+     lambda s, _: 0 if s._degraded_since is None else 1),
+    ("lane", "serve_lane_capacity_bytes", "Per-lane SSD capacity",
+     lambda s, lane: float(s.lane_capacities[lane])),
+    ("lane", "serve_lane_free_bytes", "Per-lane free SSD bytes",
+     lambda s, lane: float(s.kernel.free[lane])),
+    ("lane", "serve_lane_occupancy_ratio", "Per-lane occupied fraction",
+     _occupancy),
+    ("gauge", "serve_act_position", "Global adaptive category threshold",
+     lambda s, _: _threshold(getattr(s.policy, "act", None))),
+    ("lane", "serve_act_lane_position",
+     "Per-shard adaptive category threshold",
+     lambda s, lane: _threshold(getattr(s.policy, "act_lanes", None), lane)),
+    ("gauge", "serve_uptime_seconds", "Seconds since service construction",
+     lambda s, _: perf_counter() - s._metrics_t0),
+    ("gauge", "serve_decisions_per_second",
+     "Lifetime mean decision throughput", _decision_rate),
+)
+_SOURCES = tuple(row[3] for row in _DERIVED)
+
 
 __all__ = [
     "PlacementDecision",
@@ -231,9 +289,9 @@ class PlacementService:
         ``[1, n_categories)`` — the Adaptive Hash heuristic.
     alerts:
         Optional :class:`~repro.serve.alerts.AlertManager`.  Evaluated
-        on the metrics-sync cadence (every :meth:`metrics` /
-        :meth:`metrics_text` / :meth:`evaluate_alerts` call) against
-        the pinned registry, driven by the logical clock — see
+        on every :meth:`metrics` / :meth:`metrics_text` /
+        :meth:`evaluate_alerts` call against the registry, driven by
+        the logical clock — see
         :mod:`repro.serve.alerts` for the determinism contract.  The
         manager's state rides service snapshots, so recovered alert
         streams continue instead of resetting.
@@ -354,14 +412,14 @@ class PlacementService:
     def _init_metrics(self) -> None:
         """Register the natively-observed instruments.
 
-        Everything else (the pinned counters and gauges) is created
-        lazily by :meth:`_sync_metrics`; the histograms and the
+        Everything else (the ``_DERIVED`` table) registers on the first
+        metrics read (:meth:`_derived`); the histograms and the
         per-category admission counters accumulate on the hot path and
         must exist from the first submission.
         """
         reg = self.registry
-        self._pinned = None  # metric-object cache, built on first sync
-        self._alert_sync = None  # selective-sync plan, built on first tick
+        self._derived_rows = None  # [(metric, row, lane)], first read
+        self._alert_rows = None  # (manager, the rows its rules read)
         self._m_request = reg.histogram(
             "serve_request_seconds",
             help="Wall-clock latency of one submit() call",
@@ -401,190 +459,68 @@ class PlacementService:
             for cat, cnt in zip(*np.unique(sel, return_counts=True)):
                 self._cat_counter(int(cat)).inc(int(cnt))
 
-    def _sync_metrics(self) -> None:
-        """Pin every derived metric to its authoritative source.
+    def _derived(self) -> list:
+        """Every ``_DERIVED`` sample as ``(metric, row, lane)``.
 
-        Counters mirror ``ServiceStats`` and the kernel's admission
-        counters *by assignment*, so a metrics snapshot can never
-        disagree with the end-of-run roll-up — the bit-identity
-        contract extends to the metrics surface.  Called by
-        :meth:`metrics` / :meth:`metrics_text` /
-        :meth:`evaluate_alerts`, never on the decision hot path.  The
-        metric objects are resolved once (:meth:`_build_metric_pins`)
-        and cached, so a per-batch alert-evaluation cadence costs
+        Registers the whole table, in table order, on the first read —
+        whichever of :meth:`metrics`, :meth:`metrics_text` or
+        :meth:`evaluate_alerts` comes first — so render order never
+        depends on the call that did it.  Cached: later reads cost
         attribute sets, not registry lookups.
         """
-        st = self.stats
-        kc = self.kernel.counters()
-        pin = self._pinned
-        if pin is None:
-            pin = self._pinned = self._build_metric_pins()
-        counters, gauges, lanes, act, act_lanes, g_uptime, g_dps = pin
-        for m, v in zip(counters, (
-            st.n_submitted, st.n_decided, st.n_chunks, st.forced_chunks,
-            st.n_completions, st.duplicate_completes, st.stale_completes,
-            st.n_shocks, st.n_evicted, st.evicted_bytes,
-            st.degraded_jobs, len(st.degraded_intervals),
-            st.categorizer_failures, kc["n_ssd_requested"],
-            kc["n_spilled"], kc["n_evicted"], kc["scalar_fallback_jobs"],
-            self._wal_seq,
-        )):
-            m.set(v)
-        g_pending, g_maxpend, g_cap, g_peak, g_degraded = gauges
-        g_pending.set(self.pending)
-        g_maxpend.set(st.max_pending_seen)
-        g_cap.set(float(self.capacity))
-        g_peak.set(kc["peak_used"])
-        g_degraded.set(1 if self._degraded_since is not None else 0)
-        free = np.asarray(self.kernel.free, dtype=float)
-        caps = np.asarray(self.lane_capacities, dtype=float)
-        for L, (g_lcap, g_lfree, g_locc) in enumerate(lanes):
-            cap = float(caps[L])
-            g_lcap.set(cap)
-            g_lfree.set(float(free[L]))
-            g_locc.set(1.0 - float(free[L]) / cap if cap > 0 else 0.0)
-        if act is not None:
-            act_v = getattr(self.policy, "act", None)
-            if act_v is not None:
-                act.set(int(act_v))
-        if act_lanes is not None:
-            lanes_v = getattr(self.policy, "act_lanes", None)
-            if lanes_v is not None:
-                for g, a in zip(act_lanes, np.asarray(lanes_v)):
-                    g.set(int(a))
-        dt = perf_counter() - self._metrics_t0
-        g_uptime.set(dt)
-        g_dps.set(st.n_decided / dt if dt > 0 else 0.0)
+        rows = self._derived_rows
+        if rows is None:
+            rows = self._derived_rows = []
+            reg = self.registry
+            for kind, run in groupby(range(len(_DERIVED)),
+                                     key=lambda r: _DERIVED[r][0]):
+                run = list(run)
+                make = reg.counter if kind == "counter" else reg.gauge
+                lanes = range(self.n_shards) if kind == "lane" else (None,)
+                for lane in lanes:
+                    labels = None if lane is None else {"lane": str(lane)}
+                    rows.extend(
+                        (make(_DERIVED[r][1], labels, _DERIVED[r][2]), r, lane)
+                        for r in run if _SOURCES[r](self, lane) is not None
+                    )
+        return rows
 
-    def _build_metric_pins(self):
-        """Create and cache the pinned metric objects.
+    def _sync_metrics(self, rows) -> None:
+        """Set each ``(metric, row, lane)`` from its table source.
 
-        Creation order matters: it is the registry's render order, part
-        of the scrape surface, and must match what the old per-call
-        get-or-create path produced.  A policy without an adaptive
-        threshold (``act``) never gets the act gauges, exactly as
-        before.
+        Never on the decision hot path.  The fleet router extends this
+        with its worker gather.
         """
-        reg = self.registry
-        counters = tuple(
-            reg.counter(name, help=h) for name, h in (
-                ("serve_submitted_total", "Jobs submitted to the service"),
-                ("serve_decided_total", "Placement decisions made"),
-                ("serve_chunks_total", "Policy chunks decided (batch mode)"),
-                ("serve_forced_chunks_total",
-                 "Chunks force-closed by backpressure"),
-                ("serve_completions_total",
-                 "Early completions that freed space"),
-                ("serve_duplicate_completes_total",
-                 "complete() calls for unknown or already-completed jobs"),
-                ("serve_stale_completes_total",
-                 "complete() timestamps clamped forward to the service clock"),
-                ("serve_shocks_total", "Capacity shocks applied"),
-                ("serve_evictions_total",
-                 "Residents evicted by capacity shocks"),
-                ("serve_evicted_bytes_total",
-                 "Bytes evicted by capacity shocks"),
-                ("serve_degraded_jobs_total",
-                 "Jobs categorized by the fallback heuristic"),
-                ("serve_degraded_intervals_total",
-                 "Closed categorizer outage intervals"),
-                ("serve_categorizer_failures_total",
-                 "Categorizer calls that raised"),
-                ("serve_ssd_requested_total",
-                 "Jobs the policy sent to SSD"),
-                ("serve_spilled_total",
-                 "SSD admissions that spilled to HDD"),
-                ("serve_kernel_evictions_total",
-                 "Kernel-level shock evictions"),
-                ("serve_scalar_fallback_total",
-                 "Chunk jobs that took the scalar arithmetic path"),
-                ("serve_wal_records_total",
-                 "Write-ahead log records written or replayed"),
-            )
-        )
-        gauges = (
-            reg.gauge(
-                "serve_pending_jobs",
-                help="Submitted jobs awaiting a decision",
-            ),
-            reg.gauge(
-                "serve_max_pending_seen", help="Peak admission-queue depth"
-            ),
-            reg.gauge("serve_capacity_bytes", help="Total SSD capacity"),
-            reg.gauge(
-                "serve_peak_ssd_used_bytes", help="Peak SSD bytes in use"
-            ),
-            reg.gauge(
-                "serve_degraded",
-                help="1 while the categorizer outage is open, else 0",
-            ),
-        )
-        lanes = tuple(
-            (
-                reg.gauge(
-                    "serve_lane_capacity_bytes", labels={"lane": str(L)},
-                    help="Per-lane SSD capacity",
-                ),
-                reg.gauge(
-                    "serve_lane_free_bytes", labels={"lane": str(L)},
-                    help="Per-lane free SSD bytes",
-                ),
-                reg.gauge(
-                    "serve_lane_occupancy_ratio", labels={"lane": str(L)},
-                    help="Per-lane occupied fraction",
-                ),
-            )
-            for L in range(self.n_shards)
-        )
-        act = act_lanes = None
-        if getattr(self.policy, "act", None) is not None:
-            act = reg.gauge(
-                "serve_act_position",
-                help="Global adaptive category threshold",
-            )
-        al = getattr(self.policy, "act_lanes", None)
-        if al is not None:
-            act_lanes = tuple(
-                reg.gauge(
-                    "serve_act_lane_position", labels={"lane": str(L)},
-                    help="Per-shard adaptive category threshold",
-                )
-                for L in range(len(np.asarray(al)))
-            )
-        g_uptime = reg.gauge(
-            "serve_uptime_seconds", help="Seconds since service construction"
-        )
-        g_dps = reg.gauge(
-            "serve_decisions_per_second",
-            help="Lifetime mean decision throughput",
-        )
-        return counters, gauges, lanes, act, act_lanes, g_uptime, g_dps
+        for m, r, lane in rows:
+            v = _SOURCES[r](self, lane)
+            if v is not None:
+                m.set(v)
 
     def metrics(self) -> dict:
         """A point-in-time snapshot of every metric.
 
-        Syncs the pinned counters/gauges from their authoritative
-        sources first, then returns the registry's plain-dict snapshot
-        (sample name → value; histograms as bucket/percentile dicts).
+        Reads every derived metric from its authoritative source first,
+        then returns the registry's plain-dict snapshot (sample name →
+        value; histograms as bucket/percentile dicts).
         """
-        self._sync_metrics()
-        if self.alerts is not None:
-            self._evaluate_synced()
-        return self.registry.snapshot()
+        return self._read_all().snapshot()
 
     def metrics_text(self) -> str:
         """The Prometheus text exposition (0.0.4) of :meth:`metrics`."""
-        self._sync_metrics()
+        return self._read_all().render()
+
+    def _read_all(self) -> MetricsRegistry:
+        self._sync_metrics(self._derived())
         if self.alerts is not None:
             self._evaluate_synced()
-        return self.registry.render()
+        return self.registry
 
     def evaluate_alerts(self) -> list:
         """Run one alert/SLO evaluation tick; returns the new events.
 
-        Pins the metrics first (the same sync :meth:`metrics` does —
-        the fleet router's override folds the per-worker registries),
-        then hands the registry and the logical clock to the
+        Reads only the derived metrics the manager's rules and SLOs
+        reference (resolved once per manager), then hands the registry
+        and the logical clock to the
         :class:`~repro.serve.alerts.AlertManager`.  A service without a
         manager returns ``[]``.  Never called on the decision hot path
         — drive it from your serving loop, the way the CLI evaluates
@@ -592,55 +528,16 @@ class PlacementService:
         """
         if self.alerts is None:
             return []
-        plan = self._alert_sync
-        if plan is None or plan[0] is not self.alerts:
-            plan = self._alert_sync = self._build_alert_sync_plan()
-        _, needs_kc, entries = plan
-        if entries is None:
-            self._sync_metrics()
-        else:
-            kc = self.kernel.counters() if needs_kc else None
-            for m, base in entries:
-                m.set(_ALERT_SYNC_GETTERS[base](self, kc))
+        sel = self._alert_rows
+        if sel is None or sel[0] is not self.alerts:
+            rows = self._derived()  # registers first: get() must see them
+            reg = self.registry
+            wanted = [reg.get(b, lb) for b, lb in self.alerts.referenced()]
+            sel = self._alert_rows = (self.alerts, [
+                row for row in rows if any(row[0] is m for m in wanted)
+            ])
+        self._sync_metrics(sel[1])
         return self._evaluate_synced()
-
-    def _build_alert_sync_plan(self):
-        """Resolve which metrics an evaluation tick must pin.
-
-        A per-batch alert cadence cannot afford the full
-        :meth:`_sync_metrics` pass (~45 metric objects) when the rules
-        read five of them, so the plan maps each *referenced* synced
-        metric to its value source and :meth:`evaluate_alerts` pins
-        just those — identical values, so the alert event stream is
-        unchanged.  Referenced metrics outside the synced set are
-        live-updated and need nothing.  Anything the fast table cannot
-        express (per-lane or labeled synced metrics, a subclass that
-        folds extra state into its sync — the fleet router) falls back
-        to the full sync; the plan is ``(alerts, needs_kernel,
-        entries-or-None)`` and rebuilds if the manager is swapped.
-        """
-        fallback = (self.alerts, False, None)
-        if type(self)._sync_metrics is not PlacementService._sync_metrics:
-            return fallback
-        # One full sync up front creates every pinned metric, so the
-        # registry's render order stays canonical no matter which sync
-        # path later scrapes run through.
-        self._sync_metrics()
-        entries = []
-        needs_kc = False
-        for base, labels in self.alerts.referenced():
-            if base not in _SYNCED_METRICS:
-                continue  # live-updated (histogram / category counter)
-            g = _ALERT_SYNC_GETTERS.get(base)
-            if g is None or labels:
-                return fallback
-            m = self.registry.get(base)
-            if m is None:
-                return fallback
-            if base in _KERNEL_SYNCED:
-                needs_kc = True
-            entries.append((m, base))
-        return (self.alerts, needs_kc, entries)
 
     def _evaluate_synced(self) -> list:
         c = self._clock  # plain float compare; np.isfinite costs ~1us
@@ -1575,8 +1472,11 @@ class PlacementService:
         state.setdefault("_trace_scanned", 0)
         state.setdefault("_trace_confirmed", 0)
         state.setdefault("_trace_cursor", 0)
-        state.setdefault("_pinned", None)
-        state.setdefault("_alert_sync", None)
+        # Same-schema checkpoints from before the derived-metric table.
+        state.pop("_pinned", None)
+        state.pop("_alert_sync", None)
+        state.setdefault("_derived_rows", None)
+        state.setdefault("_alert_rows", None)
         # Wall-clock gauges restart with the restored instance; the
         # checkpointed perf_counter origin belongs to a dead process.
         svc._metrics_t0 = perf_counter()

@@ -58,7 +58,11 @@ def compute_history(
     """Running per-pipeline averages over previously *completed* jobs.
 
     The computation is causally correct: job ``i``'s history includes
-    job ``j`` of the same pipeline iff ``j.end <= i.arrival``.
+    job ``j`` of the same pipeline iff ``j`` is listed before ``i``
+    and ``j.end <= i.arrival``.  A zero-duration job therefore never
+    folds into its own row or into same-instant rows listed before it,
+    exactly as the online extractor (which only sees jobs pushed
+    earlier) behaves.
     """
     n = len(trace)
     tcio = trace.tcio(rates)
@@ -98,7 +102,10 @@ def compute_history(
         t = arrivals[i]
         order = ends_sorted[p]
         c = cursor[p]
-        while c < len(order) and ends[order[c]] <= t:
+        # Ends tie-break by index, so the entries this row may not see
+        # (listed at or after ``i``, hence ending exactly at ``t``) sit
+        # last among those with ``end <= t``: stop at the first one.
+        while c < len(order) and ends[order[c]] <= t and order[c] < i:
             j = order[c]
             sums[p] += np.array([tcio[j], sizes[j], durations[j], density[j]])
             counts[p] += 1

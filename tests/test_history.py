@@ -28,6 +28,22 @@ class TestComputeHistory:
         # By t=200 both earlier jobs have completed (ends 100 and 60).
         assert hist.observed[2]
 
+    def test_zero_duration_folds_only_into_later_rows(self):
+        # Jobs 0-2 share one instant; job 1 completes the moment it
+        # arrives.  It enters neither its own row nor job 0's (listed
+        # before it), only job 2's — the order the online extractor
+        # sees them in.
+        jobs = [
+            make_job(0, arrival=50.0, duration=10.0, pipeline="p"),
+            make_job(1, arrival=50.0, duration=0.0, pipeline="p"),
+            make_job(2, arrival=50.0, duration=10.0, pipeline="p"),
+        ]
+        hist = compute_history(Trace(jobs))
+        assert not hist.observed[0]
+        assert not hist.observed[1]
+        assert hist.observed[2]
+        assert hist.average_lifetime[2] == 0.0
+
     def test_history_is_pipeline_scoped(self):
         jobs = [
             make_job(0, arrival=0.0, duration=10.0, pipeline="a"),

@@ -12,18 +12,24 @@ commutative regardless of worker reply order.
 """
 
 import pickle
+import re
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
+from repro.config import AdaptiveParams
+from repro.core import AdaptiveCategoryPolicy
 from repro.serve import (
+    AlertManager,
     FleetRouter,
     Histogram,
     MetricsRegistry,
     MetricsServer,
     PlacementService,
+    SloSpec,
+    default_alert_rules,
     merge_states,
 )
 from repro.serve.metrics import LATENCY_BUCKETS_SECONDS, SIZE_BUCKETS_JOBS
@@ -541,6 +547,165 @@ class TestGaugesAndText:
         assert 'serve_lane_free_bytes{lane="1"}' in text
         m = svc.metrics()
         assert f"serve_decided_total {m['serve_decided_total']}" in text
+
+
+class _Ticking:
+    """Service proxy that runs one alert tick after every micro-batch,
+    so ``_feed`` drives the per-batch cadence the CLI uses."""
+
+    def __init__(self, svc):
+        self._svc = svc
+
+    def __getattr__(self, name):
+        return getattr(self._svc, name)
+
+    def submit_jobs(self, jobs):
+        out = self._svc.submit_jobs(jobs)
+        self._svc.evaluate_alerts()
+        return out
+
+
+#: The scrape surface's family order, as a spec: the three hot-path
+#: histograms registered at construction, the category counters the
+#: first batch created, then every derived metric in table order.
+_SINGLE_FAMILIES = [
+    "serve_request_seconds", "serve_batch_seconds", "serve_chunk_jobs",
+    "serve_admitted_by_category_total",
+    "serve_submitted_total", "serve_decided_total", "serve_chunks_total",
+    "serve_forced_chunks_total", "serve_completions_total",
+    "serve_duplicate_completes_total", "serve_stale_completes_total",
+    "serve_shocks_total", "serve_evictions_total",
+    "serve_evicted_bytes_total", "serve_degraded_jobs_total",
+    "serve_degraded_intervals_total", "serve_categorizer_failures_total",
+    "serve_ssd_requested_total", "serve_spilled_total",
+    "serve_kernel_evictions_total", "serve_scalar_fallback_total",
+    "serve_wal_records_total",
+    "serve_pending_jobs", "serve_max_pending_seen", "serve_capacity_bytes",
+    "serve_peak_ssd_used_bytes", "serve_degraded",
+    "serve_lane_capacity_bytes", "serve_lane_free_bytes",
+    "serve_lane_occupancy_ratio",
+    "serve_act_position", "serve_act_lane_position",
+    "serve_uptime_seconds", "serve_decisions_per_second",
+]
+
+#: What the fleet gather appends: fleet gauges, then the merged worker
+#: registries.
+_GATHER_FAMILIES = [
+    "serve_workers", "serve_workers_alive", "serve_worker_recoveries",
+    "worker_batch_jobs", "worker_ops_total",
+]
+
+#: Per-lane samples register lane-major: each lane's capacity, free and
+#: occupancy gauges together, then the per-shard thresholds.
+_LANE_SAMPLES = [
+    (name, lane)
+    for lane in range(4)
+    for name in ("serve_lane_capacity_bytes", "serve_lane_free_bytes",
+                 "serve_lane_occupancy_ratio")
+] + [("serve_act_lane_position", lane) for lane in range(4)]
+
+
+class TestRenderOrder:
+    """Render order is part of the scrape surface, asserted as a list."""
+
+    @staticmethod
+    def _build(cls, trace, **kw):
+        cats = np.random.default_rng(5).integers(0, 8, len(trace))
+        policy = AdaptiveCategoryPolicy(
+            cats, 8,
+            AdaptiveParams(decision_interval=700.0, lookback_window=4000.0),
+            per_shard_act=True,
+        )
+        alerts = AlertManager(default_alert_rules(), [SloSpec(
+            "spill-rate", "serve_spilled_total",
+            denominator="serve_decided_total", budget=0.25,
+            fast_window=2000.0, slow_window=8000.0,
+        )])
+        svc = cls(policy, CAP, 4, mode="batch", alerts=alerts, **kw)
+        svc.open(trace)
+        _feed(_Ticking(svc), trace)
+        return svc
+
+    @staticmethod
+    def _order(text):
+        families = [ln.split()[2] for ln in text.splitlines()
+                    if ln.startswith("# TYPE ")]
+        lanes = [(m.group(1), int(m.group(2))) for m in re.finditer(
+            r'^(\w+)\{lane="(\d+)"\}', text, re.M)]
+        return families, lanes
+
+    def test_single_process(self, trace):
+        svc = self._build(PlacementService, trace)
+        families, lanes = self._order(svc.metrics_text())
+        assert families == _SINGLE_FAMILIES
+        assert lanes == _LANE_SAMPLES
+
+    def test_fleet_appends_the_gather_block(self, trace):
+        svc = self._build(FleetRouter, trace, n_workers=3)
+        try:
+            families, lanes = self._order(svc.metrics_text())
+        finally:
+            svc.close()
+        assert families == _SINGLE_FAMILIES + _GATHER_FAMILIES
+        assert lanes == _LANE_SAMPLES
+
+
+def _mask_wall_clock(text):
+    """Blank the samples that read the wall clock (uptime, throughput,
+    request/batch latency histograms); everything else is exact."""
+    return re.sub(
+        r"^((?:serve_uptime_seconds|serve_decisions_per_second|"
+        r"serve_request_seconds|serve_batch_seconds)\S*) .*$",
+        r"\1 <wall-clock>", text, flags=re.M,
+    )
+
+
+class TestOldCheckpoints:
+    def test_stale_metric_caches_are_dropped(self, trace, builders):
+        """Checkpoints written before the derived-metric table carry its
+        predecessors' caches (``_pinned``, ``_alert_sync``) under the
+        same schema.  Restore drops them, and the restored service
+        scrapes and alerts exactly like the uninterrupted run."""
+        from dataclasses import replace
+
+        def build():
+            svc = PlacementService(
+                builders["adaptive"](), CAP, 4, mode="batch",
+                alerts=AlertManager(default_alert_rules()),
+            )
+            svc.open(trace)
+            return svc
+
+        def feed(svc, lo, hi):
+            jobs = trace.jobs
+            for b in range(lo, hi, 17):
+                svc.submit_jobs(list(jobs[b:min(b + 17, hi)]))
+                if b <= len(jobs) // 2 < b + 17:
+                    svc.apply_shock(scale=0.5)
+                svc.evaluate_alerts()
+
+        n, mid = len(trace), 17 * 5
+        ref, svc = build(), build()
+        for s in (ref, svc):
+            feed(s, 0, mid)
+            s.metrics_text()
+        feed(ref, mid, n)
+        snap = svc.snapshot()
+        payload = dict(snap.payload)
+        reg = payload["registry"]
+        payload["_pinned"] = tuple(reg)
+        payload["_alert_sync"] = (
+            payload["alerts"], False,
+            [(reg.get("serve_capacity_bytes"), "serve_capacity_bytes")],
+        )
+        rec = PlacementService.restore(replace(snap, payload=payload))
+        assert "_pinned" not in vars(rec)
+        assert "_alert_sync" not in vars(rec)
+        feed(rec, mid, n)
+        assert (_mask_wall_clock(rec.metrics_text())
+                == _mask_wall_clock(ref.metrics_text()))
+        assert rec.alerts.events == ref.alerts.events
+        assert "capacity-shock" in rec.alerts.fired()
 
 
 class TestScrapeEndpoint:

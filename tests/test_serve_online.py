@@ -18,7 +18,6 @@ on the admission path, incrementally — and land on the same numbers:
 """
 
 import dataclasses
-import math
 import pickle
 
 import numpy as np
@@ -109,17 +108,15 @@ class TestOnlineFeatureEdges:
     @pytest.fixture(scope="class")
     def tied(self, cluster):
         """``cluster.full`` with arrivals and durations on whole minutes,
-        so same-pipeline completions often share an ``end``.
-
-        Durations round up to at least a minute: a zero-duration job
-        completes at its own arrival instant, where offline and online
-        extraction differ by design (docs/serving.md).
+        so same-pipeline completions often share an ``end`` — and
+        sub-half-minute jobs round to zero duration, completing at
+        their own arrival instant.
         """
         jobs = [
             dataclasses.replace(
                 j,
                 arrival=60.0 * round(j.arrival / 60.0),
-                duration=60.0 * max(1, math.ceil(j.duration / 60.0)),
+                duration=60.0 * round(j.duration / 60.0),
             )
             for j in cluster.full
         ]
