@@ -433,18 +433,11 @@ def test_perf_serve_latency():
             trace, AdaptiveCategoryPolicy(cats, N_CATEGORIES, params), capacity
         )
 
-        # Micro-batch mode: the sustained-throughput path, one row per
-        # engine tier (chunked always; compiled where numba exists —
-        # every tier must be bit-identical to the offline reference),
-        # plus a fully instrumented chunked row for the observability
-        # overhead bar.
-        from repro.storage.compiled import HAVE_NUMBA
-
+        # Micro-batch mode: the sustained-throughput path (bit-identical
+        # to the offline reference), plus a fully instrumented row for
+        # the observability overhead bar.
         pipelines = trace.pipelines
-        configs = [("batch/chunked", "chunked", False)]
-        if HAVE_NUMBA:
-            configs.append(("batch/compiled", "compiled", False))
-        configs.append(("batch/instrumented", "chunked", True))
+        configs = [("batch/chunked", False), ("batch/instrumented", True)]
         # Each row is the best of ``BENCH_SERVE_REPEATS`` full replays
         # (same minimum-over-repeats convention as ``_best_of``), and
         # the repeats are *interleaved* across configs: a single replay
@@ -488,7 +481,7 @@ def test_perf_serve_latency():
         best = {}
         hook_share = None
         for rep in range(serve_reps):
-            for label, engine, instrumented in configs:
+            for label, instrumented in configs:
                 alerts = tracer = None
                 if instrumented:
                     alerts = AlertManager(
@@ -502,7 +495,7 @@ def test_perf_serve_latency():
                     tracer = Tracer(sample=1.0 / 256)
                 service = PlacementService(
                     AdaptiveCategoryPolicy(cats, N_CATEGORIES, params), capacity,
-                    mode="batch", engine=engine, alerts=alerts, tracer=tracer,
+                    mode="batch", alerts=alerts, tracer=tracer,
                 )
                 service.open(trace)
                 lat = np.empty(-(-n // batch_jobs))
@@ -545,7 +538,7 @@ def test_perf_serve_latency():
                     best[label] = (elapsed, lat)
         batch_rows = []
         rates = {}
-        for label, _, _ in configs:
+        for label, _ in configs:
             elapsed, lat = best[label]
             rates[label] = n / elapsed
             p50b, p99b = np.percentile(lat, [50, 99])
@@ -580,7 +573,7 @@ def test_perf_serve_latency():
         lines = [
             f"Online-service latency smoke: {n:,} jobs micro-batched "
             f"({batch_jobs}/batch), {n_scalar:,} request-at-a-time "
-            "(adaptive policy; every engine tier bit-identical to the "
+            "(adaptive policy; every batch row bit-identical to the "
             "offline reference; instrumented = alert rules + spill-rate "
             "SLO per batch + 1/256 tracer)",
             f"{'mode':<18} {'p50':>12} {'p99':>12} {'decisions/s':>13}",
@@ -600,8 +593,6 @@ def test_perf_serve_latency():
             f"(measured in-run, best of {serve_reps} reps; "
             f"instrumented vs plain rate delta {delta_pct:+.1f}%)",
         ]
-        if not HAVE_NUMBA:
-            lines.append("batch/compiled: skipped (numba not installed)")
         emit("perf_serve_latency", "\n".join(lines))
 
         # The sustained-throughput and observability-overhead bars are

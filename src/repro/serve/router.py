@@ -121,7 +121,7 @@ class _WorkerPool:
     )
 
     def __init__(
-        self, *, n_shards, lane_caps, total, mode, compiled,
+        self, *, n_shards, lane_caps, total, mode,
         n_workers, transport, worker_dir, checkpoint_every,
     ):
         if n_workers < 1:
@@ -143,7 +143,6 @@ class _WorkerPool:
             self.specs.append({
                 "worker_id": w,
                 "mode": mode,
-                "compiled": bool(compiled),
                 "lane_caps": sub,
                 "lanes": lw,
                 "path_lanes": self.n_shards,
@@ -391,9 +390,7 @@ class FleetChunkKernel:
 
     def __init__(self, lane_caps, total, pool: _WorkerPool):
         self.pool = pool
-        self.ledger = ChunkKernel(
-            lane_caps, total, compiled=False, track_peak=False
-        )
+        self.ledger = ChunkKernel(lane_caps, total, track_peak=False)
         self._peak = 0.0
         self._cursor = -np.inf
 
@@ -901,7 +898,6 @@ class FleetRouter(PlacementService):
             lane_caps=lane_caps,
             total=total,
             mode=self.mode,
-            compiled=self.engine == "compiled",
             n_workers=cfg["n_workers"],
             transport=cfg["transport"],
             worker_dir=cfg["worker_dir"],

@@ -257,12 +257,6 @@ class PlacementService:
         ``"scalar"`` (decide per submission, legacy-engine arithmetic)
         or ``"batch"`` (queue and decide in policy chunks,
         chunked-engine arithmetic).
-    engine:
-        Kernel arithmetic for ``mode="batch"``: ``"auto"``/``"chunked"``
-        (the NumPy chunked kernel, default) or ``"compiled"`` (the same
-        kernel with numba-jitted trajectory loops — bit-identical,
-        requires the optional numba dependency).  ``"scalar"`` mode
-        always runs the legacy per-job kernel.
     max_pending:
         Backpressure bound on the admission queue (``"batch"`` mode):
         exceeding it force-closes chunks at the available horizon.
@@ -275,10 +269,6 @@ class PlacementService:
         on-the-fly feature extraction + packed-forest prediction); the
         categories are streamed into the policy via its
         ``extend_categories`` hook.
-    track_jobs:
-        Keep a live table of outstanding SSD allocations so
-        :meth:`complete` can release space early.  On by default; turn
-        off to shave bookkeeping from pure-replay benchmarks.
     wal:
         Optional :class:`~repro.serve.wal.WriteAheadLog` (or a path,
         opened as one): every mutating call is appended before it
@@ -309,12 +299,10 @@ class PlacementService:
         n_shards: int = 1,
         *,
         mode: str = "batch",
-        engine: str = "auto",
         rates: CostRates = DEFAULT_RATES,
         shard_seed: int = 0,
         max_pending: int | None = None,
         categorizer=None,
-        track_jobs: bool = True,
         name: str = "service",
         wal: WriteAheadLog | str | None = None,
         fallback_categorizer=None,
@@ -323,10 +311,6 @@ class PlacementService:
     ):
         if mode not in ("scalar", "batch"):
             raise ValueError(f"unknown service mode {mode!r}")
-        if engine not in ("auto", "chunked", "compiled"):
-            raise ValueError(f"unknown service engine {engine!r}")
-        if engine == "compiled" and mode != "batch":
-            raise ValueError("engine='compiled' requires mode='batch'")
         if n_shards < 1:
             raise ValueError("need at least one shard")
         if mode == "batch" and not callable(getattr(policy, "decide_batch", None)):
@@ -339,12 +323,10 @@ class PlacementService:
         self.policy = policy
         self.n_shards = n_shards
         self.mode = mode
-        self.engine = engine
         self.rates = rates
         self.shard_seed = shard_seed
         self.max_pending = max_pending
         self.categorizer = categorizer
-        self.track_jobs = track_jobs
         lane_caps, total = _normalize_capacity(capacity, n_shards)
         self.lane_capacities = lane_caps
         self.capacity = total
@@ -405,7 +387,7 @@ class PlacementService:
         """
         if self.mode == "scalar":
             return ScalarKernel(lane_caps, total)
-        return ChunkKernel(lane_caps, total, compiled=(self.engine == "compiled"))
+        return ChunkKernel(lane_caps, total)
 
     # -- metrics --------------------------------------------------------
 
@@ -915,7 +897,7 @@ class PlacementService:
         self._frac.append(frac)
         self.policy.observe_one(i, t, want_ssd, space_frac, spill_time, s)
         job_id = log.job_ids[i]
-        if self.track_jobs and alloc > 0 and release > self._now:
+        if alloc > 0 and release > self._now:
             self._live[job_id] = (i, s, float(alloc), float(release))
             self._maybe_sweep_live()
         self._decided += 1
@@ -1060,7 +1042,7 @@ class PlacementService:
                     tr, i, ids[i], float(times[k]),
                     0 if lanes is None else int(lanes[k]),
                     bool(req[k]), float(fracs[k]), float(spills[k]),
-                    0.0 if rel_buf is None else float(rel_buf[k]),
+                    float(rel_buf[k]),
                     cats,
                 )
         self._trace_cursor = cur
@@ -1126,8 +1108,8 @@ class PlacementService:
             count = min(want, n - first)
             stop = first + count
             self._frac.ensure(n)
-            alloc_buf = np.zeros(count) if self.track_jobs else None
-            rel_buf = np.zeros(count) if self.track_jobs else None
+            alloc_buf = np.zeros(count)
+            rel_buf = np.zeros(count)
             outcomes = kern.run_chunk(
                 bd, first, stop,
                 log._arrivals.data, log._durations.data, log._sizes.data,
@@ -1138,8 +1120,7 @@ class PlacementService:
             self._frac.n = stop
             self.policy.observe_batch(outcomes)
             self._advance_now(float(log.arrivals[stop - 1]))
-            if self.track_jobs:
-                self._track_live_chunk(outcomes, alloc_buf, rel_buf)
+            self._track_live_chunk(outcomes, alloc_buf, rel_buf)
             out.append(_DecisionBatch(outcomes, alloc_buf, rel_buf, log.job_ids))
             self._decided = stop
             self.stats.n_decided += count
@@ -1472,9 +1453,10 @@ class PlacementService:
         state.setdefault("_trace_scanned", 0)
         state.setdefault("_trace_confirmed", 0)
         state.setdefault("_trace_cursor", 0)
-        # Same-schema checkpoints from before the derived-metric table.
-        state.pop("_pinned", None)
-        state.pop("_alert_sync", None)
+        # Same-schema checkpoints from before the derived-metric table
+        # and from before the engine / track_jobs knobs were removed.
+        for stale in ("_pinned", "_alert_sync", "engine", "track_jobs"):
+            state.pop(stale, None)
         state.setdefault("_derived_rows", None)
         state.setdefault("_alert_rows", None)
         # Wall-clock gauges restart with the restored instance; the

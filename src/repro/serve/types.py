@@ -131,7 +131,7 @@ class _DecisionBatch(Sequence):
             req = o.requested_ssd.tolist()
             space = o.ssd_space_fraction.tolist()
             spills = o.spill_time.tolist()
-            rels = times if self._rel is None else self._rel.tolist()
+            rels = self._rel.tolist()
             lanes = [0] * n if o.shards is None else o.shards.tolist()
             ids = self._job_ids
             self._items = [

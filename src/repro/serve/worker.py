@@ -61,8 +61,7 @@ class PlacementWorker:
     - ``track_peak`` — only a single-worker fleet tracks the global
       peak locally; with more workers the router samples it;
     - ``total`` — the kernel's capacity scalar (the fleet total for a
-      single-worker fleet, the subset sum otherwise);
-    - ``compiled`` — use the numba chunk kernels.
+      single-worker fleet, the subset sum otherwise).
     """
 
     def __init__(self, spec: dict):
@@ -129,7 +128,6 @@ class PlacementWorker:
             )
         return ChunkKernel(
             lane_caps, total,
-            compiled=bool(spec.get("compiled", False)),
             lanes=lanes,
             path_lanes=int(spec["path_lanes"]),
             track_peak=track_peak,

@@ -35,10 +35,6 @@ the same two engines:
   replayed through the exact scalar loop, and the remainder re-enters
   the vectorized check.  Binding chunks therefore no longer fall back
   wholesale to the per-candidate loop.
-- ``compiled``: the chunked engine with its trajectory inner loops
-  (gather + sequential cumsum, masked trajectory minimum) numba-jitted
-  via :mod:`repro.storage.compiled` — bit-identical to ``chunked`` by
-  construction, opt-in because numba is an optional dependency.
 
 Peak-usage accounting stays global (the fleet-level metric) and is
 sampled at admission events exactly as the legacy loop samples it.
@@ -79,7 +75,6 @@ from ..cost import CostRates, DEFAULT_RATES
 from ..workloads.job import TraceBase
 from ..workloads.metadata import stable_hash
 from ..workloads.streaming import TraceSource, materialize_trace
-from .compiled import masked_min_seq, require_numba, traj_seq
 from .policy import (
     BatchOutcomes,
     PlacementContext,
@@ -399,10 +394,7 @@ def run_placement(
     engine:
         Event-loop implementation: ``"auto"`` (chunked fast path when
         the policy implements ``decide_batch``, legacy otherwise),
-        ``"chunked"``, ``"legacy"``, or ``"compiled"`` (the chunked
-        engine with its trajectory inner loops numba-jitted —
-        bit-identical to ``"chunked"``, requires the optional numba
-        dependency).
+        ``"chunked"``, or ``"legacy"``.
     shard_seed:
         Seed of the pipeline-to-shard routing hash.
     aggregate_only:
@@ -415,12 +407,10 @@ def run_placement(
     # engine name must not cost a full pass over an out-of-core source.
     if n_shards < 1:
         raise ValueError("need at least one shard")
-    if engine not in ("auto", "chunked", "legacy", "compiled"):
+    if engine not in ("auto", "chunked", "legacy"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "compiled":
-        require_numba()
     batched = callable(getattr(policy, "decide_batch", None))
-    if engine in ("chunked", "compiled") and not batched:
+    if engine == "chunked" and not batched:
         raise ValueError(f"policy {policy.name!r} does not implement decide_batch")
     lane_caps, total = _normalize_capacity(capacity, n_shards)
     trace = materialize_trace(trace)
@@ -430,7 +420,7 @@ def run_placement(
     if batched and engine != "legacy":
         return _run_chunked(
             trace, policy, lane_caps, total, rates, shards, n_shards,
-            aggregate_only, compiled=(engine == "compiled"),
+            aggregate_only,
         )
     return _run_legacy(
         trace, policy, lane_caps, total, rates, shards, n_shards, aggregate_only
@@ -914,7 +904,7 @@ class ChunkKernel:
     """
 
     __slots__ = (
-        "st", "compiled", "n_ssd_requested", "n_spilled", "n_evicted",
+        "st", "n_ssd_requested", "n_spilled", "n_evicted",
         "evicted_bytes", "lanes", "lane_index",
     )
 
@@ -922,14 +912,11 @@ class ChunkKernel:
         self,
         lane_caps: np.ndarray,
         total: float,
-        compiled: bool = False,
         *,
         lanes: np.ndarray | None = None,
         path_lanes: int | None = None,
         track_peak: bool = True,
     ):
-        if compiled:
-            require_numba()
         self.st = _LaneState(
             lane_caps, total, path_lanes=path_lanes, track_peak=track_peak
         )
@@ -943,11 +930,18 @@ class ChunkKernel:
                 )
         self.lanes = lanes
         self.lane_index = {int(g): k for k, g in enumerate(lanes)}
-        self.compiled = compiled
         self.n_ssd_requested = 0
         self.n_spilled = 0
         self.n_evicted = 0
         self.evicted_bytes = 0.0
+
+    def __setstate__(self, state):
+        # Checkpoints written while the kernel still had a ``compiled``
+        # slot carry its value; drop it so they restore.
+        _, slots = state
+        for name, value in slots.items():
+            if name != "compiled":
+                setattr(self, name, value)
 
     @property
     def capacity(self) -> float:
@@ -1049,7 +1043,7 @@ class ChunkKernel:
                 spilled = _run_mask_chunk(
                     st, first, t_last, arrivals, durations, sizes, chunk_lanes,
                     bd.ssd_ttl, cand, space, spill_col, ssd_fraction,
-                    alloc_out, release_out, compiled=self.compiled,
+                    alloc_out, release_out,
                 )
                 self.n_ssd_requested += cand.size
                 self.n_spilled += spilled
@@ -1175,7 +1169,6 @@ def _run_chunked(
     shards: np.ndarray | None,
     n_shards: int,
     aggregate_only: bool = False,
-    compiled: bool = False,
 ) -> SimResult:
     """Chunked engine: one policy round-trip per decision interval.
 
@@ -1188,7 +1181,7 @@ def _run_chunked(
     durations = trace.durations
     sizes = trace.sizes
 
-    kern = ChunkKernel(lane_caps, capacity, compiled=compiled)
+    kern = ChunkKernel(lane_caps, capacity)
     ssd_fraction = np.zeros(n)
 
     i = 0
@@ -1227,7 +1220,6 @@ def _run_mask_chunk(
     ssd_fraction: np.ndarray,
     alloc_out: np.ndarray | None = None,
     release_out: np.ndarray | None = None,
-    compiled: bool = False,
 ) -> int:
     """Process one mask-mode chunk; returns the number of spilled jobs.
 
@@ -1237,10 +1229,6 @@ def _run_mask_chunk(
     vectorized pass; a lane where capacity binds goes through
     :func:`_admit_lane_binding`'s re-entrant retry.  Peak usage is then
     sampled globally over the realized allocations.
-
-    ``compiled`` swaps the trajectory inner loops (gather + sequential
-    cumsum, masked trajectory minimum) for the numba kernels of
-    :mod:`repro.storage.compiled` — bit-identical by construction.
     """
     idx = first + cand
     ct = arrivals[idx]
@@ -1276,10 +1264,7 @@ def _run_mask_chunk(
     total_free_start = float(st.free.sum())
 
     if st.path_lanes == 1:
-        if compiled:
-            traj = traj_seq(ev_d, order, float(st.free[0]))
-        else:
-            traj = st.free[0] + np.cumsum(ev_d[order])
+        traj = st.free[0] + np.cumsum(ev_d[order])
         if traj.size and float(traj.min()) >= 0.0:
             # Capacity never binds: every candidate fits in full.
             if st.track_peak:
@@ -1319,10 +1304,7 @@ def _run_mask_chunk(
         for a, b in zip(bounds, ends):
             seg = order_l[a:b]
             L = int(lo[a])
-            if compiled:
-                traj_L = traj_seq(ev_d, seg, float(st.free[L]))
-            else:
-                traj_L = st.free[L] + np.cumsum(ev_d[seg])
+            traj_L = st.free[L] + np.cumsum(ev_d[seg])
             if float(traj_L.min()) >= 0.0:
                 clean[L] = True
                 st.free[L] = float(traj_L[-1])
@@ -1372,7 +1354,6 @@ def _run_mask_chunk(
                 st, L, lpos, pend_t, pend_a, t_last,
                 ct, cs, release, time_frac, cand, idx,
                 space, spill_col, ssd_fraction, alloc_arr,
-                compiled=compiled,
             )
         if small:
             n_spilled += _admit_lanes_scalar(
@@ -1393,12 +1374,9 @@ def _run_mask_chunk(
         arr_pos = (ko >= 0) & ((ko & 1) == 0)
         if arr_pos.any():
             ev_pd = np.concatenate([old_a, -alloc_arr, alloc_arr[inside]])
-            if compiled:
-                low = masked_min_seq(ev_pd, order, total_free_start, arr_pos)
-            else:
-                low = float(
-                    (total_free_start + np.cumsum(ev_pd[order]))[arr_pos].min()
-                )
+            low = float(
+                (total_free_start + np.cumsum(ev_pd[order]))[arr_pos].min()
+            )
             st.peak_used = max(st.peak_used, st.capacity - low)
     return n_spilled
 
@@ -1498,7 +1476,6 @@ def _admit_lane_binding(
     spill_col: np.ndarray,
     ssd_fraction: np.ndarray,
     alloc_arr: np.ndarray,
-    compiled: bool = False,
 ) -> int:
     """Re-entrant admission for one lane where capacity binds.
 
@@ -1542,10 +1519,7 @@ def _admit_lane_binding(
             ]
         )
         order = np.lexsort((ev_k, ev_t))
-        if compiled:
-            traj = traj_seq(ev_d, order, f)
-        else:
-            traj = f + np.cumsum(ev_d[order])
+        traj = f + np.cumsum(ev_d[order])
         viol = np.flatnonzero(traj < 0.0)
 
         if viol.size == 0:

@@ -101,9 +101,7 @@ def simulate(
     engine:
         Event-loop implementation: ``"auto"`` (chunked fast path when
         the policy implements ``decide_batch``, legacy otherwise),
-        ``"chunked"``, ``"legacy"``, or ``"compiled"`` (chunked with
-        numba-jitted inner loops; requires the optional numba
-        dependency, bit-identical to ``"chunked"``).
+        ``"chunked"``, or ``"legacy"``.
     aggregate_only:
         Constant-memory results: keep only the scalar aggregates and
         drop the per-job arrays (:attr:`SimResult.ssd_fraction` is

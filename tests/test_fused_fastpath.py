@@ -2,11 +2,10 @@
 
 PR contract for the fused kernel work:
 
-1. **Engine sweep** — ``legacy`` / ``chunked`` / ``compiled`` produce
-   bit-identical placements for every batched policy family, at every
-   shard count, both offline (``simulate``/``simulate_sharded``) and
-   online (``PlacementService`` replay).  ``compiled`` runs only where
-   numba is installed; everywhere else the switch must refuse loudly.
+1. **Engine sweep** — ``legacy`` and ``chunked`` produce equivalent
+   placements for every batched policy family, at every shard count,
+   and the online ``PlacementService`` replay equals the offline
+   chunked run bit for bit.
 2. **Category decision tables** — the adaptive policy's steady-state
    admission lookup is rebuilt on every ACT move and every
    ``on_shard_topology`` re-fire, never stale, and decision outcomes
@@ -27,7 +26,6 @@ from repro.cost import DEFAULT_RATES, tcio_rate, tcio_rate_scalar
 from repro.ml.encoding import QuantileBinner
 from repro.serve import PlacementService
 from repro.storage import run_placement, simulate
-from repro.storage.compiled import HAVE_NUMBA
 from repro.units import GIB
 from repro.workloads.features import OnlineFeatureExtractor, extract_features
 
@@ -36,10 +34,6 @@ from test_serve_service import (
     make_policy_builders,
     random_trace,
 )
-
-ENGINES = ("legacy", "chunked") + (("compiled",) if HAVE_NUMBA else ())
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
 
 
 def assert_equivalent(a, b, label=""):
@@ -55,7 +49,7 @@ def assert_equivalent(a, b, label=""):
 
 
 class TestEngineSweep:
-    """legacy ~= chunked == compiled, offline and online."""
+    """legacy ~= chunked offline; online == offline chunked."""
 
     @pytest.mark.parametrize("n_shards", (1, 4))
     @pytest.mark.parametrize("capacity", (2 * GIB, 40 * GIB))
@@ -71,101 +65,20 @@ class TestEngineSweep:
             assert_equivalent(
                 legacy, chunked, f"{name} x chunked x {n_shards} shards"
             )
-            for engine in ENGINES[2:]:
-                res = run_placement(
-                    trace, build(), capacity, n_shards=n_shards, engine=engine
-                )
-                # Same vectorized family: exact, not tolerance.
-                assert_bit_identical(
-                    chunked, res, f"{name} x {engine} x {n_shards} shards"
-                )
 
     @pytest.mark.parametrize("n_shards", (1, 4))
     def test_online_replay_matches_offline_per_engine(self, n_shards):
         trace = random_trace(22, n=400)
         cap = 20 * GIB
         for name, build in make_policy_builders(trace, 22).items():
-            for engine in ("chunked",) + ENGINES[2:]:
-                off = run_placement(
-                    trace, build(), cap, n_shards=n_shards, engine=engine
-                )
-                svc = PlacementService(
-                    build(), cap, n_shards, mode="batch", engine=engine
-                )
-                on = svc.replay(trace, batch_jobs=37)
-                assert_bit_identical(
-                    off, on, f"{name} x {engine} x {n_shards} shards online"
-                )
-
-    def test_compiled_engine_gated_without_numba(self):
-        trace = random_trace(23, n=40)
-        if HAVE_NUMBA:
-            pytest.skip("numba present: the gate is the sweep above")
-        with pytest.raises(RuntimeError, match="numba"):
-            simulate(trace, make_policy_builders(trace, 23)["firstfit"](),
-                     10 * GIB, engine="compiled")
-        with pytest.raises(RuntimeError, match="numba"):
-            PlacementService(
-                make_policy_builders(trace, 23)["firstfit"](),
-                10 * GIB, mode="batch", engine="compiled",
+            off = run_placement(
+                trace, build(), cap, n_shards=n_shards, engine="chunked"
             )
-
-    def test_compiled_dispatch_with_fallback_kernels(self, monkeypatch):
-        """Drive the compiled=True branches with the NumPy fallback
-        kernels (numba-free), so the dispatch plumbing is exercised on
-        every environment: same gathers, same sequential accumulation,
-        bit-identical to the chunked branch."""
-        import repro.serve.service as service_mod
-        import repro.storage.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod, "require_numba", lambda: None)
-        trace = random_trace(25, n=300)
-        cap = 3 * GIB  # binding regime: both trajectory kernels fire
-        for name, build in make_policy_builders(trace, 25).items():
-            chunked = run_placement(trace, build(), cap, engine="chunked")
-            compiled = run_placement(trace, build(), cap, engine="compiled")
-            assert_bit_identical(chunked, compiled, f"{name} fallback-compiled")
-        svc = PlacementService(
-            make_policy_builders(trace, 25)["adaptive"](),
-            cap, mode="batch", engine="compiled",
-        )
-        on = svc.replay(trace, batch_jobs=41)
-        off = run_placement(
-            trace, make_policy_builders(trace, 25)["adaptive"](),
-            cap, engine="chunked",
-        )
-        assert_bit_identical(off, on, "fallback-compiled online")
-
-    @needs_numba
-    def test_wal_recovery_bit_identity_compiled(self, tmp_path):
-        """Crash + recover with engine="compiled" equals the
-        uninterrupted compiled run (WAL replay re-enters the same
-        compiled kernels)."""
-        trace = random_trace(24, n=200)
-        cap = 8 * GIB
-        build = make_policy_builders(trace, 24)["adaptive"]
-        svc = PlacementService(build(), cap, 4, mode="batch", engine="compiled")
-        svc.open(trace)
-        for j in trace:
-            svc.submit(j)
-        off = svc.result()
-
-        wal, ckpt = str(tmp_path / "c.wal"), str(tmp_path / "c.ckpt")
-        svc2 = PlacementService(
-            build(), cap, 4, mode="batch", engine="compiled", wal=wal
-        )
-        svc2.open(trace)
-        jobs = list(trace)
-        for j in jobs[:60]:
-            svc2.submit(j)
-        svc2.checkpoint(ckpt)
-        for j in jobs[60:120]:
-            svc2.submit(j)
-        svc2.wal.close()  # crash
-        rec = PlacementService.recover(ckpt, wal)
-        for j in jobs[120:]:
-            rec.submit(j)
-        assert_bit_identical(off, rec.result(), "compiled WAL recovery")
+            svc = PlacementService(build(), cap, n_shards, mode="batch")
+            on = svc.replay(trace, batch_jobs=37)
+            assert_bit_identical(
+                off, on, f"{name} x chunked x {n_shards} shards online"
+            )
 
 
 class TestDecisionTables:
@@ -247,11 +160,8 @@ class TestScalarFallbackAccounting:
             trace, AdaptiveCategoryPolicy(cats, 6), cap, engine="chunked"
         )
         assert ref.n_spilled > 0
-        for engine in ENGINES[2:]:
-            res = simulate(
-                trace, AdaptiveCategoryPolicy(cats, 6), cap, engine=engine
-            )
-            assert res.scalar_fallback_jobs == ref.scalar_fallback_jobs, engine
+        res = simulate(trace, AdaptiveCategoryPolicy(cats, 6), cap, engine="auto")
+        assert res.scalar_fallback_jobs == ref.scalar_fallback_jobs
 
     def test_online_offline_fallback_counts_agree(self):
         trace, cats, cap = self._binding_setup(42)
@@ -266,23 +176,22 @@ class TestScalarFallbackAccounting:
     def test_shock_does_not_inflate_fallback_accounting(self):
         """Regression: a capacity shock mid-stream flushes the queue but
         must not double-count candidates already attributed to the
-        vectorized path, on any engine."""
+        vectorized path, at any submission slicing."""
         trace, cats, cap = self._binding_setup(43)
         jobs = list(trace)
         counts = {}
-        for engine in ("chunked",) + ENGINES[2:]:
+        for batch in (1, 17):
             svc = PlacementService(
-                AdaptiveCategoryPolicy(cats, 6), cap, 2,
-                mode="batch", engine=engine,
+                AdaptiveCategoryPolicy(cats, 6), cap, 2, mode="batch"
             )
             svc.open(trace)
-            for j in jobs[:250]:
-                svc.submit(j)
-            svc.apply_shock(scale=0.5)
-            for j in jobs[250:]:
-                svc.submit(j)
+            for lo, hi in ((0, 250), (250, len(jobs))):
+                for b in range(lo, hi, batch):
+                    svc.submit_jobs(jobs[b:min(b + batch, hi)])
+                if lo == 0:
+                    svc.apply_shock(scale=0.5)
             res = svc.result()
-            counts[engine] = res.scalar_fallback_jobs
+            counts[batch] = res.scalar_fallback_jobs
             assert 0 <= res.scalar_fallback_jobs <= res.n_ssd_requested
         assert len(set(counts.values())) == 1, counts
 

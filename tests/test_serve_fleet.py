@@ -29,7 +29,6 @@ from repro.serve import (
     WorkerDied,
     worker_lanes,
 )
-from repro.storage.compiled import HAVE_NUMBA
 from repro.storage.engine import SimResult
 from repro.workloads import save_trace
 from repro.workloads.streaming import materialize_trace
@@ -39,8 +38,6 @@ from test_serve_service import (
     make_policy_builders,
     random_trace,
 )
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
 
 CAP = 55e9
 
@@ -143,19 +140,6 @@ class TestBitIdentity:
             got = drive(svc)
             svc.close()
             assert_bit_identical(base, got, f"shock+complete/{mode}")
-
-    @needs_numba
-    def test_compiled_engine_fleet(self, trace, builders):
-        base = PlacementService(
-            builders["adaptive"](), CAP, 4, mode="batch", engine="compiled"
-        ).replay(trace, batch_jobs=29)
-        svc = FleetRouter(
-            builders["adaptive"](), CAP, 4, mode="batch",
-            engine="compiled", n_workers=3,
-        )
-        got = svc.replay(trace, batch_jobs=29)
-        svc.close()
-        assert_bit_identical(base, got, "compiled")
 
 
 class TestMergePartitions:

@@ -34,7 +34,11 @@ from repro.serve import (
 )
 from repro.serve.metrics import LATENCY_BUCKETS_SECONDS, SIZE_BUCKETS_JOBS
 
-from test_serve_service import make_policy_builders, random_trace
+from test_serve_service import (
+    assert_bit_identical,
+    make_policy_builders,
+    random_trace,
+)
 
 CAP = 55e9
 
@@ -660,12 +664,30 @@ def _mask_wall_clock(text):
     )
 
 
+class _WithStaleSlots:
+    """Pickles as ``obj`` plus extra slot values, the way a checkpoint
+    written by an older library carries a since-removed slot
+    (``ChunkKernel.compiled``)."""
+
+    def __init__(self, obj, **slots):
+        self.obj = obj
+        self.slots = slots
+
+    def __reduce__(self):
+        cls = type(self.obj)
+        _, _, (dict_state, slots) = self.obj.__reduce_ex__(2)[:3]
+        return cls.__new__, (cls,), (dict_state, {**slots, **self.slots})
+
+
 class TestOldCheckpoints:
     def test_stale_metric_caches_are_dropped(self, trace, builders):
         """Checkpoints written before the derived-metric table carry its
         predecessors' caches (``_pinned``, ``_alert_sync``) under the
-        same schema.  Restore drops them, and the restored service
-        scrapes and alerts exactly like the uninterrupted run."""
+        same schema, and checkpoints from before the serving knobs were
+        removed carry ``engine``, ``track_jobs`` and a kernel pickled
+        with a ``compiled`` slot.  Restore drops them all, and the
+        restored service scrapes and alerts exactly like the
+        uninterrupted run."""
         from dataclasses import replace
 
         def build():
@@ -698,14 +720,59 @@ class TestOldCheckpoints:
             payload["alerts"], False,
             [(reg.get("serve_capacity_bytes"), "serve_capacity_bytes")],
         )
-        rec = PlacementService.restore(replace(snap, payload=payload))
-        assert "_pinned" not in vars(rec)
-        assert "_alert_sync" not in vars(rec)
+        payload["engine"] = "auto"
+        payload["track_jobs"] = True
+        payload["kernel"] = _WithStaleSlots(payload["kernel"], compiled=False)
+        old = pickle.loads(pickle.dumps(replace(snap, payload=payload)))
+        rec = PlacementService.restore(old)
+        for stale in ("_pinned", "_alert_sync", "engine", "track_jobs"):
+            assert stale not in vars(rec)
         feed(rec, mid, n)
         assert (_mask_wall_clock(rec.metrics_text())
                 == _mask_wall_clock(ref.metrics_text()))
         assert rec.alerts.events == ref.alerts.events
         assert "capacity-shock" in rec.alerts.fired()
+        assert_bit_identical(ref.result(), rec.result())
+
+    def test_worker_payload_with_compiled_slot_restores(self, trace, builders):
+        """A worker checkpoint from before the ``compiled`` slot and
+        spec key were removed rebuilds through
+        ``PlacementWorker.from_payload`` and continues bit-identically
+        to the uninterrupted fleet."""
+        from repro.serve.transport import InProcessTransport
+        from repro.serve.worker import PlacementWorker
+
+        def build():
+            svc = FleetRouter(
+                builders["adaptive"](), CAP, 4, mode="batch", n_workers=2
+            )
+            svc.open(trace)
+            return svc
+
+        jobs = list(trace.jobs)
+        n, mid = len(jobs), 17 * 7
+        ref, svc = build(), build()
+        for s in (ref, svc):
+            for b in range(0, mid, 17):
+                s.submit_jobs(jobs[b:b + 17])
+        pool = svc.pool
+        for w in range(pool.n_workers):
+            payload = dict(pool.request(w, {"op": "state"})["payload"])
+            payload["spec"] = {**payload["spec"], "compiled": False}
+            payload["kernel"] = _WithStaleSlots(
+                payload["kernel"], compiled=False
+            )
+            worker = PlacementWorker.from_payload(
+                pickle.loads(pickle.dumps(payload))
+            )
+            pool.transports[w] = InProcessTransport(w, worker)
+        for s in (ref, svc):
+            for b in range(mid, n, 17):
+                s.submit_jobs(jobs[b:b + 17])
+        got, want = svc.result(), ref.result()
+        svc.close()
+        ref.close()
+        assert_bit_identical(want, got)
 
 
 class TestScrapeEndpoint:

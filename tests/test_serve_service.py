@@ -16,6 +16,7 @@ Pillars:
 """
 
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -229,10 +230,7 @@ class TestCompleteEvents:
     """Early completion frees space; duplicates are safe no-ops."""
 
     def _two_job_service(self, mode):
-        svc = PlacementService(
-            FirstFitPolicy(), 10 * GIB, mode=mode, track_jobs=True
-        )
-        return svc
+        return PlacementService(FirstFitPolicy(), 10 * GIB, mode=mode)
 
     @pytest.mark.parametrize("mode", ("scalar", "batch"))
     def test_complete_frees_space_early(self, mode):
@@ -348,6 +346,52 @@ class TestCompleteEvents:
         assert after[lane] == pytest.approx(before[lane] + 1.5 * GIB)
         others = [k for k in range(4) if k != lane]
         np.testing.assert_array_equal(after[others], before[others])
+
+
+class TestReleaseTime:
+    """``PlacementDecision.release_time`` is the scheduled release that
+    :meth:`~repro.serve.PlacementService.complete` would cancel."""
+
+    @pytest.mark.parametrize("name", ("firstfit", "lifetime"))
+    def test_release_time_matches_schedule_in_both_modes(self, name):
+        trace = random_trace(61, n=300)
+        if name == "lifetime":
+            feats = extract_features(trace, DEFAULT_RATES)
+            lt = LifetimeModel(n_rounds=3).fit(feats, trace.durations)
+            # Admit every job; its predicted-lifetime TTL still bounds
+            # the residency of the jobs that outlive the prediction.
+            build = partial(LifetimePolicy, lt, feats, ttl=np.inf)
+        else:
+            build = FirstFitPolicy
+        cap = 1e6 * GIB  # never binds: every SSD request fits in full
+        jobs = list(trace)
+        # The schedule, computed from the trace and the policy's TTLs.
+        ttl = build()._bound if name == "lifetime" else np.full(len(trace), np.inf)
+        t, dur = trace.arrivals, trace.durations
+        expected = np.where(ttl < dur, t + np.maximum(ttl, 0.0), t + dur)
+        releases = {}
+        for mode in ("scalar", "batch"):
+            svc = PlacementService(build(), cap, mode=mode)
+            svc.open(trace)
+            decisions, n_live = [], 0
+            for b in range(0, len(jobs), 23):
+                for d in svc.submit_jobs(jobs[b:b + 23]):
+                    decisions.append(d)
+                    entry = svc._live.get(d.job_id)
+                    if entry is not None:
+                        assert entry[3] == d.release_time, (mode, d)
+                        n_live += 1
+            decisions += list(svc.drain())
+            assert [d.index for d in decisions] == list(range(len(trace)))
+            placed = [d for d in decisions if d.ssd_space_fraction > 0]
+            assert placed and n_live > 0
+            for d in placed:
+                assert d.release_time == expected[d.index], (mode, d)
+            releases[mode] = [(d.index, d.release_time) for d in placed]
+        assert releases["scalar"] == releases["batch"]
+        if name == "lifetime":
+            placed_idx = [i for i, _ in releases["batch"]]
+            assert (ttl[placed_idx] < dur[placed_idx]).any()  # TTLs bind
 
 
 class TestEdgeHardening:

@@ -34,6 +34,7 @@ from repro.storage import (
 from repro.units import GIB
 from repro.workloads import Trace
 from repro.workloads.features import extract_features
+from repro.workloads.streaming import TraceSource
 
 from helpers import make_job
 
@@ -114,6 +115,29 @@ class TestSingleShardIsSimulate:
             run_placement(small_trace, policy, 1 * GIB, n_shards=0)
         with pytest.raises(ValueError):
             run_placement(small_trace, policy, 1 * GIB, engine="warp")
+
+    def test_validation_precedes_drain(self):
+        """Bad arguments are refused before the source is read at all —
+        a bad lane count or engine name must not cost a full pass over
+        an out-of-core source."""
+
+        class DrainRaises(TraceSource):
+            opened = 0
+
+            def blocks(self):
+                self.opened += 1
+                raise AssertionError("source drained before validation")
+
+        src = DrainRaises()
+        for kwargs in (
+            {"engine": "compiled"},
+            {"n_shards": 0},
+            {"capacity": -1.0},
+        ):
+            args = {"capacity": 1 * GIB, **kwargs}
+            with pytest.raises(ValueError):
+                run_placement(src, FirstFitPolicy(), **args)
+        assert src.opened == 0
 
 
 CAPACITIES = (0.0, 2 * GIB, 40 * GIB, 400 * GIB, 1e18)
