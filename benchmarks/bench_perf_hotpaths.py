@@ -49,6 +49,13 @@ run gets a clean ``ru_maxrss``.  Streamed results must be bit-identical
 to the in-memory ones, and streamed peak RSS must stay near-flat as the
 trace grows 4x while the in-memory footprint grows with the job count
 (``BENCH_STREAMING_JOBS`` overrides the size, as in CI).
+
+``test_perf_wal`` compares the two write-ahead-log record formats on a
+byom-shaped stream of rich jobs (metadata and resource maps), submitted
+in 512-job batches and one job at a time: bytes per decision, append
+time per decision and recovery time, line records (one JSON line per
+submission) beside column frames.  Both recoveries must reproduce the
+uninterrupted roll-up (``BENCH_WAL_JOBS`` overrides the size, as in CI).
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ import numpy as np
 from repro.config import AdaptiveParams
 from repro.core import AdaptiveCategoryPolicy, ObservedJob, spillover_percentage
 from repro.ml import GBTClassifier
+from repro.serve.wal import WriteAheadLog, job_to_record
 from repro.storage import simulate, simulate_sharded
 from repro.units import GIB
 from repro.workloads import ShuffleJob, Trace
@@ -741,6 +749,144 @@ def test_perf_streaming_rss(tmp_path):
         assert rss["stream", "large"] < rss["inmem", "large"]
 
 
+WAL_BATCH = 512
+WAL_CATEGORIES = 15
+WAL_SHARDS = 4
+
+
+def _rich_stream(n: int) -> list:
+    """``n`` generated jobs with metadata and resources, arrival-ordered."""
+    from repro.workloads import ClusterSpec, generate_cluster_trace
+
+    mix = {"logproc": 3, "dbquery": 3, "streaming": 2, "mltrain": 2,
+           "staging": 2, "reporting": 1}
+    spec = ClusterSpec("W", mix, n_pipelines=208, n_users=40, seed=11)
+    duration = 2 * 7 * 86_400.0 * max(n, 1) / 100_000
+    while True:
+        jobs = generate_cluster_trace(spec, duration=duration).jobs
+        if len(jobs) >= n:
+            return list(jobs[:n])
+        duration *= 1.5
+
+
+class _LineRecordWal(WriteAheadLog):
+    """Writes rich submissions in the line-record format.
+
+    Each submission becomes one ``<crc hex> <json>`` line that repeats
+    every job's strings, metadata and resources — the format the log
+    used before column frames, which recovery still reads.  The
+    conversion runs inside ``append`` so the timed append carries the
+    whole cost of the format.
+    """
+
+    def append(self, record):
+        if "columns" in record:
+            record = {
+                "op": "jobs",
+                "jobs": [job_to_record(j) for j in record["jobs"]],
+                "cats": [int(c) for c in record["cats"]],
+            }
+        return super().append(record)
+
+
+def _same_rollup(a, b) -> bool:
+    return (
+        np.array_equal(a.ssd_fraction, b.ssd_fraction)
+        and a.n_ssd_requested == b.n_ssd_requested
+        and a.n_spilled == b.n_spilled
+        and a.realized_tco == b.realized_tco
+        and a.peak_ssd_used == b.peak_ssd_used
+    )
+
+
+def test_perf_wal(tmp_path):
+    """Line records vs column frames on a byom-shaped rich-job stream.
+
+    A stable-hash categorizer stands in for the model, so the figures
+    are the log's own cost.  Each row submits the whole stream through
+    a fresh 4-lane adaptive service with the WAL attached, then
+    recovers a new service from the pre-stream checkpoint plus that
+    WAL.  ``append us/decision`` is the time inside
+    ``WriteAheadLog.append`` (record encoding and the write) per job;
+    ``recovery s`` is ``PlacementService.recover``; every recovered
+    roll-up must equal the uninterrupted run's.
+    """
+    import platform
+
+    from repro.serve import OnlineAdaptivePolicy, PlacementService
+    from repro.workloads.metadata import stable_hash
+
+    n = int(os.environ.get("BENCH_WAL_JOBS", "200000"))
+    jobs = _rich_stream(n)
+    capacity = 0.05 * Trace(jobs).peak_ssd_usage()
+
+    def categorizer(batch):
+        return [1 + stable_hash(j.pipeline, seed=3) % (WAL_CATEGORIES - 1)
+                for j in batch]
+
+    def service(mode, wal=None):
+        svc = PlacementService(
+            OnlineAdaptivePolicy(WAL_CATEGORIES, per_shard_act=True),
+            capacity, WAL_SHARDS, mode=mode, categorizer=categorizer, wal=wal,
+        )
+        return svc.open()
+
+    def feed(svc, step):
+        if step == 1:
+            for job in jobs:
+                svc.submit(job)
+        else:
+            for lo in range(0, n, step):
+                svc.submit_jobs(jobs[lo:lo + step])
+
+    streams = ((f"{WAL_BATCH}-job batches", "batch", WAL_BATCH),
+               ("one job at a time", "scalar", 1))
+    rows = []
+    for label, mode, step in streams:
+        ref = service(mode)
+        feed(ref, step)
+        want = ref.result()
+        for fmt, cls in (("line", _LineRecordWal), ("column", WriteAheadLog)):
+            path = tmp_path / f"{mode}-{fmt}.wal"
+            wal = cls(path)
+            spent = [0.0]
+            append = wal.append
+
+            def timed(record, append=append, spent=spent):
+                t0 = time.perf_counter()
+                seq = append(record)
+                spent[0] += time.perf_counter() - t0
+                return seq
+
+            wal.append = timed
+            svc = service(mode, wal)
+            ckpt = svc.snapshot()
+            feed(svc, step)
+            wal.close()
+            size = path.stat().st_size
+            t0 = time.perf_counter()
+            rec = PlacementService.recover(ckpt, str(path))
+            recovery = time.perf_counter() - t0
+            got = rec.result()
+            rec.wal.close()
+            assert _same_rollup(want, got), (label, fmt)
+            rows.append((label, fmt, size / n, spent[0] / n * 1e6, recovery))
+            path.unlink()
+
+    lines = [
+        f"WAL record formats: {n:,} byom-shaped rich jobs (metadata + "
+        f"resources), {WAL_SHARDS} lanes, hash categorizer; every recovery "
+        "equals the uninterrupted roll-up",
+        f"host: cpu_count={os.cpu_count()}, python {platform.python_version()}, "
+        f"numpy {np.__version__}",
+        f"{'stream':<20} {'format':<8} {'B/decision':>11} "
+        f"{'append us/decision':>19} {'recovery s':>11}",
+    ]
+    for label, fmt, bpd, us, rec_s in rows:
+        lines.append(f"{label:<20} {fmt:<8} {bpd:>11.1f} {us:>19.2f} {rec_s:>11.2f}")
+    emit("perf_wal", "\n".join(lines))
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -750,3 +896,5 @@ if __name__ == "__main__":
     test_perf_serve_latency()
     with tempfile.TemporaryDirectory() as _tmp:
         test_perf_streaming_rss(Path(_tmp))
+    with tempfile.TemporaryDirectory() as _tmp:
+        test_perf_wal(Path(_tmp))

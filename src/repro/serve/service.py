@@ -105,7 +105,13 @@ from .types import (
     _DecisionBatch,
     _DecisionConcat,
 )
-from .wal import WalCorruption, WriteAheadLog, job_from_record, job_to_record
+from .wal import (
+    WalCorruption,
+    WriteAheadLog,
+    job_from_record,
+    wal_job_id,
+    wal_job_ids,
+)
 
 #: Tracer sampling constants, hoisted so the per-stride hash pass pays
 #: no per-call numpy scalar conversions.
@@ -611,6 +617,10 @@ class PlacementService:
                 job_id = job.job_id
         elif arrival is None or duration is None or size is None:
             raise TypeError("submit() needs a ShuffleJob or arrival/duration/size")
+        logged = self.wal is not None and not self._replaying
+        if logged:
+            job_id = wal_job_id(job_id)
+            own_id = None if job is None else wal_job_id(job.job_id)
         i = self.log.append_job(
             arrival, duration, size, read_bytes, write_bytes, read_ops,
             pipeline, user, job_id,
@@ -618,20 +628,19 @@ class PlacementService:
         self.stats.n_submitted += 1
         if arrival > self._clock:
             self._clock = float(arrival)
-        if self.wal is not None and not self._replaying:
-            if job is not None:
-                jr = job_to_record(job)
-                jr["job_id"] = self.log.job_ids[i]
-                self._wal_rec = {"op": "jobs", "jobs": [jr]}
+        if logged:
+            rec = {
+                "op": "submit",
+                "columns": (arrival, duration, size, read_bytes, write_bytes, read_ops),
+            }
+            if job is None:
+                rec["pipelines"], rec["users"] = [pipeline], [user]
+                rec["job_ids"] = None if job_id is None else [job_id]
             else:
-                self._wal_rec = {
-                    "op": "submit",
-                    "arrival": float(arrival), "duration": float(duration),
-                    "size": float(size), "read_bytes": float(read_bytes),
-                    "write_bytes": float(write_bytes),
-                    "read_ops": float(read_ops),
-                    "pipeline": pipeline, "user": user, "job_id": job_id,
-                }
+                rec["jobs"], rec["job_ids"] = [job], [own_id]
+                if job_id != own_id:
+                    rec["log_id"] = job_id
+            self._wal_rec = rec
         if self.categorizer is not None:
             self._categorize(i, i + 1, [job] if job is not None else None)
         self._wal_append()
@@ -662,6 +671,9 @@ class PlacementService:
         """
         self._ensure_open()
         t_req = perf_counter()
+        logged = self.wal is not None and not self._replaying
+        if logged and job_ids is not None:
+            job_ids = wal_job_ids(job_ids)
         arrivals = np.asarray(arrivals, dtype=float)
         zeros = np.zeros(arrivals.size)
         first, stop = self.log.append_block(
@@ -674,21 +686,12 @@ class PlacementService:
         self.stats.n_submitted += stop - first
         if arrivals.size and arrivals[-1] > self._clock:
             self._clock = float(arrivals[-1])
-        if self.wal is not None and not self._replaying:
+        if logged:
+            log = self.log
             self._wal_rec = {
-                "op": "batch",
-                "arrivals": arrivals.tolist(),
-                "durations": np.asarray(durations, dtype=float).tolist(),
-                "sizes": np.asarray(sizes, dtype=float).tolist(),
-                "read_bytes": None if read_bytes is None
-                else np.asarray(read_bytes, dtype=float).tolist(),
-                "write_bytes": None if write_bytes is None
-                else np.asarray(write_bytes, dtype=float).tolist(),
-                "read_ops": None if read_ops is None
-                else np.asarray(read_ops, dtype=float).tolist(),
-                "pipelines": None if pipelines is None else list(pipelines),
-                "users": None if users is None else list(users),
-                "job_ids": None if job_ids is None else list(job_ids),
+                "op": "batch", "columns": self._log_columns(first, stop),
+                "pipelines": log.pipelines[first:stop],
+                "users": log.users[first:stop], "job_ids": job_ids,
             }
         if self.categorizer is not None:
             self._categorize(first, stop, None)
@@ -713,6 +716,10 @@ class PlacementService:
         jobs = list(jobs)
         if not jobs:
             return self._pump() if self.mode == "batch" else []
+        logged = self.wal is not None and not self._replaying
+        job_ids = [j.job_id for j in jobs]
+        if logged:
+            job_ids = wal_job_ids(job_ids)
         first, stop = self.log.append_block(
             np.array([j.arrival for j in jobs]),
             np.array([j.duration for j in jobs]),
@@ -722,13 +729,16 @@ class PlacementService:
             np.array([j.read_ops for j in jobs]),
             pipelines=[j.pipeline for j in jobs],
             users=[j.user for j in jobs],
-            job_ids=[j.job_id for j in jobs],
+            job_ids=job_ids,
         )
         self.stats.n_submitted += stop - first
         if jobs[-1].arrival > self._clock:
             self._clock = float(jobs[-1].arrival)
-        if self.wal is not None and not self._replaying:
-            self._wal_rec = {"op": "jobs", "jobs": [job_to_record(j) for j in jobs]}
+        if logged:
+            self._wal_rec = {
+                "op": "jobs", "columns": self._log_columns(first, stop),
+                "jobs": jobs, "job_ids": job_ids,
+            }
         if self.categorizer is not None:
             self._categorize(first, stop, jobs)
         self._wal_append()
@@ -760,6 +770,15 @@ class PlacementService:
             self.wal.append({"op": "drain"})
             self._wal_seq += 1
         return self._pump(force=True)
+
+    def _log_columns(self, first: int, stop: int) -> tuple:
+        """The six numeric log columns of one submission, as stored."""
+        log = self.log
+        return (
+            log.arrivals[first:stop], log.durations[first:stop],
+            log.sizes[first:stop], log.read_bytes[first:stop],
+            log.write_bytes[first:stop], log.read_ops[first:stop],
+        )
 
     def _wal_append(self) -> None:
         """Flush the submission record built (and annotated) this call."""
@@ -833,7 +852,7 @@ class PlacementService:
             self.stats.degraded_intervals.append((self._degraded_since, t0))
             self._degraded_since = None
         if self._wal_rec is not None:
-            self._wal_rec["cats"] = [int(c) for c in cats]
+            self._wal_rec["cats"] = cats
             if degraded:
                 self._wal_rec["degraded"] = True
         extend = getattr(self.policy, "extend_categories", None)
@@ -1192,6 +1211,7 @@ class PlacementService:
         """
         self._ensure_open()
         if self.wal is not None and not self._replaying:
+            job_id = wal_job_id(job_id)
             self.wal.append(
                 {"op": "complete", "job_id": job_id,
                  "time": None if time is None else float(time)}
@@ -1521,7 +1541,27 @@ class PlacementService:
     def _apply_wal_record(self, rec: dict) -> None:
         """Replay one WAL record through the normal entry points."""
         op = rec.get("op")
-        if op == "submit":
+        if "columns" in rec and op in ("submit", "batch", "jobs"):
+            # A column frame: the op names the entry point to call.
+            self._stash_replay_cats(rec)
+            jobs, ids = rec.get("jobs"), rec["job_ids"]
+            if op == "jobs":
+                self.submit_jobs(jobs)
+            elif op == "batch":
+                self.submit_batch(
+                    *rec["columns"], pipelines=rec["pipelines"],
+                    users=rec["users"], job_ids=ids,
+                )
+            elif jobs is not None:
+                self.submit(jobs[0], job_id=rec.get("log_id"))
+            else:
+                a, d, s, rb, wb, ro = (float(c[0]) for c in rec["columns"])
+                self.submit(
+                    arrival=a, duration=d, size=s, read_bytes=rb,
+                    write_bytes=wb, read_ops=ro, pipeline=rec["pipelines"][0],
+                    user=rec["users"][0], job_id=None if ids is None else ids[0],
+                )
+        elif op == "submit":  # legacy line records from here to "jobs"
             self._stash_replay_cats(rec)
             self.submit(
                 arrival=rec["arrival"], duration=rec["duration"],
