@@ -56,6 +56,12 @@ in 512-job batches and one job at a time: bytes per decision, append
 time per decision and recovery time, line records (one JSON line per
 submission) beside column frames.  Both recoveries must reproduce the
 uninterrupted roll-up (``BENCH_WAL_JOBS`` overrides the size, as in CI).
+
+``test_perf_forest_one_row`` times one-row scoring of the hot-path GBT
+(10 rounds x 8 classes, depth 6): ``PackedForest.decision_scores_one``
+(leaf-bitmask tables) against a one-row ``decision_scores`` call (level
+routing), every row asserted bit-identical.  It scores
+``BENCH_HOTPATH_JOBS / 20`` rows.
 """
 
 from __future__ import annotations
@@ -887,6 +893,65 @@ def test_perf_wal(tmp_path):
     emit("perf_wal", "\n".join(lines))
 
 
+def test_perf_forest_one_row():
+    """Request-at-a-time scoring: leaf-bitmask tables vs level routing."""
+    import platform
+
+    rng = np.random.default_rng(1)
+    n_rows = max(N_JOBS // 20, 200)
+    X = rng.normal(size=(N_TRAIN + n_rows, N_FEATURES))
+    score = X @ rng.normal(size=N_FEATURES) + rng.normal(scale=0.5, size=len(X))
+    edges = np.quantile(score, np.linspace(0.0, 1.0, N_CATEGORIES + 1)[1:-1])
+    y = np.searchsorted(edges, score)
+    model = GBTClassifier(n_rounds=10, max_depth=6).fit(X[:N_TRAIN], y[:N_TRAIN])
+    forest, k = model.packed_, len(model.classes_)
+    base, lr = model.base_score_, model.learning_rate
+    Xb = model.binner_.transform(X[N_TRAIN:])
+    ref = forest.decision_scores(Xb, base, lr, k)
+
+    t0 = time.perf_counter()
+    forest.decision_scores_one(Xb[0], base, lr, k)
+    build_ms = (time.perf_counter() - t0) * 1e3
+    tables = forest._exit_tables
+    out = np.empty(k)
+    for i in range(n_rows):
+        assert np.array_equal(forest.decision_scores_one(Xb[i], base, lr, k, out=out), ref[i])
+        assert np.array_equal(forest.decision_scores(Xb[i:i + 1], base, lr, k)[0], ref[i])
+
+    def bitmask():
+        for i in range(n_rows):
+            forest.decision_scores_one(Xb[i], base, lr, k, out=out)
+
+    row = out.reshape(1, k)
+
+    def levels():
+        for i in range(n_rows):
+            forest.decision_scores(Xb[i:i + 1], base, lr, k, out=row)
+
+    best = {"bitmask": float("inf"), "levels": float("inf")}
+    for _ in range(3):  # interleaved, minimum per path
+        for name, fn in (("bitmask", bitmask), ("levels", levels)):
+            t0 = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - t0)
+
+    lines = [
+        f"One-row forest scoring: {n_rows:,} rows, {forest.n_trees} trees "
+        f"({model.n_rounds} rounds x {k} classes, depth {forest.max_depth}); "
+        "every row bit-identical to batch routing",
+        f"host: cpu_count={os.cpu_count()}, python {platform.python_version()}, "
+        f"numpy {np.__version__}",
+        f"tables: {tables.used.size} of {X.shape[1]} features, "
+        f"{tables.masks.shape[0]} rows x {forest.n_trees} trees x {tables.words} "
+        f"word(s), {tables.masks.nbytes / 1e6:.2f} MB, built in {build_ms:.1f} ms",
+        f"{'path':<40} {'us/row':>8}",
+    ]
+    for name, label in (("levels", "decision_scores, one row (level routing)"),
+                        ("bitmask", "decision_scores_one (leaf bitmasks)")):
+        lines.append(f"{label:<40} {best[name] / n_rows * 1e6:>8.1f}")
+    emit("perf_forest_one_row", "\n".join(lines))
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -898,3 +963,4 @@ if __name__ == "__main__":
         test_perf_streaming_rss(Path(_tmp))
     with tempfile.TemporaryDirectory() as _tmp:
         test_perf_wal(Path(_tmp))
+    test_perf_forest_one_row()

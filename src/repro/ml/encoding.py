@@ -17,8 +17,9 @@ class QuantileBinner:
     """Per-feature quantile binning into uint8 codes.
 
     Bin edges are interior quantiles of the training distribution; a
-    value ``v`` maps to ``searchsorted(edges, v, side="right")``, i.e.
-    bin ``b`` holds values in ``(edges[b-1], edges[b]]``.  Features with
+    value ``v`` maps to ``searchsorted(edges, v, side="left")``, i.e.
+    bin ``b`` holds values in ``(edges[b-1], edges[b]]``, and NaN goes to
+    the last bin.  Features with
     few distinct values (e.g. binary hashed indicators) get one bin per
     value.
     """
@@ -30,7 +31,8 @@ class QuantileBinner:
         self.edges_: list[np.ndarray] | None = None
         # Single-sample scratch (built lazily by transform_one).
         self._edge_pad: np.ndarray | None = None
-        self._lt: np.ndarray | None = None
+        self._n_edges: np.ndarray | None = None
+        self._ge: np.ndarray | None = None
         self._cnt: np.ndarray | None = None
 
     def fit(self, X: np.ndarray) -> "QuantileBinner":
@@ -85,27 +87,29 @@ class QuantileBinner:
         """Quantize one sample into a preallocated uint8 code vector.
 
         The request-at-a-time path: one broadcast compare against a
-        +inf-padded edge matrix and a row count, with no per-call
-        allocations.  For finite inputs ``count(edges < v)`` equals
-        ``searchsorted(edges, v, side="left")``, so codes are
-        bit-identical to row 0 of :meth:`transform` on the sample (the
-        extractor only produces finite features; a NaN would bin to the
-        last bin there and bin 0 here).
+        NaN-padded edge matrix and a row count, with no per-call
+        allocations.  The padding never compares true, so the code is
+        ``edge count - count(edges >= v)``, which equals
+        ``searchsorted(edges, v, side="left")`` for every ``v``: NaN
+        compares false against every edge and lands in the last bin,
+        as in :meth:`transform`.  Codes are bit-identical to row 0 of
+        :meth:`transform` on the sample.
         """
         if self.edges_ is None:
             raise RuntimeError("binner not fitted")
-        p = len(self.edges_)
-        if getattr(self, "_edge_pad", None) is None:
+        if getattr(self, "_n_edges", None) is None:
+            p = len(self.edges_)
             width = max((e.size for e in self.edges_), default=0)
-            pad = np.full((p, max(width, 1)), np.inf)
+            pad = np.full((p, max(width, 1)), np.nan)
             for c, e in enumerate(self.edges_):
                 pad[c, : e.size] = e
             self._edge_pad = pad
-            self._lt = np.empty(pad.shape, dtype=bool)
+            self._n_edges = np.array([e.size for e in self.edges_], dtype=np.intp)
+            self._ge = np.empty(pad.shape, dtype=bool)
             self._cnt = np.empty(p, dtype=np.intp)
-        np.less(self._edge_pad, x[:, None], out=self._lt)
-        self._lt.sum(axis=1, out=self._cnt)
-        np.copyto(out, self._cnt, casting="unsafe")
+        np.greater_equal(self._edge_pad, x[:, None], out=self._ge)
+        self._ge.sum(axis=1, out=self._cnt)
+        np.subtract(self._n_edges, self._cnt, out=out, casting="unsafe")
         return out
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:

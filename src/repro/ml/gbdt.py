@@ -120,6 +120,13 @@ class GBTClassifier:
             self.trees_.append(round_trees)
         return self
 
+    def __getstate__(self) -> dict:
+        # The prediction cache holds a weak reference, which cannot be
+        # pickled; like the packed forest's tables it is derived state.
+        state = self.__dict__.copy()
+        state["_raw_cache"] = None
+        return state
+
     def _check_fitted(self) -> None:
         if self.binner_ is None or self.classes_ is None:
             raise RuntimeError("model not fitted")

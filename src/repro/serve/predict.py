@@ -8,14 +8,16 @@ admission path.  :class:`OnlineCategorizer` fuses the two incremental
 pieces — the stateful
 :class:`~repro.workloads.features.OnlineFeatureExtractor` (Table-2 rows
 per arrival) and the packed-forest inference of the fitted GBT
-(:meth:`~repro.ml.packed.PackedForest.decision_scores` for
-micro-batches, :meth:`~repro.ml.packed.PackedForest.decision_scores_one`
-for single requests) — into one callable the
-:class:`~repro.serve.PlacementService` invokes per submission.
+(:meth:`~repro.ml.packed.PackedForest.decision_scores`, level routing,
+for micro-batches; :meth:`~repro.ml.packed.PackedForest.decision_scores_one`,
+leaf-bitmask tables built on the first request, for single requests) —
+into one callable the :class:`~repro.serve.PlacementService` invokes per
+submission.
 
 Predictions are bit-identical to the offline
 ``model.predict(extract_features(trace))`` path over the same jobs
-(``tests/test_serve_online.py``).
+(``tests/test_serve_online.py``), and one job at a time equals one
+batch, non-finite features (e.g. a NaN in a resource map) included.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class OnlineCategorizer:
             # Single-class fit: every prediction is that class.
             return np.full(n, int(gbt.classes_[0]), dtype=int)
         if n == 1:
-            # Request-at-a-time: 1-D scratch end to end.
+            # Request-at-a-time: 1-D binning scratch, leaf-bitmask scoring.
             xb = self._xb_one
             if xb is None or xb.size != X.shape[1]:
                 xb = self._xb_one = np.empty(X.shape[1], dtype=np.uint8)

@@ -225,6 +225,26 @@ class TestFusedServingLayers:
                 binner.transform_one(X[i], out=out), ref[i]
             )
 
+    def test_transform_one_matches_transform_on_nonfinite(self):
+        rng = np.random.default_rng(57)
+        X = rng.normal(size=(400, 6))
+        X[:, 2] = 0.0  # empty edges
+        X[:, 4] = X[:, 4] > 0  # one edge
+        binner = QuantileBinner(n_bins=16).fit(X)
+        edges = binner.edges_
+        Q = rng.normal(size=(60, 6)) * 3
+        Q[rng.random(Q.shape) < 0.2] = np.nan
+        Q[rng.random(Q.shape) < 0.1] = np.inf
+        Q[rng.random(Q.shape) < 0.1] = -np.inf
+        for c in (0, 1, 4):  # values sitting exactly on edges
+            Q[::5, c] = rng.choice(edges[c], size=Q[::5].shape[0])
+        Q[0] = np.nan
+        ref = binner.transform(Q)
+        out = np.empty(6, dtype=np.uint8)
+        for i in range(Q.shape[0]):
+            np.testing.assert_array_equal(binner.transform_one(Q[i], out=out), ref[i])
+        assert (ref[0] == [e.size for e in edges]).all()
+
     def test_transform_out_buffer_matches(self):
         rng = np.random.default_rng(53)
         X = rng.normal(size=(200, 6))

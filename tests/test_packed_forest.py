@@ -1,7 +1,11 @@
 """PackedForest: exact equivalence with per-tree HistogramTree.predict."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml import GBTClassifier, GBTRegressor, HistogramTree, PackedForest
 
@@ -143,3 +147,142 @@ class TestPredictionCache:
         second = model.decision_function(buf)
         assert np.array_equal(second[0], first[1])
         assert np.array_equal(second[1], first[0])
+
+
+def _root_leaf_tree(max_depth: int, rng) -> HistogramTree:
+    """A tree that never splits: its inputs are constant."""
+    n = 50
+    return HistogramTree.fit(
+        np.zeros((n, 4), dtype=np.uint8), rng.normal(size=n), np.ones(n),
+        max_depth=max_depth, min_samples_leaf=1,
+    )
+
+
+class TestExitLeafScoring:
+    """decision_scores_one (leaf bitmasks) vs decision_scores (level
+    routing): equal bit for bit on every row."""
+
+    @staticmethod
+    def _assert_rows_equal(forest, Xb, base, lr, k):
+        ref = forest.decision_scores(Xb, base, lr, k)
+        out = np.empty(k)
+        for i in range(Xb.shape[0]):
+            got = forest.decision_scores_one(Xb[i], base, lr, k, out=out)
+            assert got is out
+            assert np.array_equal(got, ref[i]), i
+
+    @given(
+        max_depth=st.integers(1, 8),
+        n_classes=st.sampled_from([1, 2, 4]),
+        min_samples_leaf=st.sampled_from([1, 3, 20, 200]),
+        root_leaves=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_batch_routing(
+        self, max_depth, n_classes, min_samples_leaf, root_leaves, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n, p = 400, 5
+        X = rng.normal(size=(n, p))
+        X[:, 1] = np.round(X[:, 1])  # a coarse column with few cuts
+        if n_classes == 1:
+            # Enough rounds that a pairwise sum would reorder the adds.
+            model = GBTRegressor(
+                n_rounds=12, max_depth=max_depth,
+                min_samples_leaf=min_samples_leaf, n_bins=256,
+            ).fit(X, rng.normal(size=n))
+            trees = list(model.trees_)
+            base = model.base_score_
+        else:
+            model = GBTClassifier(
+                n_rounds=2, max_depth=max_depth,
+                min_samples_leaf=min_samples_leaf, n_bins=256,
+            ).fit(X, rng.integers(0, n_classes, n))
+            trees = [t for r in model.trees_ for t in r]
+            base = model.base_score_
+        # Swap whole rounds for root-leaf trees (kept round-major).
+        for r in rng.choice(len(trees) // n_classes, root_leaves, replace=True):
+            for c in range(n_classes):
+                trees[r * n_classes + c] = _root_leaf_tree(max_depth, rng)
+        forest = PackedForest.from_trees(trees)
+        # Any uint8 code, plus the extremes: codes above every cut.
+        Xb = rng.integers(0, 256, size=(40, p), dtype=np.uint8)
+        Xb[0], Xb[1] = 0, 255
+        self._assert_rows_equal(forest, Xb, base, model.learning_rate, n_classes)
+
+    def test_deep_trees_use_multiword_masks(self, data):
+        X, _, y_reg, Xq = data
+        model = GBTRegressor(n_rounds=4, max_depth=8, min_samples_leaf=1).fit(X, y_reg)
+        forest = model.packed_
+        assert max(t.n_leaves for t in model.trees_) > 64
+        Xb = model.binner_.transform(Xq[:200])
+        self._assert_rows_equal(forest, Xb, model.base_score_, model.learning_rate, 1)
+        assert forest._exit_tables.words > 1
+
+    def test_all_root_leaf_forest(self):
+        rng = np.random.default_rng(3)
+        forest = PackedForest.from_trees([_root_leaf_tree(3, rng) for _ in range(6)])
+        Xb = rng.integers(0, 256, size=(5, 4), dtype=np.uint8)
+        self._assert_rows_equal(forest, Xb, np.array([0.5, -1.0]), 0.3, 2)
+        assert forest._exit_tables.used.size == 0
+
+    def test_integer_codes_out_of_uint8_range(self, data):
+        X, y_cls, _, Xq = data
+        model = GBTClassifier(n_rounds=3, max_depth=5).fit(X, y_cls)
+        Xb = model.binner_.transform(Xq[:60]).astype(np.int64)
+        Xb[::3, 0] = 400
+        Xb[1::3, 2] = -7
+        k = len(model.classes_)
+        self._assert_rows_equal(
+            model.packed_, Xb, model.base_score_, model.learning_rate, k
+        )
+
+
+class TestExitLeafTablesAreDerived:
+    def test_pickle_omits_tables(self, data):
+        X, y_cls, _, Xq = data
+        model = GBTClassifier(n_rounds=3).fit(X, y_cls)
+        forest = model.packed_
+        before = pickle.dumps(model)
+        xb = model.binner_.transform(Xq[:1])[0]
+        k = len(model.classes_)
+        want = forest.decision_scores_one(
+            xb, model.base_score_, model.learning_rate, k
+        )
+        tables = forest._exit_tables
+        assert tables is not None
+        after = pickle.dumps(model)
+        assert after == before
+        assert tables.masks.tobytes() not in after
+        clone = pickle.loads(after)
+        assert clone.packed_._exit_tables is None
+        got = clone.packed_.decision_scores_one(
+            xb, clone.base_score_, clone.learning_rate, k
+        )
+        assert np.array_equal(got, want)
+
+    def test_pickle_after_predict(self, data):
+        X, y_cls, _, Xq = data
+        model = GBTClassifier(n_rounds=2).fit(X, y_cls)
+        want = model.predict(Xq)  # fills the weak-reference cache
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone._raw_cache is None
+        assert np.array_equal(clone.predict(Xq), want)
+
+    def test_refit_rebuilds_tables(self, data):
+        X, y_cls, _, Xq = data
+        model = GBTClassifier(n_rounds=2).fit(X, y_cls)
+        xb = model.binner_.transform(Xq[:1])[0]
+        k = len(model.classes_)
+        model.packed_.decision_scores_one(xb, model.base_score_, model.learning_rate, k)
+        model.fit(X, np.roll(y_cls, 1))
+        assert model.packed_._exit_tables is None
+        xb = model.binner_.transform(Xq[:1])
+        got = model.packed_.decision_scores_one(
+            xb[0], model.base_score_, model.learning_rate, k
+        )
+        ref = model.packed_.decision_scores(
+            xb, model.base_score_, model.learning_rate, k
+        )
+        assert np.array_equal(got, ref[0])

@@ -28,7 +28,7 @@ from repro.serve import OnlineAdaptivePolicy, OnlineCategorizer, PlacementServic
 from repro.storage import simulate
 from repro.units import DAY
 from repro.workloads import ClusterSpec, Trace, extract_features, generate_cluster_trace
-from repro.workloads.features import OnlineFeatureExtractor
+from repro.workloads.features import RESOURCE_FEATURES, OnlineFeatureExtractor
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +244,23 @@ class TestPackedSingleSample:
             )
             assert np.array_equal(one, batch[i]), i
 
+    def test_scalar_and_batch_agree_on_nan_resources(self, cluster, pipe):
+        """A NaN in a job's resource map bins to the last bin on both
+        the one-row and the batch path."""
+        rng = np.random.default_rng(11)
+        jobs = []
+        for j in list(cluster.test)[:120]:
+            res = {name: float(v) for name, v in zip(
+                RESOURCE_FEATURES, rng.integers(1, 64, len(RESOURCE_FEATURES))
+            )}
+            for name in rng.choice(RESOURCE_FEATURES, 3, replace=False):
+                res[name] = np.nan
+            jobs.append(dataclasses.replace(j, resources=res))
+        one = OnlineCategorizer(pipe.model).warm_start(cluster.train)
+        batch = OnlineCategorizer(pipe.model).warm_start(cluster.train)
+        per_job = np.concatenate([one([j]) for j in jobs])
+        assert np.array_equal(per_job, batch(jobs))
+
     def test_rejects_matrix_input(self, pipe):
         gbt = pipe.model.model
         with pytest.raises(ValueError, match="one sample"):
@@ -359,6 +376,32 @@ class TestPipelineServe:
         res = svc.result()
         assert np.array_equal(res.ssd_fraction, off.ssd_fraction)
         assert res.realized_tco == off.realized_tco
+
+    def test_scalar_snapshot_restore_mid_stream(self, cluster, pipe):
+        """The one-row scoring tables are rebuilt after a restore, not
+        carried in the snapshot, and the restored service continues
+        exactly like the uninterrupted one."""
+        peak = cluster.peak_ssd_usage
+        jobs = list(cluster.test)
+        half = len(jobs) // 2
+        whole = pipe.serve(0.05, peak, mode="scalar", history=cluster.train)
+        for j in jobs:
+            whole.submit(j)
+        ref = whole.result()
+
+        svc = pipe.serve(0.05, peak, mode="scalar", history=cluster.train)
+        for j in jobs[:half]:
+            svc.submit(j)
+        snap = svc.snapshot()
+        forest = snap.payload["categorizer"].gbt.packed_
+        assert forest._exit_tables is None
+        restored = PlacementService.restore(pickle.loads(pickle.dumps(snap)))
+        for j in jobs[half:]:
+            restored.submit(j)
+        res = restored.result()
+        assert np.array_equal(res.ssd_fraction, ref.ssd_fraction)
+        assert res.realized_tco == ref.realized_tco
+        assert restored.categorizer.gbt.packed_._exit_tables is not None
 
     def test_serve_n_workers_builds_bit_identical_fleet(self, cluster, pipe):
         from repro.serve import FleetRouter
