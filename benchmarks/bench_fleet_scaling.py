@@ -3,8 +3,10 @@
 Drives the same micro-batched stream through a single-process
 ``PlacementService`` and through ``FleetRouter`` fleets of 1/2/4/8
 workers (in-process transport), recording sustained decisions/sec and
-per-batch decision latency percentiles for each width.  Before any
-timing is reported, every fleet roll-up must be bit-identical to the
+per-batch decision latency percentiles for each width.  The stream
+completes every ``COMPLETE_EVERY``-th SSD placement early, as the
+serving benchmark's ``fleet-replay`` workload does.  Before any timing
+is reported, every fleet roll-up must be bit-identical to the
 single-process one — the scatter-gather split is a pure refactor of
 the arithmetic, so worker count may change speed but never a decision.
 
@@ -40,6 +42,7 @@ N_SHARDS = 8  # >= max worker count, so every worker owns at least one lane
 BATCH_JOBS = 512
 QUOTA = 0.05
 SEED = 0
+COMPLETE_EVERY = 8
 
 
 def _trace() -> Trace:
@@ -57,19 +60,26 @@ def _policy(trace: Trace) -> AdaptiveCategoryPolicy:
 
 
 def _drive(svc, trace) -> tuple:
-    """Stream the trace in micro-batches; returns (result, elapsed, lat)."""
+    """Stream the trace in micro-batches, completing every
+    ``COMPLETE_EVERY``-th SSD placement; returns (result, elapsed, lat)."""
     n = len(trace)
     lat = []
+    placed = 0
     t_start = time.perf_counter()
     for lo in range(0, n, BATCH_JOBS):
         hi = min(lo + BATCH_JOBS, n)
         t0 = time.perf_counter()
-        svc.submit_batch(
+        decided = svc.submit_batch(
             trace.arrivals[lo:hi], trace.durations[lo:hi],
             trace.sizes[lo:hi], trace.read_bytes[lo:hi],
             trace.write_bytes[lo:hi], trace.read_ops[lo:hi],
             pipelines=trace.pipelines[lo:hi],
         )
+        for d in decided:
+            if d.ssd_space_fraction > 0.0:
+                placed += 1
+                if placed % COMPLETE_EVERY == 0:
+                    svc.complete(d.job_id)
         lat.append(time.perf_counter() - t0)
     res = svc.result()  # drains the queue
     elapsed = time.perf_counter() - t_start
@@ -119,6 +129,7 @@ def test_fleet_scaling(benchmark):
     lines = [
         f"Fleet scaling: {len(trace)} jobs, quota {QUOTA:.0%}, "
         f"{N_SHARDS} caching servers, batches of {BATCH_JOBS}, "
+        f"complete() on every {COMPLETE_EVERY}th SSD placement, "
         f"in-process transport, host cpu_count={os.cpu_count()}",
         "(every fleet roll-up asserted bit-identical to single-process; "
         "no speedup asserted — scaling is honest only vs cpu_count)",

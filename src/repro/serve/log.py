@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..cost import CostRates, DEFAULT_RATES, tcio_rate, tcio_rate_scalar
+from ..storage.engine import ledger_bytes
 from ..workloads.job import ShuffleJob, TraceBase
 from ..workloads.metadata import stable_hash
 
@@ -259,18 +260,24 @@ class JobLog(TraceBase):
         """Append one job; returns its log index.
 
         Arrivals must be non-decreasing (the service is an arrival-time
-        event loop) and sizes/durations/volumes non-negative, mirroring
-        :class:`~repro.workloads.job.ShuffleJob` validation.
+        event loop), sizes/durations/volumes non-negative, no value NaN
+        and the size a byte count the ledger can hold
+        (:func:`~repro.storage.engine.ledger_bytes`), all checked before
+        anything is appended.
         """
         n = len(self)
+        if arrival != arrival:
+            raise ValueError("job arrival is NaN")
         if n and arrival < self._arrivals.data[n - 1]:
             raise ValueError(
                 f"job arrives at t={arrival:g}, before the previous submission "
                 f"t={float(self._arrivals.data[n - 1]):g}; submissions must be "
                 "arrival-ordered"
             )
-        if duration < 0 or size < 0 or read_bytes < 0 or write_bytes < 0 or read_ops < 0:
-            raise ValueError("negative duration, size or I/O volume")
+        if not (duration >= 0 and size >= 0 and read_bytes >= 0
+                and write_bytes >= 0 and read_ops >= 0):
+            raise ValueError("negative or NaN duration, size or I/O volume")
+        ledger_bytes(size)
         self._arrivals.append(arrival)
         self._durations.append(duration)
         self._sizes.append(size)
@@ -303,9 +310,9 @@ class JobLog(TraceBase):
     ) -> tuple[int, int]:
         """Append one micro-batch of columns; returns ``(first, stop)``.
 
-        Validation matches :meth:`append_job`; the TCIO column is
-        computed vectorized over the batch (elementwise, so identical
-        to the per-job path).
+        Validation matches :meth:`append_job` and precedes any append;
+        the TCIO column is computed vectorized over the batch
+        (elementwise, so identical to the per-job path).
         """
         arrivals = np.ascontiguousarray(arrivals, dtype=float)
         durations = np.ascontiguousarray(durations, dtype=float)
@@ -321,8 +328,11 @@ class JobLog(TraceBase):
         ):
             if col.size != k:
                 raise ValueError(f"batch column {label!r} has {col.size} entries, expected {k}")
-            if (col < 0).any():
-                raise ValueError(f"batch column {label!r} has negative entries")
+            if not (col >= 0).all():
+                raise ValueError(f"batch column {label!r} has negative or NaN entries")
+        if np.isnan(arrivals).any():
+            raise ValueError("batch column 'arrivals' has NaN entries")
+        ledger_bytes(sizes)
         first = len(self)
         if k == 0:
             return first, first

@@ -14,9 +14,9 @@ keeps the fleet's decision stream bit-identical to one process:
   chunk to the owning workers as SoA column blocks and gathers their
   outcome columns back into one
   :class:`~repro.storage.policy.BatchOutcomes`.  A full-lane *ledger*
-  kernel tracks global free state (needed for the global peak sample
-  and for catch-up arithmetic the workers cannot see), overwritten
-  lane-by-lane with each worker's authoritative values at gather.
+  kernel tracks global free state (needed for the policy's chunk
+  context and the global peak sample), overwritten lane-by-lane with
+  each worker's authoritative values at gather.
 - **Scalar mode** — :class:`FleetScalarKernel` forwards each admit to
   the owning worker and mirrors the result into a full-lane
   :class:`~repro.storage.engine.ScalarKernel` replica.
@@ -43,6 +43,7 @@ from ..storage.engine import (
     ScalarKernel,
     SimResult,
     _ttl_release_fracs,
+    ledger_bytes,
 )
 from ..storage.policy import BatchOutcomes
 from .metrics import merge_states
@@ -56,9 +57,7 @@ __all__ = ["FleetRouter", "worker_lanes"]
 
 #: Worker ops that mutate kernel state — exactly these are WAL-logged
 #: (and therefore replayed during worker recovery).
-_MUTATING_OPS = frozenset(
-    {"open", "chunk", "fit", "sync", "admit", "cancel", "resize"}
-)
+_MUTATING_OPS = frozenset({"chunk", "fit", "admit", "cancel", "resize"})
 
 #: Op-dict keys that carry arrays, and the dtype each restores to when
 #: a WAL record (JSON lists) is replayed.
@@ -121,7 +120,7 @@ class _WorkerPool:
     )
 
     def __init__(
-        self, *, n_shards, lane_caps, total, mode,
+        self, *, n_shards, lane_caps, mode,
         n_workers, transport, worker_dir, checkpoint_every,
     ):
         if n_workers < 1:
@@ -137,23 +136,20 @@ class _WorkerPool:
         self.checkpoint_every = checkpoint_every
         self.lanes_by_worker = worker_lanes(self.n_shards, self.n_workers)
         caps = np.asarray(lane_caps, dtype=float)
-        self.specs = []
-        for w, lw in enumerate(self.lanes_by_worker):
-            sub = caps[lw].copy()
-            self.specs.append({
+        self.specs = [
+            {
                 "worker_id": w,
                 "mode": mode,
-                "lane_caps": sub,
+                "lane_caps": caps[lw].copy(),
                 "lanes": lw,
                 "path_lanes": self.n_shards,
-                # A single-worker fleet is the whole pool: it tracks
-                # the global peak itself and uses the exact capacity
-                # scalar; with more workers the router samples the
-                # peak and each worker runs on its subset total.
+                # A single-worker fleet is the whole pool and tracks
+                # the global peak itself; with more workers the router
+                # samples it.
                 "track_peak": self.n_workers == 1,
-                "total": float(total) if self.n_workers == 1
-                else float(sub.sum()),
-            })
+            }
+            for w, lw in enumerate(self.lanes_by_worker)
+        ]
         self.wals: list = [None] * self.n_workers
         if self.worker_dir is not None:
             os.makedirs(self.worker_dir, exist_ok=True)
@@ -170,7 +166,7 @@ class _WorkerPool:
     def _zero_counters() -> dict:
         return {
             "n_ssd_requested": 0, "n_spilled": 0, "n_evicted": 0,
-            "evicted_bytes": 0.0, "n_scalar": 0, "peak": 0.0,
+            "evicted_bytes": 0, "n_scalar": 0, "peak": 0,
         }
 
     def _wal_path(self, w: int) -> str:
@@ -330,7 +326,10 @@ class _WorkerPool:
             tr.request({"op": "restore", "payload": payload})
         last = None
         for _seq, rec in WriteAheadLog.read(self._wal_path(w), anchor):
-            last = tr.request(_op_from_record(rec))
+            # Logs written before the integer ledger also hold release
+            # catch-up ops, which every logged op now does for itself.
+            if rec.get("op") in _MUTATING_OPS:
+                last = tr.request(_op_from_record(rec))
         if last is not None:
             self._update(w, last)
         self.n_recoveries += 1
@@ -383,15 +382,16 @@ class FleetChunkKernel:
     the counter properties) while the admission arithmetic runs on the
     workers.  The *ledger* — a full-lane ``ChunkKernel`` that never
     runs a chunk itself — tracks the global release schedule and free
-    vector: the global peak sample needs cross-worker event
-    interleaving, and cancel/resize catch-up needs the fleet-wide
-    release cursor, neither of which any single worker can see.
+    vector: the policy's chunk context and the global peak sample need
+    every lane, which no single worker holds.  Workers that sat out a
+    chunk catch up on their own at their next op's ``t0`` / ``catch``:
+    integer sums do not depend on how releases are grouped.
     """
 
-    def __init__(self, lane_caps, total, pool: _WorkerPool):
+    def __init__(self, lane_caps, pool: _WorkerPool):
         self.pool = pool
-        self.ledger = ChunkKernel(lane_caps, total, track_peak=False)
-        self._peak = 0.0
+        self.ledger = ChunkKernel(lane_caps, track_peak=False)
+        self._peak = 0
         self._cursor = -np.inf
 
     # -- passthrough state ----------------------------------------------
@@ -427,7 +427,7 @@ class FleetChunkKernel:
         return self.pool.total("n_evicted")
 
     @property
-    def evicted_bytes(self) -> float:
+    def evicted_bytes(self) -> int:
         return self.pool.total("evicted_bytes")
 
     @property
@@ -440,9 +440,9 @@ class FleetChunkKernel:
             "n_ssd_requested": int(self.n_ssd_requested),
             "n_spilled": int(self.n_spilled),
             "n_evicted": int(self.n_evicted),
-            "evicted_bytes": float(self.evicted_bytes),
+            "evicted_bytes": int(self.evicted_bytes),
             "scalar_fallback_jobs": int(self.scalar_fallback_jobs),
-            "peak_used": float(self.peak_used),
+            "peak_used": int(self.peak_used),
         }
 
     @property
@@ -457,29 +457,9 @@ class FleetChunkKernel:
     # -- chunk lifecycle ------------------------------------------------
 
     def open_chunk(self, t0: float, lane: int):
-        st = self.ledger.st
-        j = st.rel_pos + int(np.searchsorted(
-            st.rel_t[st.rel_pos:], t0, side="right"
-        ))
-        if j > st.rel_pos:
-            # The single-process kernel pops everything matured by t0
-            # as one release_until call per open, and the pop
-            # granularity is part of the float association (pairwise
-            # np.sum on single-lane pools).  Mirror each boundary that
-            # pops entries to the owning workers, then adopt their
-            # authoritative free values before snapshotting the
-            # context the policy plans against.
-            owners = np.unique(st.rel_l[st.rel_pos:j] % self.pool.n_workers)
-            replies = self.pool.scatter(
-                {int(w): {"op": "open", "t0": float(t0)} for w in owners}
-            )
-            st.release_until(t0)
-            for w, reply in replies.items():
-                st.free[self.pool.lanes_by_worker[w]] = reply["free"]
-        ctx = self.ledger.open_chunk(t0, lane)
         if t0 > self._cursor:
             self._cursor = t0
-        return ctx
+        return self.ledger.open_chunk(t0, lane)
 
     def run_chunk(
         self, bd, first, stop, arrivals, durations, sizes, shards,
@@ -552,7 +532,7 @@ class FleetChunkKernel:
         old_a = st.rel_a[st.rel_pos:j2]
         old_l = st.rel_l[st.rel_pos:j2]
         inside = release <= t_last
-        total_free_start = float(st.free.sum())
+        total_free_start = int(st.free.sum())
 
         owner = lane % W
         ops = {}
@@ -567,41 +547,25 @@ class FleetChunkKernel:
                     "lane": lane[pw] // W,
                     "ttl": None if ttl_vals is None else ttl_vals[pw],
                 }
-        if old_l.size and len(parts) < W:
-            # A worker with no candidates this chunk but releases
-            # maturing inside the window must still consume them with
-            # the clean-lane (sum-then-add) float association — the
-            # single-process run consumed those entries through lane
-            # trajectories, and leaving them for a later release_until
-            # catch-up would change the association.
-            win_owner = old_l % W
-            for w in range(W):
-                if w not in ops and np.any(win_owner == w):
-                    ops[w] = {"op": "sync", "t0": t0, "t_last": t_last}
         replies = pool.scatter(ops)
 
-        # Ledger roll-forward: consume the window clean for every lane,
-        # then overwrite each replying worker's lanes with its
-        # authoritative free vector (a worker whose lane bound mid-
-        # chunk followed the binding replay, which the clean
-        # consumption cannot reproduce).
-        st.consume_window_clean(t_last)
-        alloc_arr = np.zeros(cand.size)
+        # Ledger roll-forward: consume the window for every lane, then
+        # overwrite each replying worker's lanes with its authoritative
+        # free vector (which also holds the chunk's allocations and
+        # in-chunk releases).
+        st.release_until(t_last)
+        alloc_arr = np.zeros(cand.size, dtype=np.int64)
         for w, reply in replies.items():
             st.free[pool.lanes_by_worker[w]] = reply["free"]
-            pw = parts.get(w)
-            if pw is None:
-                continue
+            pw = parts[w]
             space[cand[pw]] = reply["space"]
             spill_col[cand[pw]] = reply["spill"]
             ssd_fraction[idx[pw]] = reply["frac"]
             alloc_arr[pw] = reply["alloc"]
-        # Releases maturing past the chunk buffer in global candidate
-        # order.  The single-process kernel buffers per lane as it
-        # processes them; at exactly-equal release timestamps across
-        # lanes the pending-heap order can differ (docs/fleet.md).
-        for k in np.flatnonzero((alloc_arr > 0.0) & ~inside):
-            st.buffer_release(float(release[k]), float(alloc_arr[k]),
+        # Releases maturing past the chunk, buffered in global
+        # candidate order (the ledger's sums do not depend on it).
+        for k in np.flatnonzero((alloc_arr > 0) & ~inside):
+            st.buffer_release(float(release[k]), int(alloc_arr[k]),
                               int(lane[k]))
         if alloc_out is not None:
             alloc_out[cand] = alloc_arr
@@ -609,8 +573,8 @@ class FleetChunkKernel:
         if W > 1:
             # Global peak: replay the fleet-wide event timeline —
             # window releases, candidate arrivals (allocations), and
-            # in-chunk releases — in the single-process event order
-            # and sample free at each arrival.
+            # in-chunk releases, releases due at or before an arrival
+            # first — and sample free at each arrival.
             pos = np.arange(cand.size)
             ev_t = np.concatenate([old_t, ct, release[inside]])
             ev_k = np.concatenate(
@@ -620,7 +584,7 @@ class FleetChunkKernel:
             ko = ev_k[order]
             arr_pos = (ko >= 0) & ((ko & 1) == 0)
             ev_pd = np.concatenate([old_a, -alloc_arr, alloc_arr[inside]])
-            low = float(
+            low = int(
                 (total_free_start + np.cumsum(ev_pd[order]))[arr_pos].min()
             )
             peak = st.capacity - low
@@ -641,6 +605,7 @@ class FleetChunkKernel:
         chunk_t = arrivals[first:stop]
         chunk_dur = durations[first:stop]
         chunk_size = sizes[first:stop]
+        size_bytes = ledger_bytes(chunk_size)
         ttl_vals = (
             None if bd.ssd_ttl is None
             else np.asarray(bd.ssd_ttl, dtype=float)
@@ -688,10 +653,10 @@ class FleetChunkKernel:
             if not requested[k]:
                 continue
             L = int(lane[k])
-            size = float(chunk_size[k])
+            size = int(size_bytes[k])
             st.free[L] -= size
             if track:
-                used = st.capacity - float(st.free.sum())
+                used = st.capacity - int(st.free.sum())
                 if used > self._peak:
                     self._peak = used
             if size > 0:
@@ -705,19 +670,19 @@ class FleetChunkKernel:
             if alloc_out is not None:
                 alloc_out[k] = size
                 release_out[k] = float(release[k])
-        for rt, hl, amt in local_heap:
-            st.buffer_release(rt, amt, hl)
+        for _, hl, amt in local_heap:
+            st.free[hl] += amt
         if t_last > self._cursor:
             self._cursor = t_last
         return requested
 
     # -- out-of-band mutations ------------------------------------------
 
-    def cancel(self, lane: int, alloc: float, release_time: float) -> None:
+    def cancel(self, lane: int, alloc: int, release_time: float) -> None:
         W = self.pool.n_workers
         self.pool.request(int(lane) % W, {
             "op": "cancel", "catch": self._catch(),
-            "lane": int(lane) // W, "alloc": float(alloc),
+            "lane": int(lane) // W, "alloc": int(alloc),
             "release": float(release_time),
         })
         self.ledger.cancel(lane, alloc, release_time)
@@ -736,16 +701,16 @@ class FleetScalarKernel:
 
     Each admit goes to the lane's owner; the returned free value and
     release entry are mirrored into a full-lane ``ScalarKernel``
-    replica, whose heap and free vector stay bit-identical to a
-    single-process run — that is what makes cancel/resize (which the
-    mirror executes locally, forwarding to the worker for its copy)
-    and the global peak sample exact.
+    replica, whose heap and free vector stay equal to a single-process
+    run — that is what makes cancel/resize (which the mirror executes
+    locally, forwarding to the worker for its copy) and the global peak
+    sample exact.
     """
 
-    def __init__(self, lane_caps, total, pool: _WorkerPool):
+    def __init__(self, lane_caps, pool: _WorkerPool):
         self.pool = pool
-        self.mirror = ScalarKernel(lane_caps, total, track_peak=False)
-        self._peak = 0.0
+        self.mirror = ScalarKernel(lane_caps, track_peak=False)
+        self._peak = 0
         self._cursor = -np.inf
 
     @property
@@ -779,7 +744,7 @@ class FleetScalarKernel:
         return self.pool.total("n_evicted")
 
     @property
-    def evicted_bytes(self) -> float:
+    def evicted_bytes(self) -> int:
         return self.pool.total("evicted_bytes")
 
     def counters(self) -> dict:
@@ -788,9 +753,9 @@ class FleetScalarKernel:
             "n_ssd_requested": int(self.n_ssd_requested),
             "n_spilled": int(self.n_spilled),
             "n_evicted": int(self.n_evicted),
-            "evicted_bytes": float(self.evicted_bytes),
+            "evicted_bytes": int(self.evicted_bytes),
             "scalar_fallback_jobs": int(self.pool.total("n_scalar")),
-            "peak_used": float(self.peak_used),
+            "peak_used": int(self.peak_used),
         }
 
     def _catch(self):
@@ -818,21 +783,26 @@ class FleetScalarKernel:
         mirror = self.mirror
         f = reply["free"]
         mirror.free[lane] = f
-        if alloc > 0:
+        held = release > t
+        if alloc > 0 and held:
             heapq.heappush(mirror.heap, (release, int(i), int(lane), alloc))
         if W > 1:
             used = mirror.capacity - (
-                f if mirror.free.size == 1 else float(mirror.free.sum())
+                f if mirror.free.size == 1 else int(mirror.free.sum())
             )
+            if not held:
+                # Sampled as the single process does: before the worker
+                # handed the zero-hold allocation back.
+                used += alloc
             if used > self._peak:
                 self._peak = used
         return space_frac, frac, spill_time, alloc, release
 
-    def cancel(self, i: int, lane: int, alloc: float) -> None:
+    def cancel(self, i: int, lane: int, alloc: int) -> None:
         W = self.pool.n_workers
         self.pool.request(int(lane) % W, {
             "op": "cancel", "catch": self._catch(), "i": int(i),
-            "lane": int(lane) // W, "alloc": float(alloc),
+            "lane": int(lane) // W, "alloc": int(alloc),
         })
         self.mirror.cancel(i, lane, alloc)
 
@@ -891,12 +861,11 @@ class FleetRouter(PlacementService):
         self.pool = None
         super().__init__(policy, capacity, n_shards, **kwargs)
 
-    def _make_kernel(self, lane_caps, total):
+    def _make_kernel(self, lane_caps):
         cfg = self._fleet_config
         pool = _WorkerPool(
             n_shards=self.n_shards,
             lane_caps=lane_caps,
-            total=total,
             mode=self.mode,
             n_workers=cfg["n_workers"],
             transport=cfg["transport"],
@@ -905,8 +874,8 @@ class FleetRouter(PlacementService):
         )
         self.pool = pool
         if self.mode == "scalar":
-            return FleetScalarKernel(lane_caps, total, pool)
-        return FleetChunkKernel(lane_caps, total, pool)
+            return FleetScalarKernel(lane_caps, pool)
+        return FleetChunkKernel(lane_caps, pool)
 
     # -- fleet surface --------------------------------------------------
 

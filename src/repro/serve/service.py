@@ -125,8 +125,8 @@ _TRACE_SCAN_BLOCK = 1 << 16
 
 
 def _occupancy(svc, lane: int) -> float:
-    cap = float(svc.lane_capacities[lane])
-    return 1.0 - float(svc.kernel.free[lane]) / cap if cap > 0 else 0.0
+    cap = int(svc.kernel.lane_capacity[lane])
+    return 1.0 - int(svc.kernel.free[lane]) / cap if cap > 0 else 0.0
 
 
 def _threshold(act, lane: int | None = None) -> int | None:
@@ -205,16 +205,16 @@ _DERIVED = (
     ("gauge", "serve_max_pending_seen", "Peak admission-queue depth",
      lambda s, _: s.stats.max_pending_seen),
     ("gauge", "serve_capacity_bytes", "Total SSD capacity",
-     lambda s, _: float(s.capacity)),
+     lambda s, _: int(s.kernel.capacity)),
     ("gauge", "serve_peak_ssd_used_bytes", "Peak SSD bytes in use",
-     lambda s, _: float(s.kernel.peak_used)),
+     lambda s, _: int(s.kernel.peak_used)),
     ("gauge", "serve_degraded",
      "1 while the categorizer outage is open, else 0",
      lambda s, _: 0 if s._degraded_since is None else 1),
     ("lane", "serve_lane_capacity_bytes", "Per-lane SSD capacity",
-     lambda s, lane: float(s.lane_capacities[lane])),
+     lambda s, lane: int(s.kernel.lane_capacity[lane])),
     ("lane", "serve_lane_free_bytes", "Per-lane free SSD bytes",
-     lambda s, lane: float(s.kernel.free[lane])),
+     lambda s, lane: int(s.kernel.free[lane])),
     ("lane", "serve_lane_occupancy_ratio", "Per-lane occupied fraction",
      _occupancy),
     ("gauge", "serve_act_position", "Global adaptive category threshold",
@@ -337,7 +337,7 @@ class PlacementService:
         self.lane_capacities = lane_caps
         self.capacity = total
         self.log = JobLog(rates=rates, n_shards=n_shards, shard_seed=shard_seed, name=name)
-        self.kernel = self._make_kernel(lane_caps, total)
+        self.kernel = self._make_kernel(lane_caps)
         self.stats = ServiceStats()
         self.registry = MetricsRegistry()
         self._metrics_t0 = perf_counter()
@@ -382,7 +382,7 @@ class PlacementService:
         #: is mode-invariant.
         self._clock = -np.inf
 
-    def _make_kernel(self, lane_caps: np.ndarray, total: float):
+    def _make_kernel(self, lane_caps: np.ndarray):
         """Build the admission kernel this service drives.
 
         The seam the fleet layer plugs into:
@@ -392,8 +392,8 @@ class PlacementService:
         pump, shocks) unchanged.
         """
         if self.mode == "scalar":
-            return ScalarKernel(lane_caps, total)
-        return ChunkKernel(lane_caps, total)
+            return ScalarKernel(lane_caps)
+        return ChunkKernel(lane_caps)
 
     # -- metrics --------------------------------------------------------
 
@@ -917,7 +917,7 @@ class PlacementService:
         self.policy.observe_one(i, t, want_ssd, space_frac, spill_time, s)
         job_id = log.job_ids[i]
         if alloc > 0 and release > self._now:
-            self._live[job_id] = (i, s, float(alloc), float(release))
+            self._live[job_id] = (i, s, alloc, float(release))
             self._maybe_sweep_live()
         self._decided += 1
         self.stats.n_decided += 1
@@ -1127,7 +1127,7 @@ class PlacementService:
             count = min(want, n - first)
             stop = first + count
             self._frac.ensure(n)
-            alloc_buf = np.zeros(count)
+            alloc_buf = np.zeros(count, dtype=np.int64)
             rel_buf = np.zeros(count)
             outcomes = kern.run_chunk(
                 bd, first, stop,
@@ -1162,7 +1162,7 @@ class PlacementService:
 
     def _track_live_chunk(self, outcomes, alloc_buf, rel_buf) -> None:
         """Vectorized live-table insert for one decided chunk."""
-        live = np.flatnonzero((alloc_buf > 0.0) & (rel_buf > self._now))
+        live = np.flatnonzero((alloc_buf > 0) & (rel_buf > self._now))
         if not live.size:
             return
         first = outcomes.first
@@ -1288,19 +1288,21 @@ class PlacementService:
             self._wal_seq += 1
         flushed = self._pump(force=True) if self.mode == "batch" else []
         kern = self.kernel
-        scalar_evicted: list[tuple[float, int, float]] = []
-        chunk_evicted: list[tuple[int, float, float]] = []
+        scalar_evicted: list[tuple[float, int, int]] = []
+        chunk_evicted: list[tuple[int, float, int]] = []
         for L in range(self.n_shards):
-            if float(new_caps[L]) == float(self.lane_capacities[L]):
+            new, old = float(new_caps[L]), float(self.lane_capacities[L])
+            if new == old:
                 continue
-            entries = kern.resize_lane(L, float(new_caps[L]))
+            entries = kern.resize_lane(L, new)
+            # The reported layout keeps the caller's float bytes; the
+            # kernel holds them floored.
+            self.lane_capacities[L] = new
+            self.capacity += new - old
             if self.mode == "scalar":
                 scalar_evicted.extend(entries)
             else:
                 chunk_evicted.extend((L, r, a) for (r, a) in entries)
-        # lane_capacities is the very array the kernel mutates; only
-        # the scalar total needs re-syncing.
-        self.capacity = float(kern.capacity)
         n_evicted = len(scalar_evicted) + len(chunk_evicted)
         evicted_bytes = sum(a for (_, _, a) in scalar_evicted) + sum(
             a for (_, _, a) in chunk_evicted
@@ -1364,8 +1366,10 @@ class PlacementService:
         """Retire evicted jobs from the live table.
 
         Scalar evictions carry the job index; chunk evictions are
-        matched by ``(lane, release_time, alloc)`` — floats the table
-        carries verbatim, so matches are exact.  Stale ``_live_sched``
+        matched by ``(lane, release_time, alloc)`` — values the table
+        carries verbatim, so matches are exact.  A float ``alloc`` from
+        a checkpoint written before the integer ledger floors, as the
+        kernel's restored entry did.  Stale ``_live_sched``
         heap entries are skipped naturally when they surface.
         """
         if scalar_evicted:
@@ -1373,13 +1377,13 @@ class PlacementService:
             for jid in [j for j, v in self._live.items() if v[0] in gone]:
                 del self._live[jid]
         if chunk_evicted:
-            want: dict[tuple[int, float, float], int] = {}
+            want: dict[tuple[int, float, int], int] = {}
             for L, r, a in chunk_evicted:
                 key = (L, r, a)
                 want[key] = want.get(key, 0) + 1
             for jid in list(self._live):
                 _, lane_, alloc, release = self._live[jid]
-                key = (lane_, release, alloc)
+                key = (lane_, release, int(alloc))
                 c = want.get(key, 0)
                 if c:
                     want[key] = c - 1

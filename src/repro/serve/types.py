@@ -247,7 +247,7 @@ class ServiceStats:
     max_pending_seen: int = 0
     n_shocks: int = 0
     n_evicted: int = 0
-    evicted_bytes: float = 0.0
+    evicted_bytes: int = 0
     categorizer_failures: int = 0
     degraded_jobs: int = 0
     degraded_intervals: list = field(default_factory=list)
@@ -268,6 +268,6 @@ class ShockReport:
     time: float
     lane_capacities: np.ndarray
     n_evicted: int
-    evicted_bytes: float
+    evicted_bytes: int
     flushed: int
     decisions: tuple = ()

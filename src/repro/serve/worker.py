@@ -5,7 +5,7 @@ fleet's lanes — the same :class:`~repro.storage.engine.ChunkKernel` /
 :class:`~repro.storage.engine.ScalarKernel` the single-process
 :class:`~repro.serve.PlacementService` drives, constructed with the
 global→local lane map and ``path_lanes`` set to the *fleet's* lane
-count so every arithmetic-path choice matches the single-process run.
+count so every admission-path choice matches the single-process run.
 The worker holds no policy, no log, and no queue: those stay at the
 :class:`~repro.serve.router.FleetRouter`, which is what keeps the
 fleet's decision stream bit-identical to one process.
@@ -57,11 +57,9 @@ class PlacementWorker:
     - ``lane_caps`` / ``lanes`` — the owned lanes' capacities and
       global ids;
     - ``path_lanes`` — the fleet's total lane count (keys every
-      arithmetic-path choice, see :class:`~repro.storage.engine._LaneState`);
+      admission-path choice, see :class:`~repro.storage.engine._LaneState`);
     - ``track_peak`` — only a single-worker fleet tracks the global
-      peak locally; with more workers the router samples it;
-    - ``total`` — the kernel's capacity scalar (the fleet total for a
-      single-worker fleet, the subset sum otherwise).
+      peak locally; with more workers the router samples it.
     """
 
     def __init__(self, spec: dict):
@@ -79,9 +77,7 @@ class PlacementWorker:
     #: Ops recorded in the worker's span ring — the data-plane ops that
     #: advance kernel state.  Control ops (metrics/spans/ping/state...)
     #: are excluded so observing a worker never grows its trace.
-    _SPAN_OPS = frozenset(
-        {"open", "chunk", "fit", "sync", "admit", "cancel", "resize"}
-    )
+    _SPAN_OPS = frozenset({"chunk", "fit", "admit", "cancel", "resize"})
 
     #: Bounded op-span ring length (see ``_op_spans``).
     SPAN_CAPACITY = 1024
@@ -118,16 +114,13 @@ class PlacementWorker:
 
     @staticmethod
     def _build_kernel(spec: dict):
-        lane_caps = spec["lane_caps"].copy()
+        lane_caps = spec["lane_caps"]
         lanes = spec["lanes"]
-        total = float(spec.get("total", lane_caps.sum()))
         track_peak = bool(spec.get("track_peak", False))
         if spec["mode"] == "scalar":
-            return ScalarKernel(
-                lane_caps, total, lanes=lanes, track_peak=track_peak
-            )
+            return ScalarKernel(lane_caps, lanes=lanes, track_peak=track_peak)
         return ChunkKernel(
-            lane_caps, total,
+            lane_caps,
             lanes=lanes,
             path_lanes=int(spec["path_lanes"]),
             track_peak=track_peak,
@@ -211,9 +204,10 @@ class PlacementWorker:
 
         ``t0`` / ``t_last`` are the *fleet-wide* chunk boundaries: the
         release cursor advances to ``t0`` first (exactly as the
-        single-process ``open_chunk`` would) and ``t_last`` decides
-        which releases are consumed in-chunk, so the worker's float
-        sequence is the single-process one restricted to its lanes.
+        single-process ``open_chunk`` would, catching up on any chunk
+        this worker sat out) and ``t_last`` decides which releases are
+        consumed in-chunk, so the worker's ledger is the single-process
+        one restricted to its lanes.
         """
         kern = self.kernel
         t, dur, size, lane, ttl = self._chunk_arrays(op)
@@ -225,7 +219,7 @@ class PlacementWorker:
             fit_check=False,
         )
         frac = np.zeros(c)
-        alloc = np.zeros(c)
+        alloc = np.zeros(c, dtype=np.int64)
         rel = np.zeros(c)
         out = kern.run_chunk(
             bd, 0, c, t, dur, size,
@@ -267,34 +261,6 @@ class PlacementWorker:
             **self._counters(),
         }
 
-    def _op_open(self, op: dict) -> dict:
-        """Advance the release cursor to a chunk boundary (``t0``).
-
-        The single-process kernel pops matured releases at every chunk
-        open as one ``release_until`` call, and the pop granularity is
-        part of the float association on single-lane pools (one
-        pairwise ``np.sum`` per call).  The router mirrors every open
-        boundary that actually pops entries on this worker's lanes, so
-        the call sequence — and therefore every bit of ``free`` —
-        matches the single-process run.
-        """
-        self.kernel.st.release_until(float(op["t0"]))
-        return {"free": self.kernel.free.copy(), **self._counters()}
-
-    def _op_sync(self, op: dict) -> dict:
-        """Consume a chunk window this worker had no candidates in.
-
-        The worker's lanes still had releases maturing inside the
-        window; the single-process run consumed them through the
-        clean-lane trajectory, so the catch-up must use
-        ``consume_window_clean`` (sum-then-add association), not
-        ``release_until``.
-        """
-        st = self.kernel.st
-        st.release_until(float(op["t0"]))
-        st.consume_window_clean(float(op["t_last"]))
-        return {"free": self.kernel.free.copy(), **self._counters()}
-
     # -- scalar-mode ops ------------------------------------------------
 
     def _op_admit(self, op: dict) -> dict:
@@ -310,7 +276,7 @@ class PlacementWorker:
         )
         return {
             "res": (space_frac, frac, spill_time, alloc, release),
-            "free": float(kern.free[lane]),
+            "free": int(kern.free[lane]),
             **self._counters(),
         }
 
@@ -322,12 +288,9 @@ class PlacementWorker:
         Cancel/resize ops apply relative to how far the single-process
         kernel's cursor had advanced — entries at or before it are
         popped (the single-process run popped them at earlier global
-        admissions or at the chunk open), entries after it must stay
-        pending (a scalar resize deliberately evicts matured-but-
-        unpopped residents, warts reproduced faithfully).  Only entries
-        the single-process run consumed through element-at-a-time pops
-        can be lagging here, so ``release_until`` is the right
-        association.
+        admissions, chunk opens or chunk windows), entries after it
+        must stay pending (a scalar resize deliberately evicts
+        matured-but-unpopped residents, warts reproduced faithfully).
         """
         if catch is None:
             return
@@ -341,11 +304,13 @@ class PlacementWorker:
         kern = self.kernel
         self._catch_up(op.get("catch"))
         lane = int(op["lane"])
+        # The kernel floors ``alloc``: logs written before the integer
+        # ledger carry float bytes.
         if self.mode == "scalar":
-            kern.cancel(int(op["i"]), lane, float(op["alloc"]))
+            kern.cancel(int(op["i"]), lane, op["alloc"])
         else:
-            kern.cancel(lane, float(op["alloc"]), float(op["release"]))
-        return {"free": float(kern.free[lane]), **self._counters()}
+            kern.cancel(lane, op["alloc"], float(op["release"]))
+        return {"free": int(kern.free[lane]), **self._counters()}
 
     def _op_resize(self, op: dict) -> dict:
         kern = self.kernel
@@ -354,8 +319,8 @@ class PlacementWorker:
         evicted = kern.resize_lane(lane, float(op["cap"]))
         return {
             "evicted": [tuple(e) for e in evicted],
-            "free": float(kern.free[lane]),
-            "capacity": float(kern.capacity),
+            "free": int(kern.free[lane]),
+            "capacity": int(kern.capacity),
             **self._counters(),
         }
 

@@ -47,9 +47,14 @@ objects — see :mod:`repro.workloads.streaming`), or a ``.csv``/``.npz``
 path.  A streamed run is bit-identical to the in-memory run of the
 same jobs.
 
-Both engines produce identical results up to floating-point summation
-order (see ``tests/test_unified_runtime.py`` and
-``tests/test_chunked_simulator.py``).
+Every capacity ledger holds integer bytes (``int64``), converted once
+at the kernel boundary by :func:`ledger_bytes`.  Integer sums do not
+depend on their order, so both engines, the online service and the
+fleet agree exactly however they group releases; the one ordering left
+is that releases due at or before an arrival apply before it.  Only a
+TTL-bounded time fraction differs: ``((t + held) - t) / duration`` in
+the legacy loop, ``held / duration`` in the chunked engine (see
+``tests/test_unified_runtime.py`` and ``tests/test_chunked_simulator.py``).
 
 Incremental kernels
 -------------------
@@ -67,6 +72,7 @@ run: they are the same arithmetic, not two implementations.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,7 +94,12 @@ __all__ = [
     "run_placement",
     "ScalarKernel",
     "ChunkKernel",
+    "ledger_bytes",
 ]
+
+#: float64 holds every integer below this: the ledger refuses sizes at
+#: or above it and saturates capacities just below it.
+_MAX_LEDGER_BYTES = 2**53
 
 #: Initial number of candidates replayed through the exact scalar loop
 #: around a binding point before the vectorized check re-enters.  Most
@@ -324,6 +335,52 @@ def assign_shards(trace: TraceBase, n_shards: int, seed: int = 0) -> np.ndarray:
     return lanes[inverse]
 
 
+def ledger_bytes(x, round_up: bool = True):
+    """Byte counts as the ledger's integer bytes.
+
+    Sizes round up (``ceil``, so a positive size keeps a byte);
+    capacities pass ``round_up=False`` and round down (``floor``, so a
+    lane never holds more than it was given).  A Python scalar comes
+    back as an ``int``, anything else as an ``int64`` array.  Non-finite
+    values and sizes of 2**53 or more raise ``ValueError``; capacities
+    that large saturate at 2**53 - 1 (such a lane never binds, and lane
+    sums stay far inside ``int64``).
+    """
+    lim = _MAX_LEDGER_BYTES - 1
+    if isinstance(x, (int, float)):
+        if -_MAX_LEDGER_BYTES < x < _MAX_LEDGER_BYTES:
+            return math.ceil(x) if round_up else math.floor(x)
+        if round_up or not -math.inf < x < math.inf:
+            raise ValueError(f"byte count {x!r} is not finite or exceeds 2**53")
+        return lim if x > 0 else -lim
+    a = np.asarray(x, dtype=float)
+    ok = np.abs(a) < _MAX_LEDGER_BYTES if round_up else np.isfinite(a)
+    if not ok.all():
+        raise ValueError(
+            f"byte count {a[~ok].flat[0]!r} is not finite or exceeds 2**53"
+        )
+    out = np.ceil(a) if round_up else np.clip(np.floor(a), -lim, lim)
+    out = out.astype(np.int64)
+    return int(out) if out.ndim == 0 else out
+
+
+def _int_ledger(led) -> None:
+    """Re-type a ledger unpickled from a float-byte checkpoint, in place.
+
+    Checkpoints written before the integer ledger carry float64 bytes.
+    Every one rounds down, as capacities do at construction: integral
+    values pass unchanged, and a fractional one never leaves a lane
+    holding more than the float ledger did.  The total is re-derived
+    from the floored lanes.  Allocation entries, ``cancel`` and the
+    service's eviction matching floor by the same rule, so a float
+    allocation from an old log still nets against its entry.
+    """
+    led.lane_capacity = ledger_bytes(led.lane_capacity, round_up=False)
+    led.capacity = int(led.lane_capacity.sum())
+    led.free = ledger_bytes(led.free, round_up=False)
+    led.peak_used = ledger_bytes(led.peak_used, round_up=False)
+
+
 def _normalize_capacity(
     capacity: float | np.ndarray, n_shards: int
 ) -> tuple[np.ndarray, float]:
@@ -414,6 +471,8 @@ def run_placement(
         raise ValueError(f"policy {policy.name!r} does not implement decide_batch")
     lane_caps, total = _normalize_capacity(capacity, n_shards)
     trace = materialize_trace(trace)
+    # Refuse non-finite sizes before the policy sees the trace.
+    ledger_bytes(trace.sizes)
     shards = assign_shards(trace, n_shards, seed=shard_seed) if n_shards > 1 else None
     policy.on_simulation_start(trace, total, rates)
     policy.on_shard_topology(shards, lane_caps.copy())
@@ -475,7 +534,7 @@ def _finalize(
         realized_hdd_tcio=r_tcio,
         n_ssd_requested=n_ssd_requested,
         n_spilled=n_spilled,
-        peak_ssd_used=peak_used,
+        peak_ssd_used=float(peak_used),
         ssd_fraction=None if aggregate_only else ssd_fraction,
         n_shards=n_shards,
         scalar_fallback_jobs=scalar_fallback_jobs,
@@ -495,6 +554,10 @@ class ScalarKernel:
     a time — the same arithmetic in the same order, which is what makes
     an online replay bit-identical to the offline run.
 
+    Capacity, free space, allocations and peak are integer bytes
+    (:func:`ledger_bytes`): lane capacities round down on construction,
+    sizes round up on admission.
+
     ``cancel`` supports the service's early-completion events: it
     returns a job's outstanding allocation to its lane immediately and
     lazily skips the job's scheduled release when it later surfaces on
@@ -513,10 +576,8 @@ class ScalarKernel:
     global id back to local position (identity over the full lane set
     by default).  Lane arguments to every method are *local* indices.
     A subset kernel usually runs with ``track_peak=False``: the peak
-    metric is global across the fleet, so a worker's local sample
-    would both under-count the true peak and diverge from the
-    single-process float sequence — the fleet router samples it
-    instead.
+    metric is global across the fleet, and a worker's local sample
+    would under-count it — the fleet router samples it instead.
     """
 
     __slots__ = (
@@ -528,15 +589,14 @@ class ScalarKernel:
     def __init__(
         self,
         lane_caps: np.ndarray,
-        total: float,
         *,
         lanes: np.ndarray | None = None,
         track_peak: bool = True,
     ):
-        self.capacity = total
-        self.lane_capacity = lane_caps
-        self.free = lane_caps.copy()
-        self.peak_used = 0.0
+        self.lane_capacity = ledger_bytes(lane_caps, round_up=False)
+        self.capacity = int(self.lane_capacity.sum())
+        self.free = self.lane_capacity.copy()
+        self.peak_used = 0
         self.track_peak = track_peak
         if lanes is None:
             lanes = np.arange(len(lane_caps), dtype=np.intp)
@@ -549,12 +609,24 @@ class ScalarKernel:
         self.lanes = lanes
         self.lane_index = {int(g): k for k, g in enumerate(lanes)}
         #: (release_time, job_index, lane, bytes) min-heap.
-        self.heap: list[tuple[float, int, int, float]] = []
+        self.heap: list[tuple[float, int, int, int]] = []
         self.n_ssd_requested = 0
         self.n_spilled = 0
         self.n_evicted = 0
-        self.evicted_bytes = 0.0
+        self.evicted_bytes = 0
         self._cancelled: set[int] = set()
+
+    def __setstate__(self, state):
+        _, slots = state
+        for name, value in slots.items():
+            setattr(self, name, value)
+        if self.free.dtype != np.int64:
+            _int_ledger(self)
+            self.heap = [
+                (r, i, lane, ledger_bytes(a, round_up=False))
+                for (r, i, lane, a) in self.heap
+            ]
+            self.evicted_bytes = ledger_bytes(self.evicted_bytes, round_up=False)
 
     def counters(self) -> dict:
         """The kernel's monotonic admission counters, uniformly keyed.
@@ -567,9 +639,9 @@ class ScalarKernel:
             "n_ssd_requested": int(self.n_ssd_requested),
             "n_spilled": int(self.n_spilled),
             "n_evicted": int(self.n_evicted),
-            "evicted_bytes": float(self.evicted_bytes),
+            "evicted_bytes": int(self.evicted_bytes),
             "scalar_fallback_jobs": 0,
-            "peak_used": float(self.peak_used),
+            "peak_used": int(self.peak_used),
         }
 
     def release_until(self, t: float) -> None:
@@ -585,23 +657,22 @@ class ScalarKernel:
     def admit(
         self, i: int, t: float, size: float, duration: float, lane: int,
         want_ssd: bool, ssd_ttl: float | None,
-    ) -> tuple[float, float, float | None, float, float]:
+    ) -> tuple[float, float, float | None, int, float]:
         """Apply one decision; returns ``(space_frac, ssd_frac,
         spill_time, alloc, release_time)``.
 
         The admission arithmetic — partial fit, spill marking, peak
         sampling at admission, TTL-bounded release — is the reference
-        loop's, verbatim.
+        loop's, verbatim; ``alloc`` is in integer bytes.
         """
         spill_time: float | None = None
-        space_frac = 0.0
         if not want_ssd:
-            return 0.0, 0.0, None, 0.0, t
+            return 0.0, 0.0, None, 0, t
+        size = ledger_bytes(size)
         free = self.free
         self.n_ssd_requested += 1
-        # Pure-Python float arithmetic on the hot serving path: item()
-        # round-trips are exact, so every value below matches the numpy
-        # scalar math bit for bit.
+        # Pure-Python int arithmetic on the hot serving path: item()
+        # round-trips are exact.
         f = free.item(lane)
         alloc = size if size < f else f
         if alloc < size:
@@ -610,7 +681,7 @@ class ScalarKernel:
         f -= alloc
         free[lane] = f
         if self.track_peak:
-            used = self.capacity - (f if free.size == 1 else float(free.sum()))
+            used = self.capacity - (f if free.size == 1 else int(free.sum()))
             if used > self.peak_used:
                 self.peak_used = used
         if ssd_ttl is not None and ssd_ttl < duration:
@@ -620,18 +691,22 @@ class ScalarKernel:
             release = t + duration
             time_frac = 1.0
         if alloc > 0:
-            heapq.heappush(self.heap, (release, i, lane, alloc))
+            if release > t:
+                heapq.heappush(self.heap, (release, i, lane, alloc))
+            else:
+                # Held for no time: back at once, so never resident.
+                free[lane] = f + alloc
         space_frac = alloc / size if size > 0 else 1.0
         return space_frac, space_frac * time_frac, spill_time, alloc, release
 
-    def cancel(self, i: int, lane: int, alloc: float) -> None:
+    def cancel(self, i: int, lane: int, alloc: int) -> None:
         """Return job ``i``'s outstanding allocation to its lane now."""
-        self.free[lane] += alloc
+        self.free[lane] += ledger_bytes(alloc, round_up=False)
         self._cancelled.add(i)
 
     def resize_lane(
         self, lane: int, new_capacity: float
-    ) -> list[tuple[float, int, float]]:
+    ) -> list[tuple[float, int, int]]:
         """Set ``lane``'s capacity, evicting residents that no longer fit.
 
         Shrinking below the resident footprint evicts jobs
@@ -647,12 +722,13 @@ class ScalarKernel:
             raise ValueError(f"lane {lane} out of range")
         if new_capacity < 0:
             raise ValueError("capacity must be >= 0")
-        delta = float(new_capacity) - float(self.lane_capacity[lane])
+        new_capacity = ledger_bytes(new_capacity, round_up=False)
+        delta = new_capacity - int(self.lane_capacity[lane])
         self.lane_capacity[lane] = new_capacity
         self.capacity += delta
         self.free[lane] += delta
-        evicted: list[tuple[float, int, float]] = []
-        if self.free[lane] < 0.0:
+        evicted: list[tuple[float, int, int]] = []
+        if self.free[lane] < 0:
             resident = sorted(
                 (
                     (r, i, a)
@@ -662,20 +738,17 @@ class ScalarKernel:
                 reverse=True,
             )
             for r, i, a in resident:
-                if self.free[lane] >= 0.0:
+                if self.free[lane] >= 0:
                     break
                 self.free[lane] += a
                 self._cancelled.add(i)
                 evicted.append((r, i, a))
-            if self.free[lane] < 0.0:
-                # Float summation residue after evicting everything.
-                self.free[lane] = 0.0
             self.n_spilled += len(evicted)
             self.n_evicted += len(evicted)
             self.evicted_bytes += sum(a for _, _, a in evicted)
         return evicted
 
-    def drop_lane(self, lane: int) -> list[tuple[float, int, float]]:
+    def drop_lane(self, lane: int) -> list[tuple[float, int, int]]:
         """Lane loss: capacity to zero, every resident evicted."""
         return self.resize_lane(lane, 0.0)
 
@@ -703,7 +776,7 @@ def _run_legacy(
     durations = trace.durations
     sizes = trace.sizes
 
-    kern = ScalarKernel(lane_caps, capacity)
+    kern = ScalarKernel(lane_caps)
     ssd_fraction = np.zeros(n)
 
     for i in range(n):
@@ -711,7 +784,8 @@ def _run_legacy(
         kern.release_until(t)
         s = int(shards[i]) if shards is not None else 0
         ctx = PlacementContext(
-            time=t, free_ssd=float(kern.free[s]), capacity=float(lane_caps[s])
+            time=t, free_ssd=float(kern.free[s]),
+            capacity=float(kern.lane_capacity[s]),
         )
         decision = policy.decide(i, ctx)
         space_frac, frac, spill_time, _, _ = kern.admit(
@@ -743,18 +817,19 @@ class _LaneState:
 
     One lane per caching server; ``free`` is the per-lane free-space
     vector and ``lane_capacity`` the per-lane capacity vector (lanes
-    may be unequal).  Pending releases live in time-sorted arrays with
-    a lane column, consumed by a moving cursor; each chunk's freshly
-    created releases are buffered and merged back with one vectorized
-    stable sort, replacing the legacy per-job heap pushes.
+    may be unequal), both in integer bytes.  Pending releases live in
+    time-sorted arrays with a lane column, consumed by a moving cursor;
+    each chunk's freshly created releases are buffered and merged back
+    with one vectorized stable sort, replacing the legacy per-job heap
+    pushes.
 
     ``path_lanes`` is the lane count of the *run* this state is part
     of — equal to ``n_lanes`` for a whole-fleet kernel, larger for a
-    worker covering a lane subset.  Every arithmetic-path choice that
-    single- vs multi-lane runs make differently (batched release sums,
-    the single-lane chunk fast path, the merged-small-lanes scalar
-    loop) keys on ``path_lanes``, so a subset worker follows the exact
-    float operation sequence of the full run it is a slice of.
+    worker covering a lane subset.  The admission paths that single-
+    and multi-lane runs take differently (the single-lane chunk fast
+    path, the merged-small-lanes scalar loop) key on ``path_lanes``, so
+    a subset worker takes the same path — and counts the same
+    scalar-fallback jobs — as the full run it is a slice of.
     """
 
     __slots__ = (
@@ -766,23 +841,22 @@ class _LaneState:
     def __init__(
         self,
         lane_caps: np.ndarray,
-        total: float,
         path_lanes: int | None = None,
         track_peak: bool = True,
     ):
-        self.capacity = total
+        self.capacity = int(lane_caps.sum())
         self.n_lanes = len(lane_caps)
         self.path_lanes = self.n_lanes if path_lanes is None else int(path_lanes)
         self.track_peak = track_peak
         self.lane_capacity = lane_caps
         self.free = lane_caps.copy()
-        self.peak_used = 0.0
+        self.peak_used = 0
         self.rel_t = np.empty(0, dtype=float)
-        self.rel_a = np.empty(0, dtype=float)
+        self.rel_a = np.empty(0, dtype=np.int64)
         self.rel_l = np.empty(0, dtype=np.intp)
         self.rel_pos = 0
         self.new_t: list[float] = []
-        self.new_a: list[float] = []
+        self.new_a: list[int] = []
         self.new_l: list[int] = []
         self.n_scalar = 0
 
@@ -792,19 +866,16 @@ class _LaneState:
             np.searchsorted(self.rel_t[self.rel_pos :], t, side="right")
         )
         if j > self.rel_pos:
-            if self.path_lanes == 1:
-                self.free[0] += float(self.rel_a[self.rel_pos : j].sum())
-            else:
-                np.add.at(
-                    self.free,
-                    self.rel_l[self.rel_pos : j],
-                    self.rel_a[self.rel_pos : j],
-                )
+            np.add.at(
+                self.free,
+                self.rel_l[self.rel_pos : j],
+                self.rel_a[self.rel_pos : j],
+            )
             self.rel_pos = j
 
-    def buffer_release(self, rel_time: float, amount: float, lane: int) -> None:
+    def buffer_release(self, rel_time: float, amount: int, lane: int) -> None:
         """Queue a release for the merge at chunk end (skips zero allocs)."""
-        if amount > 0.0:
+        if amount > 0:
             self.new_t.append(rel_time)
             self.new_a.append(amount)
             self.new_l.append(lane)
@@ -814,7 +885,9 @@ class _LaneState:
         if not self.new_t:
             return
         all_t = np.concatenate([self.rel_t[self.rel_pos :], np.asarray(self.new_t)])
-        all_a = np.concatenate([self.rel_a[self.rel_pos :], np.asarray(self.new_a)])
+        all_a = np.concatenate(
+            [self.rel_a[self.rel_pos :], np.asarray(self.new_a, dtype=np.int64)]
+        )
         all_l = np.concatenate(
             [self.rel_l[self.rel_pos :], np.asarray(self.new_l, dtype=np.intp)]
         )
@@ -826,36 +899,6 @@ class _LaneState:
         self.new_t.clear()
         self.new_a.clear()
         self.new_l.clear()
-
-    def consume_window_clean(self, t_last: float) -> None:
-        """Consume pending releases at or before ``t_last`` the way a
-        candidate-less lane of :func:`_run_mask_chunk` would.
-
-        A lane with in-window releases but no candidates is always
-        *clean* (cancel pairs keep its trajectory non-negative), and
-        the clean path assigns ``free[L] = float(free[L] + cumsum[-1])``
-        — the release amounts sum *first*, then add to the lane's free
-        space once.  That association differs from
-        :meth:`release_until`'s element-at-a-time ``np.add.at``, so a
-        fleet participant replaying a chunk window it had no candidates
-        in (the router's ledger for unrouted lanes, a synced worker)
-        must use this method, not ``release_until``, to land on the
-        single-process float bit for bit.
-        """
-        j2 = self.rel_pos + int(
-            np.searchsorted(self.rel_t[self.rel_pos :], t_last, side="right")
-        )
-        if j2 == self.rel_pos:
-            return
-        wa = self.rel_a[self.rel_pos : j2]
-        wl = self.rel_l[self.rel_pos : j2]
-        if self.n_lanes == 1:
-            self.free[0] = float(self.free[0] + np.cumsum(wa)[-1])
-        else:
-            for L in np.unique(wl):
-                m = wl == L
-                self.free[L] = float(self.free[L] + np.cumsum(wa[m])[-1])
-        self.rel_pos = j2
 
 
 def _ttl_release_fracs(
@@ -894,13 +937,14 @@ class ChunkKernel:
     global job indices; callers may pass views over a growing log as
     long as indices ``[first, stop)`` are populated.
 
-    Like :class:`ScalarKernel`, a chunk kernel may cover a **lane
-    subset** of a larger fleet (``lanes`` / ``lane_index`` give the
-    global↔local mapping; lane arguments and the chunk's lane column
-    are local).  ``path_lanes`` must then be the fleet's total lane
-    count so every arithmetic-path choice matches the single-process
-    run (see :class:`_LaneState`), and ``track_peak=False`` leaves the
-    global peak metric to the fleet router.
+    Like :class:`ScalarKernel`, the ledger is integer bytes, and a
+    chunk kernel may cover a **lane subset** of a larger fleet
+    (``lanes`` / ``lane_index`` give the global↔local mapping; lane
+    arguments and the chunk's lane column are local).  ``path_lanes``
+    must then be the fleet's total lane count so every admission-path
+    choice matches the single-process run (see :class:`_LaneState`),
+    and ``track_peak=False`` leaves the global peak metric to the fleet
+    router.
     """
 
     __slots__ = (
@@ -911,14 +955,14 @@ class ChunkKernel:
     def __init__(
         self,
         lane_caps: np.ndarray,
-        total: float,
         *,
         lanes: np.ndarray | None = None,
         path_lanes: int | None = None,
         track_peak: bool = True,
     ):
         self.st = _LaneState(
-            lane_caps, total, path_lanes=path_lanes, track_peak=track_peak
+            ledger_bytes(lane_caps, round_up=False),
+            path_lanes=path_lanes, track_peak=track_peak,
         )
         if lanes is None:
             lanes = np.arange(len(lane_caps), dtype=np.intp)
@@ -933,7 +977,7 @@ class ChunkKernel:
         self.n_ssd_requested = 0
         self.n_spilled = 0
         self.n_evicted = 0
-        self.evicted_bytes = 0.0
+        self.evicted_bytes = 0
 
     def __setstate__(self, state):
         # Checkpoints written while the kernel still had a ``compiled``
@@ -942,6 +986,11 @@ class ChunkKernel:
         for name, value in slots.items():
             if name != "compiled":
                 setattr(self, name, value)
+        st = self.st
+        if st.free.dtype != np.int64:
+            _int_ledger(st)
+            st.rel_a = ledger_bytes(st.rel_a, round_up=False)
+            self.evicted_bytes = ledger_bytes(self.evicted_bytes, round_up=False)
 
     @property
     def capacity(self) -> float:
@@ -969,9 +1018,9 @@ class ChunkKernel:
             "n_ssd_requested": int(self.n_ssd_requested),
             "n_spilled": int(self.n_spilled),
             "n_evicted": int(self.n_evicted),
-            "evicted_bytes": float(self.evicted_bytes),
+            "evicted_bytes": int(self.evicted_bytes),
             "scalar_fallback_jobs": int(self.st.n_scalar),
-            "peak_used": float(self.st.peak_used),
+            "peak_used": int(self.st.peak_used),
         }
 
     def open_chunk(self, t0: float, lane: int) -> PlacementContext:
@@ -1059,26 +1108,26 @@ class ChunkKernel:
         st.merge_new()
         return outcomes
 
-    def cancel(self, lane: int, alloc: float, release_time: float) -> None:
+    def cancel(self, lane: int, alloc: int, release_time: float) -> None:
         """Return an outstanding allocation to its lane now.
 
         The job's scheduled release is neutralized by a compensating
-        negative entry at the same timestamp (both apply in one
-        vectorized release pass, so the lane's free space is exact up
-        to one float rounding of the pair).  The compensation is merged
+        negative entry at the same timestamp, so the pair nets to zero
+        when the release pass reaches it.  The compensation is merged
         into the sorted release arrays immediately — left buffered, the
         next chunk's ``release_until`` could apply the original
         positive release without its offset and double-count the freed
         space for one chunk.
         """
         st = self.st
+        alloc = ledger_bytes(alloc, round_up=False)
         st.free[lane] += alloc
         st.new_t.append(release_time)
         st.new_a.append(-alloc)
         st.new_l.append(lane)
         st.merge_new()
 
-    def resize_lane(self, lane: int, new_capacity: float) -> list[tuple[float, float]]:
+    def resize_lane(self, lane: int, new_capacity: float) -> list[tuple[float, int]]:
         """Set ``lane``'s capacity, evicting residents that no longer fit.
 
         The chunked counterpart of :meth:`ScalarKernel.resize_lane`:
@@ -1096,20 +1145,20 @@ class ChunkKernel:
         if new_capacity < 0:
             raise ValueError("capacity must be >= 0")
         st.merge_new()
-        delta = float(new_capacity) - float(st.lane_capacity[lane])
+        new_capacity = ledger_bytes(new_capacity, round_up=False)
+        delta = new_capacity - int(st.lane_capacity[lane])
         st.lane_capacity[lane] = new_capacity
         st.capacity += delta
         st.free[lane] += delta
-        evicted: list[tuple[float, float]] = []
-        if st.free[lane] < 0.0:
-            evicted = self._evict_lane(lane)
-        return evicted
+        if st.free[lane] < 0:
+            return self._evict_lane(lane)
+        return []
 
-    def drop_lane(self, lane: int) -> list[tuple[float, float]]:
+    def drop_lane(self, lane: int) -> list[tuple[float, int]]:
         """Lane loss: capacity to zero, every resident evicted."""
         return self.resize_lane(lane, 0.0)
 
-    def _evict_lane(self, lane: int) -> list[tuple[float, float]]:
+    def _evict_lane(self, lane: int) -> list[tuple[float, int]]:
         """Evict the lane's live entries, latest release first, until
         free space is non-negative again."""
         st = self.st
@@ -1117,16 +1166,16 @@ class ChunkKernel:
         idxs = [k for k in pend if st.rel_l[k] == lane]
         # Net out cancel pairs: each negative entry neutralizes one
         # positive entry with the same (time, amount) on the lane.
-        negs: dict[tuple[float, float], int] = {}
+        negs: dict[tuple[float, int], int] = {}
         for k in idxs:
-            a = float(st.rel_a[k])
-            if a < 0.0:
+            a = int(st.rel_a[k])
+            if a < 0:
                 key = (float(st.rel_t[k]), -a)
                 negs[key] = negs.get(key, 0) + 1
         live: list[int] = []
         for k in idxs:
-            a = float(st.rel_a[k])
-            if a <= 0.0:
+            a = int(st.rel_a[k])
+            if a <= 0:
                 continue
             key = (float(st.rel_t[k]), a)
             if negs.get(key, 0) > 0:
@@ -1134,18 +1183,15 @@ class ChunkKernel:
                 continue
             live.append(k)
         live.sort(key=lambda k: (float(st.rel_t[k]), k), reverse=True)
-        evicted: list[tuple[float, float]] = []
+        evicted: list[tuple[float, int]] = []
         drop: list[int] = []
         for k in live:
-            if st.free[lane] >= 0.0:
+            if st.free[lane] >= 0:
                 break
-            a = float(st.rel_a[k])
+            a = int(st.rel_a[k])
             st.free[lane] += a
             drop.append(k)
             evicted.append((float(st.rel_t[k]), a))
-        if st.free[lane] < 0.0:
-            # Float summation residue after evicting everything.
-            st.free[lane] = 0.0
         if drop:
             keep = np.ones(st.rel_t.size, dtype=bool)
             keep[drop] = False
@@ -1172,8 +1218,8 @@ def _run_chunked(
 ) -> SimResult:
     """Chunked engine: one policy round-trip per decision interval.
 
-    Equivalent to :func:`_run_legacy` up to floating-point summation
-    order, for any lane count and capacity layout.  The loop body is
+    Equivalent to :func:`_run_legacy` for any lane count and capacity
+    layout (TTL-bounded time fractions aside, see the module notes).  The loop body is
     one :class:`ChunkKernel` chunk per policy round-trip.
     """
     n = len(trace)
@@ -1181,7 +1227,7 @@ def _run_chunked(
     durations = trace.durations
     sizes = trace.sizes
 
-    kern = ChunkKernel(lane_caps, capacity)
+    kern = ChunkKernel(lane_caps)
     ssd_fraction = np.zeros(n)
 
     i = 0
@@ -1232,7 +1278,7 @@ def _run_mask_chunk(
     """
     idx = first + cand
     ct = arrivals[idx]
-    cs = sizes[idx]
+    cs = ledger_bytes(sizes[idx])
     cdur = durations[idx]
     ttl_vals = None if ttl is None else np.asarray(ttl, dtype=float)[cand]
     release, time_frac = _ttl_release_fracs(ct, cdur, ttl_vals)
@@ -1250,8 +1296,8 @@ def _run_mask_chunk(
     old_l = st.rel_l[st.rel_pos : j2]
     inside = release <= t_last
 
-    # Event timeline. The secondary key replicates heap order at equal
-    # timestamps: releases from earlier chunks first (-1), then each
+    # Event timeline.  At equal timestamps, releases apply before the
+    # arrival: releases from earlier chunks first (-1), then each
     # arrival (2k) ahead of the release it creates (2k+1), where k is
     # the candidate-order position (monotone in job index).
     pos = np.arange(cand.size)
@@ -1261,21 +1307,20 @@ def _run_mask_chunk(
         [np.full(old_t.size, -1), 2 * pos, 2 * pos[inside] + 1]
     )
     order = np.lexsort((ev_k, ev_t))
-    total_free_start = float(st.free.sum())
+    total_free_start = int(st.free.sum())
 
     if st.path_lanes == 1:
         traj = st.free[0] + np.cumsum(ev_d[order])
-        if traj.size and float(traj.min()) >= 0.0:
+        if traj.size and traj.min() >= 0:
             # Capacity never binds: every candidate fits in full.
             if st.track_peak:
                 ko = ev_k[order]
                 arr_pos = (ko >= 0) & ((ko & 1) == 0)
-                low = (
-                    float(traj[arr_pos].min()) if arr_pos.any()
-                    else float(st.free[0])
+                low = int(
+                    traj[arr_pos].min() if arr_pos.any() else st.free[0]
                 )
                 st.peak_used = max(st.peak_used, st.capacity - low)
-            st.free[0] = float(traj[-1])
+            st.free[0] = traj[-1]
             st.rel_pos = j2
             outside = ~inside
             st.new_t.extend(release[outside].tolist())
@@ -1305,18 +1350,18 @@ def _run_mask_chunk(
             seg = order_l[a:b]
             L = int(lo[a])
             traj_L = st.free[L] + np.cumsum(ev_d[seg])
-            if float(traj_L.min()) >= 0.0:
+            if traj_L.min() >= 0:
                 clean[L] = True
-                st.free[L] = float(traj_L[-1])
+                st.free[L] = traj_L[-1]
             else:
                 binding_lanes.append(L)
 
-    alloc_arr = np.zeros(cand.size)
+    alloc_arr = np.zeros(cand.size, dtype=np.int64)
     n_spilled = 0
 
     # Clean lanes: one fused vectorized accept across every clean lane
-    # (their trajectories are exact — lanes are independent in capacity
-    # space, so binding elsewhere cannot disturb them).
+    # (lanes are independent in capacity space, so binding elsewhere
+    # cannot disturb them).
     lp = np.flatnonzero(clean[lane])
     if lp.size:
         space[cand[lp]] = 1.0
@@ -1374,7 +1419,7 @@ def _run_mask_chunk(
         arr_pos = (ko >= 0) & ((ko & 1) == 0)
         if arr_pos.any():
             ev_pd = np.concatenate([old_a, -alloc_arr, alloc_arr[inside]])
-            low = float(
+            low = int(
                 (total_free_start + np.cumsum(ev_pd[order]))[arr_pos].min()
             )
             st.peak_used = max(st.peak_used, st.capacity - low)
@@ -1418,7 +1463,7 @@ def _admit_lanes_scalar(
         pend_t, pend_a, pend_l = old_t[om], old_a[om], old_l[om]
     pend_i = 0
     pend_n = pend_t.size
-    heap: list[tuple[float, int, float]] = []  # (time, lane, amount)
+    heap: list[tuple[float, int, int]] = []  # (time, lane, amount)
     free = st.free
     n_spilled = 0
     for q in sel:
@@ -1430,14 +1475,14 @@ def _admit_lanes_scalar(
             _, hl, amt = heapq.heappop(heap)
             free[hl] += amt
         L = int(lane[q])
-        size = float(cs[q])
-        f = float(free[L])
+        size = int(cs[q])
+        f = int(free[L])
         alloc = size if size <= f else f
         free[L] = f - alloc
         if alloc < size:
             n_spilled += 1
             spill_col[cand[q]] = t
-        if alloc > 0.0:
+        if alloc > 0:
             rt = float(release[q])
             if rt <= t_last:
                 heapq.heappush(heap, (rt, L, alloc))
@@ -1493,9 +1538,9 @@ def _admit_lane_binding(
     on chunks that bind once and the re-check count stays O(log) on
     chunks that bind everywhere.  Returns the spill count.
     """
-    f = float(st.free[L])
+    f = int(st.free[L])
     pend_i = 0
-    heap: list[tuple[float, float]] = []  # in-chunk releases of admitted jobs
+    heap: list[tuple[float, int]] = []  # in-chunk releases of admitted jobs
     p = 0
     n_lane = lpos.size
     n_spilled = 0
@@ -1508,7 +1553,7 @@ def _admit_lane_binding(
         rrel = release[rem]
         rin = rrel <= t_last
         hp_t = np.array([h[0] for h in heap], dtype=float)
-        hp_a = np.array([h[1] for h in heap], dtype=float)
+        hp_a = np.array([h[1] for h in heap], dtype=np.int64)
         ev_t = np.concatenate([pend_t[pend_i:], hp_t, rct, rrel[rin]])
         ev_d = np.concatenate([pend_a[pend_i:], hp_a, -rcs, rcs[rin]])
         ev_k = np.concatenate(
@@ -1520,18 +1565,18 @@ def _admit_lane_binding(
         )
         order = np.lexsort((ev_k, ev_t))
         traj = f + np.cumsum(ev_d[order])
-        viol = np.flatnonzero(traj < 0.0)
+        viol = np.flatnonzero(traj < 0)
 
         if viol.size == 0:
             # The remainder fits in full: accept it vectorized.
             if traj.size:
-                f = float(traj[-1])
+                f = int(traj[-1])
             space[cand[rem]] = 1.0
             ssd_fraction[idx[rem]] = time_frac[rem]
             alloc_arr[rem] = cs[rem]
             out = ~rin
             for rt, amt in zip(release[rem[out]], cs[rem[out]]):
-                st.buffer_release(float(rt), float(amt), L)
+                st.buffer_release(float(rt), int(amt), L)
             heap = []
             pend_i = pend_t.size
             p = n_lane
@@ -1552,7 +1597,7 @@ def _admit_lane_binding(
             # The prefix value absorbs every event before v: prefix
             # admissions, and all pending/heap releases at times <= t_v
             # (their -1 key sorts them ahead of the binding arrival).
-            f = float(traj[v - 1])
+            f = int(traj[v - 1])
             heap = [h for h in heap if h[0] > t_v]
             heapq.heapify(heap)
             pend_i += int(np.searchsorted(pend_t[pend_i:], t_v, side="right"))
@@ -1564,33 +1609,32 @@ def _admit_lane_binding(
             # the trajectory value; later ones stay pending.
             for a_pos in adm:
                 rt = float(release[a_pos])
-                amt = float(cs[a_pos])
-                if rt > t_v and amt > 0.0:
+                amt = int(cs[a_pos])
+                if rt > t_v and amt > 0:
                     if rt <= t_last:
                         heapq.heappush(heap, (rt, amt))
                     else:
                         st.buffer_release(rt, amt, L)
 
         # Exact scalar replay of a bounded window starting at the
-        # binding candidate.  Pending releases apply one at a time, in
-        # time order — the same float operation order as the legacy
-        # loop's heap pops.
+        # binding candidate: every release due at or before a
+        # candidate's arrival applies before it, as in the legacy loop.
         window = rem[j : j + w]
         pend_n = pend_t.size
         for wq in window:
             t = float(ct[wq])
             while pend_i < pend_n and pend_t[pend_i] <= t:
-                f += float(pend_a[pend_i])
+                f += int(pend_a[pend_i])
                 pend_i += 1
             while heap and heap[0][0] <= t:
                 f += heapq.heappop(heap)[1]
-            size = float(cs[wq])
+            size = int(cs[wq])
             alloc = size if size <= f else f
             f -= alloc
             if alloc < size:
                 n_spilled += 1
                 spill_col[cand[wq]] = t
-            if alloc > 0.0:
+            if alloc > 0:
                 rt = float(release[wq])
                 if rt <= t_last:
                     heapq.heappush(heap, (rt, alloc))
@@ -1613,7 +1657,7 @@ def _admit_lane_binding(
     for _, amt in heap:
         f += amt
     if pend_i < pend_t.size:
-        f += float(pend_a[pend_i:].sum())
+        f += int(pend_a[pend_i:].sum())
     st.free[L] = f
     return n_spilled
 
@@ -1645,9 +1689,10 @@ def _run_fit_check_chunk(
     requested = np.zeros(count, dtype=bool)
     chunk_t = arrivals[first:stop]
     chunk_dur = durations[first:stop]
+    chunk_size = ledger_bytes(sizes[first:stop])
     ttl_vals = None if ttl is None else np.asarray(ttl, dtype=float)
     release, time_frac = _ttl_release_fracs(chunk_t, chunk_dur, ttl_vals)
-    local_heap: list[tuple[float, int, float]] = []  # (t, lane, amount)
+    local_heap: list[tuple[float, int, int]] = []  # (t, lane, amount)
     for k in range(count):
         gi = first + k
         t = float(arrivals[gi])
@@ -1656,13 +1701,13 @@ def _run_fit_check_chunk(
             _, hl, amt = heapq.heappop(local_heap)
             st.free[hl] += amt
         L = int(chunk_lanes[k]) if chunk_lanes is not None else 0
-        size = float(sizes[gi])
+        size = int(chunk_size[k])
         if size > st.free[L]:
             continue
         requested[k] = True
         st.free[L] -= size
         if st.track_peak:
-            used = st.capacity - float(st.free.sum())
+            used = st.capacity - int(st.free.sum())
             if used > st.peak_used:
                 st.peak_used = used
         if size > 0:
@@ -1676,6 +1721,8 @@ def _run_fit_check_chunk(
         if alloc_out is not None:
             alloc_out[k] = size
             release_out[k] = float(release[k])
-    for rt, hl, amt in local_heap:
-        st.buffer_release(rt, amt, hl)
+    # Chunk epilogue: the remaining in-chunk releases (<= t_last) apply
+    # now, as in the mask paths, so none is left pending as a resident.
+    for _, hl, amt in local_heap:
+        st.free[hl] += amt
     return requested

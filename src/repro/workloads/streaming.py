@@ -106,9 +106,9 @@ class TraceBlock:
     ``pipelines``/``users`` (identity strings, used for shard routing
     and hash categories) and ``job_ids`` are optional and default to
     the loader conventions (``"pipeline0"``/``"user0"``/positional
-    index) when absent.  Validation mirrors :class:`ShuffleJob`'s
+    index) when absent.  Validation extends :class:`ShuffleJob`'s
     constructor: arrivals must be non-decreasing, durations, sizes and
-    I/O volumes non-negative.
+    I/O volumes non-negative, sizes finite, and no column NaN.
     """
 
     arrivals: np.ndarray
@@ -134,11 +134,15 @@ class TraceBlock:
                 raise ValueError(
                     f"block column {col!r} has {arr.size} entries, expected {n}"
                 )
+        if np.isnan(self.arrivals).any():
+            raise ValueError("block column 'arrivals' has NaN entries")
         if self.arrivals.size > 1 and (np.diff(self.arrivals) < 0).any():
             raise ValueError("block arrivals must be non-decreasing")
         for col in ("durations", "sizes", "read_bytes", "write_bytes", "read_ops"):
-            if (getattr(self, col) < 0).any():
-                raise ValueError(f"block column {col!r} has negative entries")
+            if not (getattr(self, col) >= 0).all():
+                raise ValueError(f"block column {col!r} has negative or NaN entries")
+        if not np.isfinite(self.sizes).all():
+            raise ValueError("block column 'sizes' has infinite entries")
         for attr in ("pipelines", "users"):
             ident = getattr(self, attr)
             if ident is not None and len(ident) != n:

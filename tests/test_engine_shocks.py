@@ -27,8 +27,8 @@ from helpers import make_job
 
 
 def _kern(caps):
-    lane_caps, total = _normalize_capacity(np.asarray(caps, dtype=float), len(caps))
-    return ScalarKernel(lane_caps, total)
+    lane_caps, _ = _normalize_capacity(np.asarray(caps, dtype=float), len(caps))
+    return ScalarKernel(lane_caps)
 
 
 def _used(kern) -> float:

@@ -1,0 +1,272 @@
+"""Fleet bit-identity where timestamps tie everywhere.
+
+Arrivals, durations and complete times sit on a coarse grid, so
+releases, arrivals and completes keep landing on the same instant, on
+the same lane and across lanes owned by different workers.  The
+ledger holds integer bytes, so the order in which equal-time releases
+are grouped cannot move a single bit: for every worker count, both
+transports and across a mid-run worker kill, the fleet must equal one
+process exactly (``assert_bit_identical``, no tolerance) and report
+the same kernel counters.
+"""
+
+import tempfile
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.baselines import FirstFitPolicy
+from repro.config import AdaptiveParams
+from repro.core import AdaptiveCategoryPolicy, hash_categories
+from repro.serve import FleetRouter, PlacementService
+from repro.serve.transport import InProcessTransport
+from repro.storage import FixedPolicy
+from repro.units import GIB, WEEK
+from repro.workloads import Trace, default_cluster_specs, generate_cluster_trace
+
+from helpers import make_job
+from test_serve_service import assert_bit_identical
+
+GRID = 10.0
+N_SHARDS = 4
+N_CATS = 8
+
+
+def _tie_trace(steps, durations, sizes, pipes) -> Trace:
+    arrivals = GRID * np.cumsum(steps)
+    return Trace([
+        make_job(
+            i, arrival=float(arrivals[i]), duration=GRID * durations[i],
+            size=float(sizes[i] * GIB), pipeline=f"pipe{pipes[i]}",
+        )
+        for i in range(len(steps))
+    ], name="ties")
+
+
+def _policy(run, trace):
+    rng = np.random.default_rng(run["seed"])
+    if run["policy"] == "adaptive":
+        params = AdaptiveParams(
+            decision_interval=3 * GRID, lookback_window=20 * GRID
+        )
+        return AdaptiveCategoryPolicy(
+            rng.integers(0, N_CATS, len(trace)), N_CATS, params
+        )
+    if run["policy"] == "fixed":
+        return FixedPolicy(rng.random(len(trace)) < 0.7)
+    return FirstFitPolicy()
+
+
+def _drive(svc, run, kill=None):
+    """Feed the run in batches with completes, one shock and (for a
+    fleet) one worker kill; returns the roll-up and kernel counters."""
+    trace = run["trace"]
+    svc.open(trace)
+    n = len(trace)
+    step = run["batch"]
+    placed = 0
+    for b, lo in enumerate(range(0, n, step)):
+        hi = min(lo + step, n)
+        decided = svc.submit_batch(
+            trace.arrivals[lo:hi], trace.durations[lo:hi], trace.sizes[lo:hi],
+            pipelines=trace.pipelines[lo:hi],
+        )
+        for d in decided:
+            if d.ssd_space_fraction > 0.0:
+                placed += 1
+                if placed % run["complete_every"] == 0:
+                    t = trace.arrivals[hi - 1] if run["complete_at_arrival"] else None
+                    svc.complete(d.job_id, time=t)
+        if b == run["shock_at"]:
+            svc.apply_shock(scale=run["shock_scale"])
+        if kill is not None and b == run["kill_at"]:
+            svc.kill_worker(kill % svc.n_workers)
+    res = svc.result()
+    return res, svc.kernel.counters()
+
+
+def _check(run, transport="inprocess"):
+    trace = run["trace"]
+    base, base_counters = _drive(
+        PlacementService(_policy(run, trace), run["cap"], N_SHARDS, mode=run["mode"]),
+        run,
+    )
+    for w in (1, 2, 3):
+        for kill in (None, run["seed"]):
+            with tempfile.TemporaryDirectory() as d:
+                svc = FleetRouter(
+                    _policy(run, trace), run["cap"], N_SHARDS, mode=run["mode"],
+                    n_workers=w, transport=transport, worker_dir=d,
+                    worker_checkpoint_every=run["checkpoint_every"],
+                )
+                try:
+                    got, counters = _drive(svc, run, kill)
+                finally:
+                    svc.close()
+            label = f"{run['policy']}/{run['mode']}/W{w}/kill={kill is not None}"
+            assert_bit_identical(base, got, label)
+            assert counters == base_counters, label
+    return base
+
+
+@st.composite
+def tie_runs(draw):
+    n = draw(st.integers(12, 48))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    trace = _tie_trace(
+        column(st.sampled_from((0, 0, 1, 2))),
+        column(st.sampled_from((0, 1, 2, 3, 5, 8))),
+        column(st.floats(0.05, 2.5)),
+        column(st.integers(0, 5)),
+    )
+    batch = draw(st.integers(1, 9))
+    n_batches = -(-n // batch)
+    return {
+        "trace": trace,
+        "cap": draw(st.floats(1.0, 6.0)) * GIB,
+        "mode": draw(st.sampled_from(("batch", "scalar"))),
+        "policy": draw(st.sampled_from(("adaptive", "fixed", "firstfit"))),
+        "seed": draw(st.integers(0, 2**16)),
+        "batch": batch,
+        "complete_every": draw(st.integers(1, 3)),
+        "complete_at_arrival": draw(st.booleans()),
+        "shock_at": draw(st.integers(0, n_batches - 1)),
+        "shock_scale": draw(st.sampled_from((0.25, 0.5, 1.5))),
+        "kill_at": draw(st.integers(0, n_batches - 1)),
+        "checkpoint_every": draw(st.sampled_from((1, 3, None))),
+    }
+
+
+class TestTieHeavyFleet:
+    @settings(max_examples=100, deadline=None)
+    @given(run=tie_runs())
+    def test_inprocess_fleet_matches_single_process(self, run):
+        _check(run)
+
+    @pytest.mark.parametrize("mode", ("batch", "scalar"))
+    def test_subprocess_fleet_matches_single_process(self, mode):
+        rng = np.random.default_rng(5)
+        n = 40
+        run = {
+            "trace": _tie_trace(
+                rng.choice((0, 0, 1, 2), n), rng.choice((0, 1, 2, 3, 5, 8), n),
+                rng.uniform(0.05, 2.5, n), rng.integers(0, 6, n),
+            ),
+            "cap": 3.3 * GIB, "mode": mode, "policy": "adaptive", "seed": 5,
+            "batch": 7, "complete_every": 2, "complete_at_arrival": True,
+            "shock_at": 3, "shock_scale": 0.5, "kill_at": 2,
+            "checkpoint_every": 3,
+        }
+        base = _check(run, transport="subprocess")
+        partial = (base.ssd_fraction > 0) & (base.ssd_fraction < 1)
+        assert base.n_spilled and partial.any()
+
+
+class TestZeroHoldThenShock:
+    """A job held for no time (duration 0) is never resident: a shock
+    right after it evicts nothing, in one process and in the fleet."""
+
+    @pytest.mark.parametrize("mode", ("batch", "scalar"))
+    def test_not_evicted(self, mode):
+        def drive(svc):
+            svc.open(Trace([make_job(0, arrival=0.0, duration=0.0, size=GIB)]))
+            svc.submit(arrival=0.0, duration=0.0, size=GIB)
+            svc.drain()
+            svc.apply_shock(scale=0.1)
+            return svc.result(), svc.kernel.counters()
+
+        base, base_counters = drive(
+            PlacementService(FirstFitPolicy(), 4 * GIB, 1, mode=mode)
+        )
+        svc = FleetRouter(FirstFitPolicy(), 4 * GIB, 1, mode=mode, n_workers=1)
+        got, counters = drive(svc)
+        svc.close()
+        assert base.peak_ssd_used == GIB
+        assert base_counters["n_evicted"] == 0
+        assert_bit_identical(base, got, mode)
+        assert counters == base_counters
+
+
+def _replay_trace(n_jobs: int) -> Trace:
+    spec = default_cluster_specs(10)[0]
+    full = generate_cluster_trace(spec, duration=2 * WEEK, seed=0)
+    return Trace(full.jobs[:n_jobs], name="replay")
+
+
+def _replay(svc, trace, batch=64, every=8):
+    """The ``fleet-replay`` benchmark's loop: micro-batches, and an
+    early ``complete()`` on every ``every``-th SSD placement."""
+    svc.open(trace)
+    cols = (trace.arrivals, trace.durations, trace.sizes, trace.read_bytes,
+            trace.write_bytes, trace.read_ops)
+    placed = 0
+    for lo in range(0, len(trace), batch):
+        hi = lo + batch
+        for d in svc.submit_batch(
+            *(c[lo:hi] for c in cols), pipelines=trace.pipelines[lo:hi]
+        ):
+            if d.ssd_space_fraction > 0.0:
+                placed += 1
+                if placed % every == 0:
+                    svc.complete(d.job_id)
+    return svc.result(), svc.kernel.counters()
+
+
+class TestFleetReplayShape:
+    """A reduced ``fleet-replay``: 8 shards, 2 workers, a binding 2%
+    quota and completes on every 8th SSD placement."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        trace = _replay_trace(6000)
+        cap = 0.02 * trace.peak_ssd_usage()
+        cats = hash_categories(trace, 15)
+
+        def policy():
+            return AdaptiveCategoryPolicy(cats, 15, name="Adaptive Hash")
+
+        base = _replay(PlacementService(policy(), cap, 8, mode="batch"), trace)
+        return trace, cap, policy, base
+
+    def test_subprocess_fleet_is_bit_identical(self, setup):
+        trace, cap, policy, (base, base_counters) = setup
+        svc = FleetRouter(
+            policy(), cap, 8, mode="batch", n_workers=2, transport="subprocess"
+        )
+        try:
+            got, counters = _replay(svc, trace)
+        finally:
+            svc.close()
+        assert_bit_identical(base, got, "fleet-replay shape")
+        assert counters == base_counters
+        assert counters["scalar_fallback_jobs"] > 0  # capacity binds
+
+    def test_worker_round_trips_are_pinned(self, setup, monkeypatch):
+        """Every worker round trip carries work: chunks and cancels, no
+        release catch-up ops.  The exact count pins the protocol."""
+        trace, cap, policy, (base, _) = setup
+        sent = Counter()
+        send = InProcessTransport.send
+
+        def counting_send(self, op):
+            sent[op["op"]] += 1
+            return send(self, op)
+
+        monkeypatch.setattr(InProcessTransport, "send", counting_send)
+        svc = FleetRouter(policy(), cap, 8, mode="batch", n_workers=2)
+        try:
+            got, _ = _replay(svc, trace)
+        finally:
+            svc.close()
+        assert_bit_identical(base, got, "inprocess")
+        assert dict(sent) == PINNED_ROUND_TRIPS
+
+
+#: Worker round trips of one in-process ``TestFleetReplayShape`` run,
+#: by op kind.
+PINNED_ROUND_TRIPS = {"chunk": 1131, "cancel": 44}

@@ -37,15 +37,12 @@ from test_serve_service import (
 
 
 def assert_equivalent(a, b, label=""):
-    """Legacy vs vectorized: equal to float roundoff (the runtime-suite
-    contract — binding chunks re-vectorize sums, so exactness holds only
-    within an engine family)."""
-    np.testing.assert_allclose(
-        b.ssd_fraction, a.ssd_fraction, atol=1e-9, rtol=1e-9, err_msg=label
-    )
+    """Legacy vs vectorized: exact, because the ledger holds integer
+    bytes and its sums do not depend on how binding chunks group them."""
+    assert np.array_equal(b.ssd_fraction, a.ssd_fraction), label
     assert b.n_ssd_requested == a.n_ssd_requested, label
     assert b.n_spilled == a.n_spilled, label
-    assert b.realized_tco == pytest.approx(a.realized_tco, rel=1e-9), label
+    assert b.realized_tco == a.realized_tco, label
 
 
 class TestEngineSweep:

@@ -11,6 +11,7 @@ bucket counts are integers, so fleet merge is exact, associative and
 commutative regardless of worker reply order.
 """
 
+import os
 import pickle
 import re
 import urllib.error
@@ -679,6 +680,26 @@ class _WithStaleSlots:
         return cls.__new__, (cls,), (dict_state, {**slots, **self.slots})
 
 
+def _float_ledger(kernel, lane_capacities=None):
+    """``kernel`` with every ledger byte value cast to float64, the way
+    a checkpoint written before the integer ledger carries it (the
+    service's ``lane_capacities`` was then the kernel's own array)."""
+    led = getattr(kernel, "st", kernel)
+    led.lane_capacity = (
+        led.lane_capacity.astype(float) if lane_capacities is None
+        else lane_capacities
+    )
+    led.capacity = float(led.capacity)
+    led.free = led.free.astype(float)
+    led.peak_used = float(led.peak_used)
+    kernel.evicted_bytes = float(kernel.evicted_bytes)
+    if led is kernel:
+        kernel.heap = [(r, i, lane, float(a)) for (r, i, lane, a) in kernel.heap]
+    else:
+        led.rel_a = led.rel_a.astype(float)
+    return kernel
+
+
 class TestOldCheckpoints:
     def test_stale_metric_caches_are_dropped(self, trace, builders):
         """Checkpoints written before the derived-metric table carry its
@@ -733,6 +754,134 @@ class TestOldCheckpoints:
         assert rec.alerts.events == ref.alerts.events
         assert "capacity-shock" in rec.alerts.fired()
         assert_bit_identical(ref.result(), rec.result())
+
+    @pytest.mark.parametrize("mode", ("batch", "scalar"))
+    def test_float_byte_ledger_restores(self, trace, builders, mode):
+        """A service checkpoint whose ledger holds float bytes (written
+        before the integer ledger) restores to integer bytes and
+        continues bit-identically to the uninterrupted run."""
+        from dataclasses import replace
+
+        def build():
+            svc = PlacementService(builders["adaptive"](), CAP, 4, mode=mode)
+            svc.open(trace)
+            return svc
+
+        def feed(svc, lo, hi):
+            jobs = trace.jobs
+            for b in range(lo, hi, 17):
+                svc.submit_jobs(list(jobs[b:min(b + 17, hi)]))
+                svc.complete(max(b - 20, 0))
+                if b <= len(jobs) // 2 < b + 17:
+                    svc.apply_shock(scale=0.5)
+
+        n, mid = len(trace), 17 * 5
+        ref, svc = build(), build()
+        for s in (ref, svc):
+            feed(s, 0, mid)
+        feed(ref, mid, n)
+        snap = svc.snapshot()
+        payload = dict(snap.payload)
+        payload["kernel"] = _float_ledger(
+            payload["kernel"], payload["lane_capacities"]
+        )
+        payload["_live"] = {
+            j: (i, lane, float(a), r)
+            for j, (i, lane, a, r) in payload["_live"].items()
+        }
+        old = pickle.loads(pickle.dumps(replace(snap, payload=payload)))
+        rec = PlacementService.restore(old)
+        assert rec.kernel.free.dtype == np.int64
+        feed(rec, mid, n)
+        assert_bit_identical(ref.result(), rec.result())
+        assert rec.kernel.counters() == ref.kernel.counters()
+
+    @pytest.mark.parametrize("mode", ("batch", "scalar"))
+    def test_worker_float_byte_ledger_restores(self, trace, builders, mode):
+        """The same for worker checkpoints, and for the float ``alloc``
+        that worker-log ``cancel`` records written then carry."""
+        from repro.serve.transport import InProcessTransport
+        from repro.serve.worker import PlacementWorker
+
+        def build():
+            svc = FleetRouter(
+                builders["adaptive"](), CAP, 4, mode=mode, n_workers=2
+            )
+            svc.open(trace)
+            return svc
+
+        jobs = list(trace.jobs)
+        n, mid = len(jobs), 17 * 7
+        ref, svc = build(), build()
+        for s in (ref, svc):
+            for b in range(0, mid, 17):
+                s.submit_jobs(jobs[b:b + 17])
+                s.complete(max(b - 20, 0))
+        pool = svc.pool
+        for w in range(pool.n_workers):
+            payload = dict(pool.request(w, {"op": "state"})["payload"])
+            payload["kernel"] = _float_ledger(payload["kernel"])
+            worker = PlacementWorker.from_payload(
+                pickle.loads(pickle.dumps(payload))
+            )
+            assert worker.kernel.free.dtype == np.int64
+            pool.transports[w] = InProcessTransport(w, worker)
+        for s in (ref, svc):
+            s.complete(mid - 25)
+        for s in (ref, svc):
+            for b in range(mid, n, 17):
+                s.submit_jobs(jobs[b:b + 17])
+                s.complete(b - 20)
+        got, want = svc.result(), ref.result()
+        svc.close()
+        ref.close()
+        assert_bit_identical(want, got)
+
+    def test_old_worker_log_replays(self, trace, builders, tmp_path):
+        """A worker log written before the integer ledger — float
+        ``alloc`` bytes in ``cancel`` records, and the release catch-up
+        ops that library also logged — rebuilds a killed worker that
+        continues bit-identically."""
+        from repro.serve.wal import WriteAheadLog
+
+        base = PlacementService(builders["adaptive"](), CAP, 4, mode="batch")
+        svc = FleetRouter(
+            builders["adaptive"](), CAP, 4, mode="batch", n_workers=2,
+            worker_dir=str(tmp_path), worker_checkpoint_every=None,
+        )
+        jobs = list(trace.jobs)
+        n, mid = len(jobs), 17 * 7
+        for s in (base, svc):
+            s.open(trace)
+            for b in range(0, mid, 17):
+                s.submit_jobs(jobs[b:b + 17])
+                s.complete(max(b - 20, 0))
+        pool = svc.pool
+        n_cancels = 0
+        for w in range(pool.n_workers):
+            path = pool.wals[w].path
+            pool.wals[w].close()
+            records = [rec for _, rec in WriteAheadLog.read(path, 0)]
+            os.remove(path)
+            wal = WriteAheadLog(path)
+            for rec in records:
+                if rec["op"] == "cancel":
+                    rec["alloc"] = float(rec["alloc"])
+                    n_cancels += 1
+                elif rec["op"] == "chunk":
+                    wal.append({"op": "open", "t0": rec["t0"]})
+                wal.append(rec)
+            pool.wals[w] = wal
+            svc.kill_worker(w)
+        assert n_cancels
+        for s in (base, svc):
+            for b in range(mid, n, 17):
+                s.submit_jobs(jobs[b:b + 17])
+                s.complete(b - 20)
+        got = svc.result()
+        assert pool.n_recoveries == pool.n_workers
+        svc.close()
+        assert_bit_identical(base.result(), got)
 
     def test_worker_payload_with_compiled_slot_restores(self, trace, builders):
         """A worker checkpoint from before the ``compiled`` slot and

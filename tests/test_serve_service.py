@@ -644,3 +644,80 @@ class TestAggregateOnly:
         full = simulate(trace, FirstFitPolicy(), 10 * GIB, engine="chunked")
         assert res.ssd_fraction is None
         assert res.realized_tco == full.realized_tco
+
+
+def _submit_bad_size(svc, t, bad):
+    svc.submit(arrival=t, duration=60.0, size=bad)
+
+
+def _submit_batch_bad_size(svc, t, bad):
+    svc.submit_batch(np.array([t, t]), np.ones(2), np.array([GIB, bad]))
+
+
+def _submit_jobs_bad_size(svc, t, bad):
+    svc.submit_jobs([make_job(0, arrival=t), make_job(1, arrival=t, size=bad)])
+
+
+def _submit_block_bad_size(svc, t, bad):
+    from repro.workloads.streaming import TraceBlock
+
+    one = np.ones(1)
+    svc.submit_block(TraceBlock(np.array([t]), one, np.array([bad]), one, one, one))
+
+
+def _submit_batch_nan_column(col):
+    def call(svc, t, bad):
+        cols = [np.array([t]), np.ones(1), np.array([GIB]), np.ones(1),
+                np.ones(1), np.ones(1)]
+        cols[col] = np.array([np.nan])
+        svc.submit_batch(*cols)
+    return call
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite size, or NaN in any numeric column, is refused
+    before any state changes: the service then serves on exactly as if
+    the bad submission had never been made."""
+
+    GOOD = 30
+
+    def _service(self, mode):
+        svc = PlacementService(FirstFitPolicy(), 6 * GIB, 2, mode=mode)
+        svc.open()
+        return svc
+
+    def _feed(self, svc, trace, lo, hi):
+        svc.submit_batch(
+            trace.arrivals[lo:hi], trace.durations[lo:hi], trace.sizes[lo:hi],
+            pipelines=trace.pipelines[lo:hi],
+        )
+
+    @pytest.mark.parametrize("mode", ("batch", "scalar"))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    @pytest.mark.parametrize("call", (
+        _submit_bad_size, _submit_batch_bad_size, _submit_jobs_bad_size,
+        _submit_block_bad_size,
+        *(_submit_batch_nan_column(c) for c in range(6)),
+    ), ids=(
+        "submit", "submit_batch", "submit_jobs", "submit_block",
+        *(f"submit_batch_nan_column{c}" for c in range(6)),
+    ))
+    def test_submission_refused(self, mode, bad, call):
+        trace = random_trace(8, n=self.GOOD * 2)
+        ref = self._service(mode)
+        self._feed(ref, trace, 0, len(trace))
+        svc = self._service(mode)
+        self._feed(svc, trace, 0, self.GOOD)
+        with pytest.raises(ValueError):
+            call(svc, float(trace.arrivals[self.GOOD]), bad)
+        assert len(svc.log) == self.GOOD
+        self._feed(svc, trace, self.GOOD, len(trace))
+        assert_bit_identical(ref.result(), svc.result())
+
+    @pytest.mark.parametrize("engine", ("legacy", "chunked"))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_offline_run_refuses(self, engine, bad):
+        jobs = [make_job(i, arrival=10.0 * i) for i in range(5)]
+        jobs[3] = make_job(3, arrival=30.0, size=bad)
+        with pytest.raises(ValueError, match="byte count"):
+            simulate(Trace(jobs), FirstFitPolicy(), 4 * GIB, engine=engine)
