@@ -62,6 +62,19 @@ uninterrupted roll-up (``BENCH_WAL_JOBS`` overrides the size, as in CI).
 (leaf-bitmask tables) against a one-row ``decision_scores`` call (level
 routing), every row asserted bit-identical.  It scores
 ``BENCH_HOTPATH_JOBS / 20`` rows.
+
+``test_perf_transport`` times the fleet's router-to-worker wire format.
+It records every op and reply of two reduced in-process ``fleet-replay``
+runs (a fixed two-week cluster trace of about 10,000 jobs, 8 lanes, 2
+workers, a binding 2% quota, 512-job batches and a complete on every
+8th SSD placement): one in batch mode, and one in scalar mode (one
+``admit`` round trip per job) over the first ``SCALAR_TRANSPORT_JOBS``
+jobs.  Each message goes through ``ForkingPickler.dumps`` +
+``pickle.loads`` (what ``multiprocessing.Connection.send``/``recv`` do)
+and through ``transport.encode`` + ``decode`` (a binary frame for
+column blocks, a plain pickle for scalar-only messages).  Every decode
+must equal its original, and for every kind of message the wire
+codec's median time must be below pickle's.
 """
 
 from __future__ import annotations
@@ -952,6 +965,119 @@ def test_perf_forest_one_row():
     emit("perf_forest_one_row", "\n".join(lines))
 
 
+#: Jobs in ``test_perf_transport``'s scalar-mode run (one ``admit`` each).
+SCALAR_TRANSPORT_JOBS = 2_000
+
+
+def _fleet_messages(trace, policy, mode: str) -> list:
+    """(kind, message) for every op and reply of an in-process
+    ``fleet-replay``-shaped run: 8 lanes, 2 workers, a binding 2% quota,
+    512-job batches and a complete on every 8th SSD placement."""
+    from repro.serve import FleetRouter
+    from repro.serve.transport import RecordingTransport
+
+    svc = FleetRouter(policy, 0.02 * trace.peak_ssd_usage(), 8, mode=mode, n_workers=2)
+    log = []
+    pool = svc.pool
+    pool.transports = [RecordingTransport(t, log) for t in pool.transports]
+    svc.open(trace)
+    cols = (trace.arrivals, trace.durations, trace.sizes, trace.read_bytes,
+            trace.write_bytes, trace.read_ops)
+    placed = 0
+    for lo in range(0, len(trace), 512):
+        for d in svc.submit_batch(
+            *(c[lo:lo + 512] for c in cols), pipelines=trace.pipelines[lo:lo + 512]
+        ):
+            if d.ssd_space_fraction > 0.0:
+                placed += 1
+                if placed % 8 == 0:
+                    svc.complete(d.job_id)
+    svc.drain()
+    svc.close()
+    out = []
+    for op, reply in log:
+        out.append((f"{mode} {op['op']}", op))
+        out.append((f"{mode} {op['op']} reply", reply))
+    return out
+
+
+def test_perf_transport():
+    """Fleet wire messages: pickle (Connection's path) vs ``encode``/``decode``."""
+    import pickle
+    import platform
+    from multiprocessing.reduction import ForkingPickler
+
+    from repro.core import hash_categories
+    from repro.serve.transport import decode, encode, same_message
+    from repro.units import WEEK
+    from repro.workloads import default_cluster_specs, generate_cluster_trace
+
+    trace = generate_cluster_trace(default_cluster_specs(10)[0], duration=2 * WEEK, seed=0)
+    scalar_trace = Trace(trace.jobs[:SCALAR_TRANSPORT_JOBS], name="scalar")
+
+    def policy(t):
+        return AdaptiveCategoryPolicy(hash_categories(t, 15), 15, name="Adaptive Hash")
+
+    messages = _fleet_messages(trace, policy(trace), "batch") + _fleet_messages(
+        scalar_trace, policy(scalar_trace), "scalar"
+    )
+
+    def pickled(m):
+        buf = ForkingPickler.dumps(m)
+        return len(buf), pickle.loads(buf)
+
+    def wired(m):
+        buf = encode(m)
+        return len(buf), decode(buf)
+
+    codecs = (("pickle", pickled), ("wire", wired))
+    for _, m in messages:
+        for _, codec in codecs:
+            assert same_message(m, codec(m)[1])
+    # Per message and codec: the best of three interleaved rounds of
+    # five back-to-back calls (one call of a few microseconds is below
+    # the timer's resolution and noise).
+    us = {name: np.full(len(messages), np.inf) for name, _ in codecs}
+    nbytes = {name: np.zeros(len(messages)) for name, _ in codecs}
+    for _ in range(3):
+        for i, (_, m) in enumerate(messages):
+            for name, codec in codecs:
+                t0 = time.perf_counter()
+                for _ in range(5):
+                    nbytes[name][i], _ = codec(m)
+                us[name][i] = min(us[name][i], (time.perf_counter() - t0) * 2e5)
+    kinds = np.array([k for k, _ in messages])
+    tags = np.array([chr(encode(m)[0]) for _, m in messages])
+
+    lines = [
+        f"Fleet wire messages: {len(messages):,} ops and replies of in-process "
+        f"fleet-replay runs (8 lanes, 2 workers, 2% quota): batch mode over "
+        f"{len(trace):,} jobs, scalar mode over the first {len(scalar_trace):,}; "
+        "every decode equals its original",
+        f"host: cpu_count={os.cpu_count()}, python {platform.python_version()}, "
+        f"numpy {np.__version__}",
+        "encode + decode per message (best of 3 rounds of 5 calls), median over the "
+        "messages of a kind; "
+        "pickle = ForkingPickler.dumps + pickle.loads, "
+        "wire = transport.encode + decode (path F = frame, P = pickle)",
+        f"{'kind':<20} {'messages':>9} {'path':>4} {'pickle us':>10} {'wire us':>8} "
+        f"{'pickle B':>9} {'wire B':>7}",
+    ]
+    slower = []
+    for kind in sorted(set(kinds)) + ["all"]:
+        sel = kinds == kind if kind != "all" else np.ones(kinds.size, dtype=bool)
+        med_p, med_w = np.median(us["pickle"][sel]), np.median(us["wire"][sel])
+        if med_w >= med_p:
+            slower.append(kind)
+        lines.append(
+            f"{kind:<20} {int(sel.sum()):>9,} {''.join(sorted(set(tags[sel]))):>4} "
+            f"{med_p:>10.1f} {med_w:>8.1f} {nbytes['pickle'][sel].mean():>9.0f} "
+            f"{nbytes['wire'][sel].mean():>7.0f}"
+        )
+    emit("perf_transport", "\n".join(lines))
+    assert not slower, slower
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -964,3 +1090,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as _tmp:
         test_perf_wal(Path(_tmp))
     test_perf_forest_one_row()
+    test_perf_transport()

@@ -248,7 +248,10 @@ class _WorkerPool:
         """Send every op before receiving any reply (workers overlap).
 
         ``ops`` maps worker id → op dict; returns worker id → reply.
-        Dead workers are recovered exactly as in :meth:`request`.
+        Dead workers are recovered exactly as in :meth:`request`.  The
+        first error — a worker's, or a recovery's — is raised only after
+        every other reply has been received, so no channel is left
+        holding a stale reply.
         """
         self._ensure()
         logged = {w: self._log_op(w, op) for w, op in ops.items()}
@@ -259,20 +262,27 @@ class _WorkerPool:
             except WorkerDied:
                 failed.add(w)
         replies = {}
+        error = None
         for w, op in ops.items():
-            if w not in failed:
-                try:
-                    replies[w] = self.transports[w].recv()
-                except WorkerDied:
-                    failed.add(w)
-            if w in failed:
-                last = self.recover(w)
-                replies[w] = (
-                    last if logged[w] else self.transports[w].request(op)
-                )
-            self._update(w, replies[w])
-            if logged[w]:
-                self._maybe_checkpoint(w)
+            try:
+                if w not in failed:
+                    try:
+                        replies[w] = self.transports[w].recv()
+                    except WorkerDied:
+                        failed.add(w)
+                if w in failed:
+                    last = self.recover(w)
+                    replies[w] = (
+                        last if logged[w] else self.transports[w].request(op)
+                    )
+                self._update(w, replies[w])
+                if logged[w]:
+                    self._maybe_checkpoint(w)
+            except Exception as exc:
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
         return replies
 
     # -- lifecycle ------------------------------------------------------

@@ -13,10 +13,11 @@ Two implementations:
   serialization; the default, and the reference the subprocess
   transport is tested bit-identical against.
 - :class:`SubprocessTransport` — the worker runs in a forked
-  ``multiprocessing`` child connected by a duplex pipe.  NumPy column
-  blocks pickle across natively.  A dead child (crash, kill, exit)
-  surfaces as :class:`WorkerDied` on the next request, which is the
-  router's signal to run per-worker recovery.
+  ``multiprocessing`` child connected by a duplex pipe.  Every message
+  crosses it as one :func:`encode` buffer (see "Wire format" below).
+  A dead child (crash, kill, exit) surfaces as :class:`WorkerDied` on
+  the next request, which is the router's signal to run per-worker
+  recovery.
 
 Both expose the same tiny surface — ``request`` (send one op, wait for
 its reply), split ``send``/``recv`` halves (the router *scatters* one
@@ -24,22 +25,205 @@ chunk's ops to every worker before *gathering* any reply, which is
 where subprocess workers overlap their compute), ``kill`` (hard-stop
 the worker, simulating a crash), ``close`` (orderly shutdown),
 ``alive`` — so the router and the chaos suite never branch on which
-one they hold.
+one they hold.  A worker that raises while handling an op surfaces on
+either transport, at :meth:`~WorkerTransport.recv`, as the same
+exception: ``RuntimeError("worker N: <Type>: <message>")``, or a
+:class:`~repro.serve.types.SnapshotMismatch` with that message when the
+worker refused a checkpoint payload.
+
+Wire format
+-----------
+:func:`encode` turns one message dict into bytes and :func:`decode`
+turns them back; nothing else knows the layout.  A *flat* message that
+carries at least one array — string keys, every value ``None``,
+``bool``, ``int`` (64-bit), ``float``, ``str`` or a 1-D native-order
+bool/integer/float ``ndarray`` — is a frame: the tag byte ``F``, then
+per key a one-byte key length, the UTF-8 key, a one-byte type code and
+the payload (nothing for ``None``/``True``/``False``, 8 little-endian
+bytes for an ``int`` or ``float``, a ``u32`` length and UTF-8 bytes for
+a ``str``, and for an array its dtype character, a ``u64`` element
+count and its raw bytes).  The ``chunk`` and ``fit`` ops and their
+replies (job column blocks) are frames.  Every other message is the
+tag byte ``P`` followed by its pickle: nested payloads (``restore`` and
+``state``, metrics state, span rings, ``resize`` evictions), and the
+scalar-only ops and replies (``admit``, ``cancel``, ``resize``,
+``ping``), which C pickle handles faster than a Python loop frames
+them.  A decoded message has the same keys in the same order and the
+same types; floats are bit-exact and a frame's arrays are fresh,
+writable copies.  :func:`same_message` is that equality.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
+import struct
 from abc import ABC, abstractmethod
 
+import numpy as np
+
+from .types import SnapshotMismatch
+
 __all__ = [
+    "encode",
+    "decode",
+    "same_message",
+    "RecordingTransport",
     "WorkerDied",
     "WorkerTransport",
     "InProcessTransport",
     "SubprocessTransport",
 ]
+
+
+_FRAME = ord("F")
+_PICKLE = ord("P")
+_INT = struct.Struct("<cq")
+_FLOAT = struct.Struct("<cd")
+_STR_HEAD = struct.Struct("<cI")  # "s", UTF-8 length
+_ARRAY_HEAD = struct.Struct("<ccQ")  # "a", dtype char, element count
+
+#: Array dtypes a frame carries (bool, the integers and the floats, in
+#: native byte order), keyed by type character rather than by dtype:
+#: ``l`` and ``q`` compare equal but are distinct scalar types.
+_DTYPES = {ord(c): np.dtype(c) for c in "?bBhHiIlLqQefdg"}
+_DTYPE_CHARS = {chr(c): bytes((c,)) for c in _DTYPES}
+
+#: The one-byte length prefix of a key, by length.
+_KEY_LENGTHS = tuple(bytes((n,)) for n in range(256))
+
+
+class _NotFlat(Exception):
+    """The message holds a value a frame cannot carry."""
+
+
+def _frame(msg: dict) -> bytes:
+    parts = [b"F"]
+    add = parts.append
+    for key, v in msg.items():
+        if type(key) is not str:
+            raise _NotFlat
+        kb = key.encode()
+        if len(kb) > 255:
+            raise _NotFlat
+        add(_KEY_LENGTHS[len(kb)])
+        add(kb)
+        t = type(v)
+        if t is np.ndarray:
+            dt = v.dtype
+            char = _DTYPE_CHARS.get(dt.char)
+            if char is None or v.ndim != 1 or not dt.isnative:
+                raise _NotFlat
+            add(_ARRAY_HEAD.pack(b"a", char, v.size))
+            add(v.tobytes())
+        elif t is bool:
+            add(b"T" if v else b"F")
+        elif isinstance(v, float):
+            add(_FLOAT.pack(b"d", v))
+        elif isinstance(v, int):
+            add(_INT.pack(b"i", v))  # struct.error past 64 bits
+        elif v is None:
+            add(b"N")
+        elif isinstance(v, str):
+            sb = v.encode()
+            add(_STR_HEAD.pack(b"s", len(sb)))
+            add(sb)
+        else:
+            raise _NotFlat
+    return b"".join(parts)
+
+
+def encode(msg: dict) -> bytes:
+    """One message dict as wire bytes: a frame if it is flat and carries
+    an array, else a pickle (see "Wire format" in the module
+    docstring)."""
+    if np.ndarray in map(type, msg.values()):
+        try:
+            return _frame(msg)
+        except (_NotFlat, struct.error, UnicodeEncodeError):
+            pass
+    return b"P" + pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+
+
+def decode(data: bytes) -> dict:
+    """The message dict :func:`encode` turned into ``data``."""
+    tag = data[0]
+    if tag == _PICKLE:
+        return pickle.loads(memoryview(data)[1:])
+    if tag != _FRAME:
+        raise ValueError(f"not a worker message (tag byte {tag!r})")
+    msg = {}
+    pos, end = 1, len(data)
+    while pos < end:
+        k = pos + 1 + data[pos]
+        key = data[pos + 1:k].decode()
+        code = data[k]
+        pos = k + 1
+        if code == 0x61:  # "a": dtype char, u64 count, raw bytes
+            _, char, n = _ARRAY_HEAD.unpack_from(data, k)
+            pos += 9
+            v = np.frombuffer(data, _DTYPES[char[0]], n, pos).copy()
+            pos += v.nbytes
+        elif code == 0x69:  # "i"
+            _, v = _INT.unpack_from(data, k)
+            pos += 8
+        elif code == 0x64:  # "d"
+            _, v = _FLOAT.unpack_from(data, k)
+            pos += 8
+        elif code == 0x4E:  # "N"
+            v = None
+        elif code == 0x54:  # "T"
+            v = True
+        elif code == 0x46:  # "F"
+            v = False
+        elif code == 0x73:  # "s": u32 length, UTF-8
+            _, n = _STR_HEAD.unpack_from(data, k)
+            pos += 4
+            v = data[pos:pos + n].decode()
+            pos += n
+        else:
+            raise ValueError(f"unknown type code {code!r} for key {key!r}")
+        msg[key] = v
+    return msg
+
+
+def _same_value(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        # dtype equality alone would let ``l`` stand in for ``q``.
+        return (
+            a.dtype == b.dtype and a.dtype.type is b.dtype.type
+            and a.shape == b.shape and a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return same_message(a, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    return a == b
+
+
+def same_message(a: dict, b: dict) -> bool:
+    """Whether ``b`` is ``a`` down to the bit, as :func:`decode` must
+    return it: the same keys in the same order, the same types and
+    exact dtypes, bit-equal floats (NaN and ``-0.0`` included) and array
+    bytes, nested dicts, lists and tuples compared the same way."""
+    return list(a) == list(b) and all(_same_value(a[k], b[k]) for k in a)
+
+
+#: Worker-side exception classes a transport re-raises as themselves;
+#: any other handler error surfaces as a plain ``RuntimeError``.
+_KEPT_ERRORS = {"SnapshotMismatch": SnapshotMismatch}
+
+
+def _worker_error(worker_id: int, name: str, message: str) -> RuntimeError:
+    """The exception either transport raises for a handler's error."""
+    cls = _KEPT_ERRORS.get(name, RuntimeError)
+    return cls(f"worker {worker_id}: {name}: {message}")
 
 
 class WorkerDied(RuntimeError):
@@ -112,18 +296,27 @@ class InProcessTransport(WorkerTransport):
         self.worker_id = worker_id
         self._worker = worker
         self._dead = False
-        self._replies: list[dict] = []
+        self._replies: list = []
 
     def send(self, op: dict) -> None:
         if self._dead or self._worker is None:
             raise WorkerDied(self.worker_id, "killed (in-process)")
-        # Synchronous execution; the reply queues until recv.
-        self._replies.append(self._worker.handle(op))
+        # Synchronous execution; the reply -- or the handler's error,
+        # as a subprocess worker would send it -- queues until recv.
+        try:
+            self._replies.append(self._worker.handle(op))
+        except Exception as exc:
+            self._replies.append(exc)
 
     def recv(self) -> dict:
         if not self._replies:
             raise WorkerDied(self.worker_id, "recv with no pending send")
-        return self._replies.pop(0)
+        reply = self._replies.pop(0)
+        if isinstance(reply, Exception):
+            raise _worker_error(
+                self.worker_id, type(reply).__name__, str(reply)
+            ) from reply
+        return reply
 
     def kill(self) -> None:
         self._dead = True
@@ -149,14 +342,14 @@ def _child_main(conn, spec: dict) -> None:
     try:
         while True:
             try:
-                op = conn.recv()
+                op = decode(conn.recv_bytes())
             except EOFError:
                 break
             try:
                 reply = worker.handle(op)
             except Exception as exc:  # surface, don't kill the child
-                reply = {"error": f"{type(exc).__name__}: {exc}"}
-            conn.send(reply)
+                reply = {"error": type(exc).__name__, "message": str(exc)}
+            conn.send_bytes(encode(reply))
             if op.get("op") == "stop":
                 break
     finally:
@@ -169,8 +362,9 @@ class SubprocessTransport(WorkerTransport):
     Fork (not spawn): the child inherits the parent's imports, so
     startup is milliseconds, and the worker spec — plain dict of
     scalars and small arrays — still travels explicitly so a recovery
-    respawn builds the identical worker.  Every broken-pipe condition
-    is normalized to :class:`WorkerDied`.
+    respawn builds the identical worker.  Ops and replies cross the
+    pipe as :func:`encode` buffers, one message each way per op.  Every
+    broken-pipe condition is normalized to :class:`WorkerDied`.
     """
 
     def __init__(self, worker_id: int, spec: dict):
@@ -188,18 +382,18 @@ class SubprocessTransport(WorkerTransport):
         if not self.alive:
             raise WorkerDied(self.worker_id, "process not running")
         try:
-            self._conn.send(op)
+            self._conn.send_bytes(encode(op))
         except (EOFError, BrokenPipeError, OSError) as exc:
             raise WorkerDied(self.worker_id, str(exc)) from None
 
     def recv(self) -> dict:
         try:
-            reply = self._conn.recv()
+            reply = decode(self._conn.recv_bytes())
         except (EOFError, BrokenPipeError, OSError) as exc:
             raise WorkerDied(self.worker_id, str(exc)) from None
         if "error" in reply:
-            raise RuntimeError(
-                f"worker {self.worker_id}: {reply['error']}"
+            raise _worker_error(
+                self.worker_id, reply["error"], reply["message"]
             )
         return reply
 
@@ -213,8 +407,8 @@ class SubprocessTransport(WorkerTransport):
     def close(self) -> None:
         if self._proc.is_alive():
             try:
-                self._conn.send({"op": "stop"})
-                self._conn.recv()
+                self._conn.send_bytes(encode({"op": "stop"}))
+                self._conn.recv_bytes()
             except (EOFError, BrokenPipeError, OSError):
                 pass
             self._proc.join(timeout=5.0)
@@ -226,3 +420,40 @@ class SubprocessTransport(WorkerTransport):
     @property
     def alive(self) -> bool:
         return self._proc.is_alive()
+
+
+class RecordingTransport(WorkerTransport):
+    """Wraps a transport and appends every ``(op, reply)`` pair it
+    carries to ``log`` — for inspecting a fleet run's wire traffic::
+
+        pool.transports = [RecordingTransport(t, log) for t in pool.transports]
+
+    An op whose reply never came (the worker raised or died) is not
+    logged.
+    """
+
+    def __init__(self, inner: WorkerTransport, log: list):
+        self.inner = inner
+        self.worker_id = inner.worker_id
+        self.log = log
+        self._sent: list = []
+
+    def send(self, op: dict) -> None:
+        self.inner.send(op)
+        self._sent.append(op)
+
+    def recv(self) -> dict:
+        op = self._sent.pop(0) if self._sent else None
+        reply = self.inner.recv()
+        self.log.append((op, reply))
+        return reply
+
+    def kill(self) -> None:
+        self.inner.kill()
+
+    def close(self) -> None:
+        self.inner.close()
+
+    @property
+    def alive(self) -> bool:
+        return self.inner.alive

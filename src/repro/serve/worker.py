@@ -12,10 +12,11 @@ fleet's decision stream bit-identical to one process.
 
 The protocol is op dicts in, reply dicts out (see :meth:`handle`), the
 shape a :class:`~repro.serve.transport.WorkerTransport` carries.  Ops
-that ship job columns carry plain numpy arrays (pickled natively over
-a pipe) or lists (round-tripped through a JSON write-ahead log); the
-worker normalizes either.  Lane ids on the wire are *local* indices —
-the router translates from global ids when routing.
+that ship job columns carry plain numpy arrays (one binary frame over
+a pipe, see :func:`~repro.serve.transport.encode`) or lists
+(round-tripped through a JSON write-ahead log); the worker normalizes
+either.  Lane ids on the wire are *local* indices — the router
+translates from global ids when routing.
 
 Every mutating op is deterministic given the worker's state, which is
 what makes crash recovery a replay: the router logs each op to the

@@ -1,0 +1,264 @@
+"""The worker wire format and the transports' error semantics.
+
+``encode``/``decode`` carry every router-to-worker message over the
+subprocess pipe: flat messages that carry an array as binary frames
+(tag ``F``), anything else as a pickle (tag ``P``).  A decoded message
+must have the original keys in order, the original types and exact
+dtypes, bit-exact floats, and a frame's arrays must be writable, own
+their memory and alias nothing.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.baselines import FirstFitPolicy
+from repro.serve import FleetRouter, SnapshotMismatch
+from repro.serve.transport import (
+    RecordingTransport,
+    WorkerDied,
+    decode,
+    encode,
+    same_message,
+)
+from repro.units import GIB
+
+from test_fleet_ties import N_SHARDS, _drive, _policy, _tie_trace
+
+#: Array dtypes a frame carries; ``q`` and ``l`` compare equal but are
+#: distinct scalar types, so both appear.
+FRAME_DTYPES = ("?", "b", "B", "h", "H", "i", "I", "l", "L", "q", "Q",
+                "e", "f", "d", "g")
+
+#: Data-plane ops whose messages (op and reply) carry job column blocks
+#: and must take the frame path, and the scalar-only ones, which pickle.
+FRAMED_OPS = ("chunk", "fit")
+PICKLED_OPS = ("admit", "cancel")
+
+
+def _flat_value():
+    arrays = st.tuples(
+        st.sampled_from(FRAME_DTYPES),
+        st.integers(0, 24),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    ).map(_array)
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2**63, 2**63 - 1),
+        st.sampled_from((-2**63, 2**63 - 1, 0, -1)),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from((-0.0, math.inf, -math.inf, math.nan)),
+        st.text(),
+        arrays,
+    )
+
+
+def _array(spec) -> np.ndarray:
+    """A 1-D array of any frame dtype; ``step > 1`` makes it a
+    non-contiguous view of a larger array."""
+    char, n, step, seed = spec
+    raw = np.random.default_rng(seed).bytes(n * step * np.dtype(char).itemsize)
+    base = np.frombuffer(raw, dtype=char).copy()
+    if base.dtype.kind == "f" and base.size:
+        base[0] = np.nan
+        base[-1] = -0.0
+    return base[::step]
+
+
+flat_messages = st.dictionaries(st.text(max_size=12), _flat_value(), max_size=10)
+
+
+class TestFrameRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(msg=flat_messages)
+    def test_flat_messages_round_trip(self, msg):
+        has_array = any(isinstance(v, np.ndarray) for v in msg.values())
+        wire = encode(msg)
+        assert wire[:1] == (b"F" if has_array else b"P")
+        got = decode(wire)
+        assert same_message(msg, got)
+        arrays = [v for v in got.values() if isinstance(v, np.ndarray)]
+        for i, a in enumerate(arrays):
+            assert a.flags.writeable and a.flags.owndata
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        for k, v in msg.items():
+            if isinstance(v, np.ndarray):
+                assert not np.shares_memory(got[k], v)
+
+    def test_numpy_scalar_subclasses_encode_as_python(self):
+        msg = {"x": np.float64(-0.0), "n": True, "i": 1, "a": np.zeros(1)}
+        wire = encode(msg)
+        assert wire[:1] == b"F"
+        got = decode(wire)
+        assert type(got["x"]) is float and math.copysign(1.0, got["x"]) < 0
+        assert got["n"] is True and type(got["i"]) is int
+
+    @pytest.mark.parametrize("msg", [
+        {"op": "admit", "i": 3, "t": 1.5, "dur": -0.0, "ttl": None},
+        {"free": 7, "n_spilled": 2, "ok": True, "why": "scalars only"},
+        {},
+    ])
+    def test_scalar_only_messages_take_the_pickle_tag(self, msg):
+        wire = encode(msg)
+        assert wire[:1] == b"P"
+        assert same_message(msg, decode(wire))
+
+    @pytest.mark.parametrize("msg", [
+        {"payload": {"kernel": [1, 2]}},
+        {"evicted": [(1.0, 2, 3)], "free": 4},
+        {"spans": [{"op": "chunk"}], "seq": 1},
+        {"x": np.zeros((2, 2))},
+        {"x": np.zeros(3, dtype=">f8")},
+        {"x": np.array(["a", "b"])},
+        {"x": np.zeros(2, dtype="datetime64[s]")},
+        {"x": np.int64(3)},
+        {"x": 2**63},
+        {"x": b"bytes"},
+        {1: "not a str key"},
+        {"k" * 256: 1},
+        {"s": "lone \ud800 surrogate"},
+    ])
+    def test_array_messages_a_frame_cannot_carry_take_the_pickle_tag(
+        self, msg
+    ):
+        msg = {**msg, "a": np.arange(3.0)}
+        wire = encode(msg)
+        assert wire[:1] == b"P"
+        assert same_message(msg, decode(wire))
+
+    def test_rejects_unknown_tags(self):
+        with pytest.raises(ValueError, match="tag"):
+            decode(b"X")
+
+
+def _run(mode, policy):
+    rng = np.random.default_rng(11)
+    n = 60
+    run = {
+        "trace": _tie_trace(
+            rng.choice((0, 0, 1, 2), n), rng.choice((0, 1, 3, 8, 13, 21), n),
+            rng.uniform(0.05, 2.5, n), rng.integers(0, 6, n),
+        ),
+        "cap": 3.3 * GIB, "mode": mode, "policy": policy, "seed": 11,
+        "batch": 7, "complete_every": 1, "complete_at_arrival": False,
+        "shock_at": 3, "shock_scale": 0.5,
+    }
+    svc = FleetRouter(
+        _policy(run, run["trace"]), run["cap"], N_SHARDS, mode=mode,
+        n_workers=2,
+    )
+    log: list = []
+    pool = svc.pool
+    pool.transports = [RecordingTransport(tr, log) for tr in pool.transports]
+    try:
+        res, _ = _drive(svc, run)
+    finally:
+        svc.close()
+    return res, log
+
+
+class TestFleetMessages:
+    @pytest.mark.parametrize("mode,policy,kinds", [
+        ("batch", "adaptive", {"chunk", "cancel"}),
+        ("batch", "firstfit", {"fit", "cancel"}),
+        ("scalar", "adaptive", {"admit", "cancel"}),
+    ])
+    def test_data_plane_messages_take_their_path(self, mode, policy, kinds):
+        res, log = _run(mode, policy)
+        assert res.n_spilled > 0  # spill columns and spill times are live
+        seen = set()
+        spill_types = set()  # of admit replies: a time, or None
+        for op, reply in log:
+            kind = op["op"]
+            if kind not in FRAMED_OPS + PICKLED_OPS:
+                continue
+            seen.add(kind)
+            if kind == "admit":
+                spill_types.add(type(reply["res"][2]))
+            tag = b"F" if kind in FRAMED_OPS else b"P"
+            for msg in (op, reply):
+                wire = encode(msg)
+                assert wire[:1] == tag, (kind, sorted(msg))
+                assert same_message(msg, decode(wire))
+        assert kinds <= seen
+        assert "resize" in {op["op"] for op, _ in log}  # the shock ran
+        if mode == "scalar":
+            assert spill_types == {float, type(None)}
+
+
+class TestScatterErrors:
+    """A worker error inside a scatter is raised only after every
+    other reply is in, the same way on both transports."""
+
+    @pytest.mark.parametrize("transport", ("inprocess", "subprocess"))
+    @pytest.mark.parametrize("order", ((1, 0), (0, 1)))
+    @pytest.mark.parametrize("dead", (False, True), ids=("alive", "dead"))
+    def test_error_leaves_the_other_channels_in_sync(
+        self, transport, order, dead, tmp_path
+    ):
+        # A dead worker is recovered first; the re-issued, non-mutating
+        # op then raises on the fresh worker.
+        svc = FleetRouter(
+            FirstFitPolicy(), 4 * GIB, 2, n_workers=2, transport=transport,
+            worker_dir=tmp_path,
+        )
+        try:
+            if dead:
+                svc.pool.transports[1].kill()
+            ops = {
+                w: {"op": "bogus"} if w == 1 else {"op": "spans"}
+                for w in order
+            }
+            with pytest.raises(
+                RuntimeError,
+                match=r"^worker 1: ValueError: unknown worker op 'bogus'$",
+            ):
+                svc.pool.scatter(ops)
+            for w in (0, 1):
+                assert "state" in svc.pool.request(w, {"op": "metrics"})
+            replies = svc.pool.scatter({0: {"op": "ping"}, 1: {"op": "ping"}})
+            assert [replies[w]["worker_id"] for w in (0, 1)] == [0, 1]
+        finally:
+            svc.close()
+
+    @pytest.mark.parametrize("transport", ("inprocess", "subprocess"))
+    def test_failed_recovery_leaves_the_other_channels_in_sync(
+        self, transport
+    ):
+        # No worker_dir: the dead worker cannot be recovered at all.
+        svc = FleetRouter(
+            FirstFitPolicy(), 4 * GIB, 2, n_workers=2, transport=transport
+        )
+        try:
+            svc.pool.transports[0].kill()
+            with pytest.raises(WorkerDied, match="no worker_dir"):
+                svc.pool.scatter({0: {"op": "ping"}, 1: {"op": "spans"}})
+            assert "state" in svc.pool.transports[1].request({"op": "metrics"})
+        finally:
+            svc.close()
+
+
+class TestWorkerErrors:
+    @pytest.mark.parametrize("transport", ("inprocess", "subprocess"))
+    def test_snapshot_mismatch_is_raised_alike(self, transport):
+        svc = FleetRouter(
+            FirstFitPolicy(), 4 * GIB, 2, n_workers=2, transport=transport
+        )
+        try:
+            tr = svc.pool.transports[0]
+            payload = tr.request({"op": "state"})["payload"]
+            payload["__schema__"] = 999
+            with pytest.raises(
+                SnapshotMismatch,
+                match=r"^worker 0: SnapshotMismatch: worker checkpoint "
+                      r"schema 999 does not match",
+            ):
+                tr.request({"op": "restore", "payload": payload})
+            assert tr.request({"op": "ping"})["worker_id"] == 0
+        finally:
+            svc.close()
