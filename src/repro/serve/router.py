@@ -142,7 +142,6 @@ class _WorkerPool:
                 "mode": mode,
                 "lane_caps": caps[lw].copy(),
                 "lanes": lw,
-                "path_lanes": self.n_shards,
                 # A single-worker fleet is the whole pool and tracks
                 # the global peak itself; with more workers the router
                 # samples it.

@@ -195,7 +195,7 @@ _DERIVED = (
     ("counter", "serve_kernel_evictions_total", "Kernel-level shock evictions",
      lambda s, _: int(s.kernel.n_evicted)),
     ("counter", "serve_scalar_fallback_total",
-     "Chunk jobs that took the scalar arithmetic path",
+     "SSD candidates on a lane where capacity binds inside the chunk",
      lambda s, _: s.kernel.counters()["scalar_fallback_jobs"]),
     ("counter", "serve_wal_records_total",
      "Write-ahead log records written or replayed",

@@ -4,8 +4,8 @@ A :class:`PlacementWorker` owns the kernel state for a subset of the
 fleet's lanes — the same :class:`~repro.storage.engine.ChunkKernel` /
 :class:`~repro.storage.engine.ScalarKernel` the single-process
 :class:`~repro.serve.PlacementService` drives, constructed with the
-global→local lane map and ``path_lanes`` set to the *fleet's* lane
-count so every admission-path choice matches the single-process run.
+global→local lane map.  Every admission path resolves a lane by its
+own events alone, so each choice matches the single-process run.
 The worker holds no policy, no log, and no queue: those stay at the
 :class:`~repro.serve.router.FleetRouter`, which is what keeps the
 fleet's decision stream bit-identical to one process.
@@ -57,8 +57,6 @@ class PlacementWorker:
     - ``mode`` — ``"scalar"`` or ``"batch"`` (which kernel class);
     - ``lane_caps`` / ``lanes`` — the owned lanes' capacities and
       global ids;
-    - ``path_lanes`` — the fleet's total lane count (keys every
-      admission-path choice, see :class:`~repro.storage.engine._LaneState`);
     - ``track_peak`` — only a single-worker fleet tracks the global
       peak locally; with more workers the router samples it.
     """
@@ -120,12 +118,7 @@ class PlacementWorker:
         track_peak = bool(spec.get("track_peak", False))
         if spec["mode"] == "scalar":
             return ScalarKernel(lane_caps, lanes=lanes, track_peak=track_peak)
-        return ChunkKernel(
-            lane_caps,
-            lanes=lanes,
-            path_lanes=int(spec["path_lanes"]),
-            track_peak=track_peak,
-        )
+        return ChunkKernel(lane_caps, lanes=lanes, track_peak=track_peak)
 
     @classmethod
     def from_spec(cls, spec: dict) -> "PlacementWorker":
@@ -224,7 +217,7 @@ class PlacementWorker:
         rel = np.zeros(c)
         out = kern.run_chunk(
             bd, 0, c, t, dur, size,
-            lane if kern.st.path_lanes > 1 else None,
+            lane if kern.st.n_lanes > 1 else None,
             frac, alloc, rel, t_last=float(op["t_last"]),
         )
         return {
@@ -253,7 +246,7 @@ class PlacementWorker:
         frac = np.zeros(c)
         out = kern.run_chunk(
             bd, 0, c, t, dur, size,
-            lane if kern.st.path_lanes > 1 else None,
+            lane if kern.st.n_lanes > 1 else None,
             frac, None, None, t_last=float(op["t_last"]),
         )
         return {

@@ -29,12 +29,9 @@ the same two engines:
   (:class:`~repro.storage.policy.BatchDecision`), the trace is driven
   in decision-interval chunks.  Admission is resolved **per lane**: a
   lane whose capacity trajectory never goes negative inside the chunk
-  is admitted with one vectorized pass; a lane where capacity binds
-  goes through a *re-entrant vectorized retry* — the clean prefix is
-  accepted vectorized, a bounded window around the binding candidate is
-  replayed through the exact scalar loop, and the remainder re-enters
-  the vectorized check.  Binding chunks therefore no longer fall back
-  wholesale to the per-candidate loop.
+  is admitted with one vectorized pass; every lane where capacity binds
+  is replayed through one merged exact scalar loop (the legacy
+  admission arithmetic, restricted to those lanes).
 
 Peak-usage accounting stays global (the fleet-level metric) and is
 sampled at admission events exactly as the legacy loop samples it.
@@ -101,22 +98,6 @@ __all__ = [
 #: or above it and saturates capacities just below it.
 _MAX_LEDGER_BYTES = 2**53
 
-#: Initial number of candidates replayed through the exact scalar loop
-#: around a binding point before the vectorized check re-enters.  Most
-#: binding chunks bind at a single oversized candidate, so the window
-#: starts small; it doubles whenever a retry round makes no vectorized
-#: progress (the candidate right at the cursor bound again), so a chunk
-#: that binds everywhere degenerates to the scalar loop with only
-#: O(log) vectorized re-checks, not O(n) of them.
-_SCALAR_WINDOW_INIT = 8
-
-#: In multi-lane runs, a binding lane with at most this many candidates
-#: in the chunk is cheaper to replay through one merged scalar loop
-#: than to rebuild a per-lane event timeline for.  A single-lane run
-#: never takes the merged loop: its chunk timeline already exists, so
-#: the windowed retry keeps everything but the window vectorized.
-_SCALAR_WINDOW_MIN = 64
-
 
 @dataclass
 class SimResult:
@@ -126,10 +107,10 @@ class SimResult:
     the paper reports them.  ``n_shards`` records the lane count of the
     run (1 = one global SSD pool) and ``lane_capacities`` the realized
     per-lane capacity layout (uniform when ``capacity`` was a scalar);
-    ``scalar_fallback_jobs`` counts the candidates the chunked engine
-    had to replay through the exact scalar loop inside capacity-binding
-    chunks (0 when fully vectorized, and always 0 for the legacy
-    engine, which has no vectorized path).
+    ``scalar_fallback_jobs`` counts every SSD candidate on a lane where
+    capacity binds inside its chunk — the candidates the chunked engine
+    replays through the exact scalar loop (0 when fully vectorized, and
+    always 0 for the legacy engine, which has no vectorized path).
 
     ``ssd_fraction`` is the per-job effective SSD share (space fraction
     x time fraction) — or ``None`` in **aggregate-only** mode
@@ -823,30 +804,21 @@ class _LaneState:
     with one vectorized stable sort, replacing the legacy per-job heap
     pushes.
 
-    ``path_lanes`` is the lane count of the *run* this state is part
-    of — equal to ``n_lanes`` for a whole-fleet kernel, larger for a
-    worker covering a lane subset.  The admission paths that single-
-    and multi-lane runs take differently (the single-lane chunk fast
-    path, the merged-small-lanes scalar loop) key on ``path_lanes``, so
-    a subset worker takes the same path — and counts the same
-    scalar-fallback jobs — as the full run it is a slice of.
+    Lanes are independent in capacity space and every admission path
+    resolves a lane by its own events alone, so a worker covering a
+    lane subset of a fleet takes the same path — and counts the same
+    scalar-fallback jobs — as the single-process run it is a slice of.
     """
 
     __slots__ = (
         "capacity", "lane_capacity", "n_lanes", "free", "peak_used",
         "rel_t", "rel_a", "rel_l", "rel_pos", "new_t", "new_a", "new_l",
-        "n_scalar", "path_lanes", "track_peak",
+        "n_scalar", "track_peak",
     )
 
-    def __init__(
-        self,
-        lane_caps: np.ndarray,
-        path_lanes: int | None = None,
-        track_peak: bool = True,
-    ):
+    def __init__(self, lane_caps: np.ndarray, track_peak: bool = True):
         self.capacity = int(lane_caps.sum())
         self.n_lanes = len(lane_caps)
-        self.path_lanes = self.n_lanes if path_lanes is None else int(path_lanes)
         self.track_peak = track_peak
         self.lane_capacity = lane_caps
         self.free = lane_caps.copy()
@@ -859,6 +831,15 @@ class _LaneState:
         self.new_a: list[int] = []
         self.new_l: list[int] = []
         self.n_scalar = 0
+
+    def __setstate__(self, state):
+        # Checkpoints written while the run's total lane count still
+        # selected the admission path carry a ``path_lanes`` slot; drop
+        # it so they restore.
+        _, slots = state
+        for name, value in slots.items():
+            if name != "path_lanes":
+                setattr(self, name, value)
 
     def release_until(self, t: float) -> None:
         """Apply every pending release with time <= ``t`` to its lane."""
@@ -940,11 +921,10 @@ class ChunkKernel:
     Like :class:`ScalarKernel`, the ledger is integer bytes, and a
     chunk kernel may cover a **lane subset** of a larger fleet
     (``lanes`` / ``lane_index`` give the global↔local mapping; lane
-    arguments and the chunk's lane column are local).  ``path_lanes``
-    must then be the fleet's total lane count so every admission-path
-    choice matches the single-process run (see :class:`_LaneState`),
-    and ``track_peak=False`` leaves the global peak metric to the fleet
-    router.
+    arguments and the chunk's lane column are local); it then makes
+    the same admission-path choices as the single-process run (see
+    :class:`_LaneState`), and ``track_peak=False`` leaves the global
+    peak metric to the fleet router.
     """
 
     __slots__ = (
@@ -957,12 +937,10 @@ class ChunkKernel:
         lane_caps: np.ndarray,
         *,
         lanes: np.ndarray | None = None,
-        path_lanes: int | None = None,
         track_peak: bool = True,
     ):
         self.st = _LaneState(
-            ledger_bytes(lane_caps, round_up=False),
-            path_lanes=path_lanes, track_peak=track_peak,
+            ledger_bytes(lane_caps, round_up=False), track_peak=track_peak
         )
         if lanes is None:
             lanes = np.arange(len(lane_caps), dtype=np.intp)
@@ -1272,9 +1250,10 @@ def _run_mask_chunk(
     Builds the merged (release, arrival) event timeline assuming every
     candidate fits, then resolves admission **per lane**: a lane whose
     capacity trajectory never goes negative is accepted with one
-    vectorized pass; a lane where capacity binds goes through
-    :func:`_admit_lane_binding`'s re-entrant retry.  Peak usage is then
-    sampled globally over the realized allocations.
+    vectorized pass; every lane where capacity binds is replayed through
+    :func:`_admit_lanes_scalar`'s one merged exact loop, and each of its
+    candidates counts toward ``n_scalar``.  Peak usage is then sampled
+    globally over the realized allocations.
     """
     idx = first + cand
     ct = arrivals[idx]
@@ -1309,7 +1288,7 @@ def _run_mask_chunk(
     order = np.lexsort((ev_k, ev_t))
     total_free_start = int(st.free.sum())
 
-    if st.path_lanes == 1:
+    if st.n_lanes == 1:
         traj = st.free[0] + np.cumsum(ev_d[order])
         if traj.size and traj.min() >= 0:
             # Capacity never binds: every candidate fits in full.
@@ -1372,40 +1351,12 @@ def _run_mask_chunk(
         st.new_a.extend(cs[out].tolist())
         st.new_l.extend(lane[out].tolist())
 
-    # Binding lanes.  The re-entrant vectorized retry replays only a
-    # small window around each binding candidate; in multi-lane runs,
-    # lanes with only a handful of candidates in this chunk (the common
-    # case at high shard counts) are cheaper to replay together through
-    # one merged scalar loop than to rebuild per-lane event timelines
-    # for.  A single-lane run always takes the retry — its timeline is
-    # already built, so the merged loop would only add scalar work.
     if binding_lanes:
-        counts = np.bincount(lane, minlength=st.n_lanes)
-        merge_small = st.path_lanes > 1
-        small = [
-            L for L in binding_lanes
-            if merge_small and counts[L] <= _SCALAR_WINDOW_MIN
-        ]
-        for L in binding_lanes:
-            if merge_small and counts[L] <= _SCALAR_WINDOW_MIN:
-                continue
-            lpos = np.flatnonzero(lane == L)
-            if st.n_lanes == 1:
-                pend_t, pend_a = old_t, old_a
-            else:
-                m = old_l == L
-                pend_t, pend_a = old_t[m], old_a[m]
-            n_spilled += _admit_lane_binding(
-                st, L, lpos, pend_t, pend_a, t_last,
-                ct, cs, release, time_frac, cand, idx,
-                space, spill_col, ssd_fraction, alloc_arr,
-            )
-        if small:
-            n_spilled += _admit_lanes_scalar(
-                st, small, lane, old_t, old_a, old_l, t_last,
-                ct, cs, release, time_frac, cand, idx,
-                space, spill_col, ssd_fraction, alloc_arr,
-            )
+        n_spilled += _admit_lanes_scalar(
+            st, binding_lanes, lane, old_t, old_a, old_l, t_last,
+            ct, cs, release, time_frac, cand, idx,
+            space, spill_col, ssd_fraction, alloc_arr,
+        )
 
     st.rel_pos = j2
     if alloc_out is not None:
@@ -1445,7 +1396,7 @@ def _admit_lanes_scalar(
     ssd_fraction: np.ndarray,
     alloc_arr: np.ndarray,
 ) -> int:
-    """Merged exact scalar replay for a set of small binding lanes.
+    """Merged exact scalar replay for the chunk's binding lanes.
 
     One pass in arrival order over the selected lanes' candidates with
     a lane-tagged release heap — the same admission arithmetic as the
@@ -1501,164 +1452,6 @@ def _admit_lanes_scalar(
     for _, hl, amt in heap:
         free[hl] += amt
     st.n_scalar += sel.size
-    return n_spilled
-
-
-def _admit_lane_binding(
-    st: _LaneState,
-    L: int,
-    lpos: np.ndarray,
-    pend_t: np.ndarray,
-    pend_a: np.ndarray,
-    t_last: float,
-    ct: np.ndarray,
-    cs: np.ndarray,
-    release: np.ndarray,
-    time_frac: np.ndarray,
-    cand: np.ndarray,
-    idx: np.ndarray,
-    space: np.ndarray,
-    spill_col: np.ndarray,
-    ssd_fraction: np.ndarray,
-    alloc_arr: np.ndarray,
-) -> int:
-    """Re-entrant admission for one lane where capacity binds.
-
-    Loop invariant: ``f`` is the lane's free space with every event
-    strictly before the cursor applied; ``pend_t[pend_i:]`` and ``heap``
-    hold the not-yet-applied releases.  Each round builds the assumed
-    event timeline for the remaining candidates; if it stays
-    non-negative the remainder is accepted vectorized, otherwise the
-    clean prefix is accepted vectorized, a window of candidates
-    starting at the binding one is replayed through the exact
-    per-candidate loop (spill/partial-fit semantics identical to the
-    legacy engine), and the check re-enters on what is left.  The
-    window starts at ``_SCALAR_WINDOW_INIT`` and doubles whenever a
-    round makes no vectorized progress, so the scalar tax stays small
-    on chunks that bind once and the re-check count stays O(log) on
-    chunks that bind everywhere.  Returns the spill count.
-    """
-    f = int(st.free[L])
-    pend_i = 0
-    heap: list[tuple[float, int]] = []  # in-chunk releases of admitted jobs
-    p = 0
-    n_lane = lpos.size
-    n_spilled = 0
-    w = _SCALAR_WINDOW_INIT
-
-    while p < n_lane:
-        rem = lpos[p:]
-        rct = ct[rem]
-        rcs = cs[rem]
-        rrel = release[rem]
-        rin = rrel <= t_last
-        hp_t = np.array([h[0] for h in heap], dtype=float)
-        hp_a = np.array([h[1] for h in heap], dtype=np.int64)
-        ev_t = np.concatenate([pend_t[pend_i:], hp_t, rct, rrel[rin]])
-        ev_d = np.concatenate([pend_a[pend_i:], hp_a, -rcs, rcs[rin]])
-        ev_k = np.concatenate(
-            [
-                np.full(pend_t.size - pend_i + hp_t.size, -1),
-                2 * rem,
-                2 * rem[rin] + 1,
-            ]
-        )
-        order = np.lexsort((ev_k, ev_t))
-        traj = f + np.cumsum(ev_d[order])
-        viol = np.flatnonzero(traj < 0)
-
-        if viol.size == 0:
-            # The remainder fits in full: accept it vectorized.
-            if traj.size:
-                f = int(traj[-1])
-            space[cand[rem]] = 1.0
-            ssd_fraction[idx[rem]] = time_frac[rem]
-            alloc_arr[rem] = cs[rem]
-            out = ~rin
-            for rt, amt in zip(release[rem[out]], cs[rem[out]]):
-                st.buffer_release(float(rt), int(amt), L)
-            heap = []
-            pend_i = pend_t.size
-            p = n_lane
-            break
-
-        v = int(viol[0])
-        ko = ev_k[order]
-        to = ev_t[order]
-        t_v = float(to[v])
-        # Accept the clean prefix vectorized.  Only a (positive-size)
-        # arrival can push the trajectory negative, so event v is the
-        # arrival of the binding candidate; candidates arriving before
-        # it in event order are admitted in full.
-        pre_k = ko[:v]
-        adm = pre_k[(pre_k >= 0) & ((pre_k & 1) == 0)] >> 1
-        j = adm.size
-        if v > 0:
-            # The prefix value absorbs every event before v: prefix
-            # admissions, and all pending/heap releases at times <= t_v
-            # (their -1 key sorts them ahead of the binding arrival).
-            f = int(traj[v - 1])
-            heap = [h for h in heap if h[0] > t_v]
-            heapq.heapify(heap)
-            pend_i += int(np.searchsorted(pend_t[pend_i:], t_v, side="right"))
-        if j:
-            space[cand[adm]] = 1.0
-            ssd_fraction[idx[adm]] = time_frac[adm]
-            alloc_arr[adm] = cs[adm]
-            # Prefix releases at times <= t_v are already absorbed in
-            # the trajectory value; later ones stay pending.
-            for a_pos in adm:
-                rt = float(release[a_pos])
-                amt = int(cs[a_pos])
-                if rt > t_v and amt > 0:
-                    if rt <= t_last:
-                        heapq.heappush(heap, (rt, amt))
-                    else:
-                        st.buffer_release(rt, amt, L)
-
-        # Exact scalar replay of a bounded window starting at the
-        # binding candidate: every release due at or before a
-        # candidate's arrival applies before it, as in the legacy loop.
-        window = rem[j : j + w]
-        pend_n = pend_t.size
-        for wq in window:
-            t = float(ct[wq])
-            while pend_i < pend_n and pend_t[pend_i] <= t:
-                f += int(pend_a[pend_i])
-                pend_i += 1
-            while heap and heap[0][0] <= t:
-                f += heapq.heappop(heap)[1]
-            size = int(cs[wq])
-            alloc = size if size <= f else f
-            f -= alloc
-            if alloc < size:
-                n_spilled += 1
-                spill_col[cand[wq]] = t
-            if alloc > 0:
-                rt = float(release[wq])
-                if rt <= t_last:
-                    heapq.heappush(heap, (rt, alloc))
-                else:
-                    st.buffer_release(rt, alloc, L)
-            sf = alloc / size if size > 0 else 1.0
-            space[cand[wq]] = sf
-            ssd_fraction[idx[wq]] = sf * float(time_frac[wq])
-            alloc_arr[wq] = alloc
-        st.n_scalar += len(window)
-        p += j + len(window)
-        # No vectorized progress means the candidate right at the
-        # cursor bound again; widen the next window.  Any prefix
-        # progress resets it.
-        w = w * 2 if j == 0 else _SCALAR_WINDOW_INIT
-
-    # Chunk epilogue: every in-chunk release (<= t_last) is applied to
-    # the lane now; the next chunk starts at t >= t_last, so this is
-    # indistinguishable from draining them at the next arrival.
-    for _, amt in heap:
-        f += amt
-    if pend_i < pend_t.size:
-        f += int(pend_a[pend_i:].sum())
-    st.free[L] = f
     return n_spilled
 
 

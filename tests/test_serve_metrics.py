@@ -923,6 +923,52 @@ class TestOldCheckpoints:
         ref.close()
         assert_bit_identical(want, got)
 
+    def test_worker_payload_with_path_lanes_restores(self, trace, builders):
+        """A worker checkpoint from before the ``path_lanes`` knob was
+        removed — the key in its spec, the slot in its kernel's lane
+        state — rebuilds and continues bit-identically, with the same
+        kernel counters, as the uninterrupted fleet."""
+        import copy
+
+        from repro.serve.transport import InProcessTransport
+        from repro.serve.worker import PlacementWorker
+
+        def build():
+            svc = FleetRouter(
+                builders["adaptive"](), CAP, 4, mode="batch", n_workers=2
+            )
+            svc.open(trace)
+            return svc
+
+        jobs = list(trace.jobs)
+        n, mid = len(jobs), 17 * 7
+        ref, svc = build(), build()
+        for s in (ref, svc):
+            for b in range(0, mid, 17):
+                s.submit_jobs(jobs[b:b + 17])
+                s.complete(max(b - 20, 0))
+        pool = svc.pool
+        for w in range(pool.n_workers):
+            payload = dict(pool.request(w, {"op": "state"})["payload"])
+            payload["spec"] = {**payload["spec"], "path_lanes": 4}
+            kernel = copy.copy(payload["kernel"])
+            kernel.st = _WithStaleSlots(kernel.st, path_lanes=4)
+            payload["kernel"] = kernel
+            worker = PlacementWorker.from_payload(
+                pickle.loads(pickle.dumps(payload))
+            )
+            assert not hasattr(worker.kernel.st, "path_lanes")
+            pool.transports[w] = InProcessTransport(w, worker)
+        for s in (ref, svc):
+            for b in range(mid, n, 17):
+                s.submit_jobs(jobs[b:b + 17])
+                s.complete(b - 20)
+        got, want = svc.result(), ref.result()
+        assert svc.kernel.counters() == ref.kernel.counters()
+        svc.close()
+        ref.close()
+        assert_bit_identical(want, got)
+
 
 class TestScrapeEndpoint:
     def test_scrape_round_trip(self, trace, builders):

@@ -7,9 +7,9 @@ Three pillars:
 2. Sharded chunked == sharded legacy for every batched policy, across
    capacity regimes, including the policy-visible feedback (adaptive
    trajectory and per-shard counters).
-3. The re-entrant retry: a capacity-binding chunk is no longer replayed
-   wholesale through the per-candidate loop — the clean prefix and the
-   post-binding remainder are admitted vectorized.
+3. Binding chunks: a lane where capacity binds inside a chunk is
+   replayed through the exact scalar loop, every one of its candidates
+   counts as a scalar fallback, and the other lanes stay vectorized.
 """
 
 import numpy as np
@@ -25,8 +25,10 @@ from repro.baselines import (
 from repro.config import AdaptiveParams
 from repro.core import AdaptiveCategoryPolicy
 from repro.cost import DEFAULT_RATES
+from repro.serve import FleetRouter, PlacementService
 from repro.storage import (
     FixedPolicy,
+    assign_shards,
     run_placement,
     simulate,
     simulate_sharded,
@@ -235,15 +237,13 @@ class TestFeedbackPathUnified:
         assert (policy.shard_spills > 0).sum() >= 2
 
 
-class TestReentrantRetry:
-    """Binding chunks no longer fall back wholesale to the scalar loop."""
+class TestBindingChunks:
+    """A binding lane takes the exact scalar loop; clean lanes do not."""
 
     def _binding_setting(self, n=200, monster=100):
         # One chunk (static replay), capacity binds exactly once in the
         # middle: short 1 GiB jobs stream through a 16 GiB pool, and
-        # job ``monster`` is an 80 GiB job that binds.  The chunk is
-        # larger than the scalar window, so the retry must accept the
-        # prefix and the post-window remainder vectorized.
+        # job ``monster`` is an 80 GiB job that binds.
         jobs = []
         for i in range(n):
             size = 80 * GIB if i == monster else 1 * GIB
@@ -260,9 +260,55 @@ class TestReentrantRetry:
         ref = simulate(trace, FixedPolicy(decisions), cap, engine="legacy")
         assert_same_result(ref, res, cap, label="binding chunk")
         assert res.n_spilled == 1
-        # The retry replays only a window around the binding candidate;
-        # the prefix and the post-binding remainder stay vectorized.
-        assert 0 < res.scalar_fallback_jobs < res.n_ssd_requested
+        # Every candidate of the binding lane takes the scalar loop.
+        assert res.scalar_fallback_jobs == res.n_ssd_requested
+
+    def test_binding_lane_beside_clean_lane(self):
+        """Only the binding lane's candidates count as scalar fallbacks,
+        in one process and in a fleet with one lane per worker."""
+        n, monster = 300, 150
+        jobs = [
+            make_job(
+                i, arrival=10.0 * i, duration=40.0,
+                size=80 * GIB if i == monster else 1 * GIB,
+                pipeline="binding" if i % 2 == 0 else "clean",
+            )
+            for i in range(n)
+        ]
+        trace = Trace(jobs)
+        lanes = assign_shards(trace, 2)
+        assert np.array_equal(lanes, np.arange(n) % 2)
+        n_binding = int(np.count_nonzero(lanes == 0))
+        caps = np.array([16 * GIB, 1e18])
+        decisions = np.ones(n, dtype=bool)
+        res = simulate_sharded(
+            trace, FixedPolicy(decisions), caps, 2, engine="chunked"
+        )
+        ref = simulate_sharded(
+            trace, FixedPolicy(decisions), caps, 2, engine="legacy"
+        )
+        assert_same_result(ref, res, caps.sum(), label="binding + clean")
+        assert res.n_spilled == 1
+        assert res.scalar_fallback_jobs == n_binding
+
+        def counters(svc):
+            svc.open(trace)
+            svc.submit_batch(trace.arrivals, trace.durations, trace.sizes,
+                             pipelines=trace.pipelines)
+            svc.drain()
+            return svc.kernel.counters()
+
+        single = counters(
+            PlacementService(FixedPolicy(decisions), caps, 2, mode="batch")
+        )
+        fleet = FleetRouter(
+            FixedPolicy(decisions), caps, 2, mode="batch", n_workers=2
+        )
+        try:
+            assert counters(fleet) == single
+        finally:
+            fleet.close()
+        assert single["scalar_fallback_jobs"] == n_binding
 
     def test_clean_chunk_reports_zero_scalar(self):
         trace, decisions = self._binding_setting()
@@ -280,7 +326,8 @@ class TestReentrantRetry:
     @pytest.mark.parametrize("seed", (5, 6))
     @pytest.mark.parametrize("n_shards", (1, 4))
     def test_binding_random_traces_sharded(self, seed, n_shards):
-        """Tight capacity forces repeated retries; results stay exact."""
+        """Tight capacity binds many chunks on every lane; results stay
+        exact."""
         trace = random_trace(seed, n=400)
         decisions = np.random.default_rng(seed).random(len(trace)) < 0.7
         cap = 10 * GIB
