@@ -269,8 +269,11 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` are get-or-create: the first
     call registers, later calls with the same name and labels return
-    the same object (a kind conflict raises).  Plain data throughout —
-    registries deep-copy and pickle inside service snapshots.
+    the same object (a kind conflict raises), and a non-empty help text
+    replaces the stored one, so a registry restored from an older
+    checkpoint serves the current library's text.  Plain data
+    throughout — registries deep-copy and pickle inside service
+    snapshots.
     """
 
     def __init__(self):
@@ -288,6 +291,8 @@ class MetricsRegistry:
             raise ValueError(
                 f"metric {name!r} already registered as {m.kind}"
             )
+        elif help:
+            m.help = help
         return m
 
     def counter(self, name: str, labels=None, help: str = "") -> Counter:

@@ -341,7 +341,6 @@ class PlacementService:
         self.stats = ServiceStats()
         self.registry = MetricsRegistry()
         self._metrics_t0 = perf_counter()
-        self._m_cat: dict = {}  # category -> admission Counter cache
         self._init_metrics()
         self._frac = GrowArray(float)
         self._decided = 0
@@ -398,7 +397,8 @@ class PlacementService:
     # -- metrics --------------------------------------------------------
 
     def _init_metrics(self) -> None:
-        """Register the natively-observed instruments.
+        """Register the natively-observed instruments (in a restored
+        registry: resolve them again, per-category counters included).
 
         Everything else (the ``_DERIVED`` table) registers on the first
         metrics read (:meth:`_derived`); the histograms and the
@@ -408,6 +408,10 @@ class PlacementService:
         reg = self.registry
         self._derived_rows = None  # [(metric, row, lane)], first read
         self._alert_rows = None  # (manager, the rows its rules read)
+        self._m_cat = {}  # category -> admission Counter cache
+        for m in list(reg):  # a restored registry's categories
+            if m.name == "serve_admitted_by_category_total":
+                self._cat_counter(int(dict(m.labels)["category"]))
         self._m_request = reg.histogram(
             "serve_request_seconds",
             help="Wall-clock latency of one submit() call",
@@ -1465,11 +1469,12 @@ class PlacementService:
         state.pop("__version__", None)
         svc.__dict__ = state
         if "registry" not in state:
-            # Pre-metrics checkpoint (schema 1): fresh surface, fresh
-            # hot-path instruments.
+            # Pre-metrics checkpoint (schema 1): fresh surface.
             svc.registry = MetricsRegistry()
-            svc._m_cat = {}
-            svc._init_metrics()
+        # Resolve the instruments again rather than trusting the cached
+        # references: get-or-create hands back the restored ones, values
+        # intact, with this library's help text.
+        svc._init_metrics()
         state.setdefault("alerts", None)
         state.setdefault("tracer", None)
         state.setdefault("_clock", state.get("_now", -np.inf))
@@ -1481,8 +1486,6 @@ class PlacementService:
         # and from before the engine / track_jobs knobs were removed.
         for stale in ("_pinned", "_alert_sync", "engine", "track_jobs"):
             state.pop(stale, None)
-        state.setdefault("_derived_rows", None)
-        state.setdefault("_alert_rows", None)
         # Wall-clock gauges restart with the restored instance; the
         # checkpointed perf_counter origin belongs to a dead process.
         svc._metrics_t0 = perf_counter()

@@ -46,6 +46,19 @@ def _arr(x, dtype=float) -> np.ndarray:
     return np.asarray(x, dtype=dtype)
 
 
+#: The spec keys a worker reads.  Any other key — a retired knob such as
+#: ``compiled`` or ``path_lanes`` in an older checkpoint — is dropped, so
+#: it never rides into the worker's later checkpoints.
+_SPEC_KEYS = ("worker_id", "mode", "lane_caps", "lanes", "track_peak")
+
+
+def _spec(raw: dict) -> dict:
+    spec = {k: raw[k] for k in _SPEC_KEYS if k in raw}
+    spec["lane_caps"] = _arr(spec["lane_caps"])
+    spec["lanes"] = _arr(spec["lanes"], dtype=np.intp)
+    return spec
+
+
 class PlacementWorker:
     """One fleet worker: a lane-subset kernel plus its op dispatcher.
 
@@ -62,10 +75,7 @@ class PlacementWorker:
     """
 
     def __init__(self, spec: dict):
-        spec = dict(spec)
-        spec["lane_caps"] = _arr(spec["lane_caps"])
-        spec["lanes"] = _arr(spec["lanes"], dtype=np.intp)
-        self.spec = spec
+        spec = self.spec = _spec(spec)
         self.worker_id = int(spec.get("worker_id", 0))
         self.mode = spec["mode"]
         if self.mode not in ("scalar", "batch"):
@@ -367,10 +377,7 @@ class PlacementWorker:
                 f"(written by version {payload.get('__version__', '?') if isinstance(payload, dict) else '?'}, "
                 f"this is {__version__})"
             )
-        spec = dict(payload["spec"])
-        spec["lane_caps"] = _arr(spec["lane_caps"])
-        spec["lanes"] = _arr(spec["lanes"], dtype=np.intp)
-        self.spec = spec
+        spec = self.spec = _spec(payload["spec"])
         self.worker_id = int(spec.get("worker_id", 0))
         self.mode = spec["mode"]
         self.kernel = payload["kernel"]

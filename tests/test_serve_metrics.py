@@ -755,6 +755,43 @@ class TestOldCheckpoints:
         assert "capacity-shock" in rec.alerts.fired()
         assert_bit_identical(ref.result(), rec.result())
 
+    def test_stale_help_text_is_replaced(self, trace, builders):
+        """A checkpoint written by an older library carries that
+        library's HELP text in its registry; the restored service serves
+        the current text for derived, hot-path and per-category
+        instruments alike, with their values intact."""
+        def build():
+            svc = PlacementService(
+                builders["adaptive"](), CAP, 4, mode="batch",
+                alerts=AlertManager(default_alert_rules()),
+            )
+            svc.open(trace)
+            return svc
+
+        ref, svc = build(), build()
+        jobs = trace.jobs
+        for s in (ref, svc):
+            for b in range(0, 17 * 5, 17):
+                s.submit_jobs(list(jobs[b:b + 17]))
+            s.evaluate_alerts()
+            s.metrics_text()
+        old = pickle.loads(pickle.dumps(svc.snapshot()))
+        stale = [m for m in old.payload["registry"] if m.help]
+        names = {m.name for m in stale}
+        assert {"serve_scalar_fallback_total", "serve_batch_seconds",
+                "serve_admitted_by_category_total"} <= names
+        for m in stale:
+            m.help = "help text of an older library"
+        rec = PlacementService.restore(old)
+        got, want = rec.metrics_text(), ref.metrics_text()
+        assert "older library" not in got
+
+        def helps(text):
+            return [ln for ln in text.splitlines() if ln.startswith("# HELP")]
+
+        assert helps(got) == helps(want)
+        assert _mask_wall_clock(got) == _mask_wall_clock(want)
+
     @pytest.mark.parametrize("mode", ("batch", "scalar"))
     def test_float_byte_ledger_restores(self, trace, builders, mode):
         """A service checkpoint whose ledger holds float bytes (written
@@ -958,6 +995,8 @@ class TestOldCheckpoints:
                 pickle.loads(pickle.dumps(payload))
             )
             assert not hasattr(worker.kernel.st, "path_lanes")
+            assert "path_lanes" not in worker.spec
+            assert "path_lanes" not in worker.payload()["spec"]
             pool.transports[w] = InProcessTransport(w, worker)
         for s in (ref, svc):
             for b in range(mid, n, 17):

@@ -18,6 +18,7 @@ on the admission path, incrementally — and land on the same numbers:
 """
 
 import dataclasses
+import io
 import pickle
 
 import numpy as np
@@ -199,6 +200,157 @@ class TestOnlineFeatureEdges:
         for a, b in ((r1, r2), (r3, r4), (r1, scratch), (r3, scratch)):
             assert not np.shares_memory(a, b)
         assert np.array_equal(r1, kept)
+
+
+def _minute_trace(cluster, fresh_every=37):
+    """``cluster.full`` on whole minutes (tied ends, zero durations),
+    with every ``fresh_every``-th job of the second week moved to one of
+    three pipelines the first week never saw, so blocks meet pipelines
+    for the first time mid-block."""
+    split = cluster.full.arrivals[0] + 7 * DAY
+    jobs = []
+    for i, j in enumerate(cluster.full):
+        fresh = j.arrival >= split and i % fresh_every == 0
+        jobs.append(dataclasses.replace(
+            j,
+            arrival=60.0 * round(j.arrival / 60.0),
+            duration=60.0 * round(j.duration / 60.0),
+            pipeline=f"fresh-{i % 3}" if fresh else j.pipeline,
+        ))
+    jobs.sort(key=lambda j: j.arrival)
+    return Trace(jobs, name="minutes")
+
+
+def _push_mixed(ex, trace, lo, hi, rng, ref):
+    """Push jobs ``[lo, hi)`` of ``trace`` in random sizes — single jobs,
+    2-7 jobs, 512 jobs and ``push_block`` — checking every row against
+    ``ref`` (the offline matrix of ``trace``); ``push_block`` rows carry
+    only groups A and T."""
+    a_t = np.r_[0:4, ref.shape[1] - 3:ref.shape[1]]
+    jobs = list(trace)
+    while lo < hi:
+        kind = rng.integers(4)
+        k = (1, int(rng.integers(2, 8)), 512, int(rng.integers(1, 600)))[kind]
+        k = min(k, hi - lo)
+        if kind == 3:
+            rows = _block(ex, trace, lo, lo + k)
+            assert np.array_equal(rows[:, a_t], ref[lo:lo + k][:, a_t]), (lo, k)
+        else:
+            assert np.array_equal(ex.push(jobs[lo:lo + k]), ref[lo:lo + k]), (lo, k)
+        lo += k
+
+
+class TestColumnarFold:
+    """The block fold, the one-row path and the state they share."""
+
+    @pytest.fixture(scope="class")
+    def minutes(self, cluster):
+        trace = _minute_trace(cluster)
+        ends = {}
+        for j in trace:
+            ends.setdefault((j.pipeline, j.arrival + j.duration), []).append(j)
+        assert any(len(v) > 1 for v in ends.values())  # tied ends
+        assert (trace.durations == 0).any()  # zero durations
+        return trace, extract_features(trace).X
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_push_mix_matches_offline(self, minutes, seed):
+        trace, ref = minutes
+        rng = np.random.default_rng(seed)
+        n_train = int(np.searchsorted(trace.arrivals, trace.arrivals[0] + 7 * DAY))
+        ex = OnlineFeatureExtractor()
+        if seed % 2:
+            ex.warm_start(trace.subset(np.arange(len(trace)) < n_train))
+            lo = n_train
+        else:
+            lo = 0
+        _push_mixed(ex, trace, lo, len(trace), rng, ref)
+
+    def test_heap_layout_pickle_restores(self, minutes):
+        """An extractor pickled with the per-pipeline heap layout
+        (``_pending`` / ``_sums`` / ``_counts`` dicts) restores and
+        continues bit-identically, pickle round trips included."""
+        import copyreg
+        import heapq
+
+        from repro.cost import DEFAULT_RATES
+
+        trace, ref = minutes
+        n_train = int(np.searchsorted(trace.arrivals, trace.arrivals[0] + 7 * DAY))
+        cut = n_train + 300
+        # The heap-layout state after warm-starting on the first week and
+        # pushing 300 jobs one at a time: heaps of (end, index, metrics),
+        # folded lazily per pipeline.
+        metrics = np.column_stack([
+            trace.tcio(DEFAULT_RATES), trace.sizes, trace.durations,
+            trace.io_density(DEFAULT_RATES),
+        ])
+        pending, sums, counts = {}, {}, {}
+        for i, j in enumerate(trace):
+            if i >= n_train:
+                heap = pending.get(j.pipeline)
+                while heap and heap[0][0] <= j.arrival:
+                    if j.pipeline not in sums:
+                        sums[j.pipeline], counts[j.pipeline] = np.zeros(4), 0
+                    sums[j.pipeline] += heapq.heappop(heap)[2]
+                    counts[j.pipeline] += 1
+            if i == cut:
+                break
+            heapq.heappush(
+                pending.setdefault(j.pipeline, []),
+                (j.arrival + j.duration, i, metrics[i].copy()),
+            )
+        old = OnlineFeatureExtractor.__new__(OnlineFeatureExtractor)
+        vars(old).update(
+            rates=DEFAULT_RATES, n_hash_buckets=16, _pending=pending,
+            _sums=sums, _counts=counts, _index=cut, _rows=None,
+        )
+
+        class HeapLayoutPickler(pickle.Pickler):
+            """Pickles the instance dict as is, as that layout did."""
+
+            def reducer_override(self, obj):
+                if type(obj) is OnlineFeatureExtractor:
+                    return copyreg.__newobj__, (OnlineFeatureExtractor,), vars(obj)
+                return NotImplemented
+
+        buf = io.BytesIO()
+        HeapLayoutPickler(buf).dump(old)
+        for seed in range(4):
+            ex = pickle.loads(buf.getvalue())
+            assert not hasattr(ex, "_pending")
+            rng = np.random.default_rng(seed)
+            _push_mixed(ex, trace, cut, cut + 700, rng, ref)
+            ex = pickle.loads(pickle.dumps(ex))
+            _push_mixed(ex, trace, cut + 700, len(trace), rng, ref)
+
+    def test_intern_bound_keeps_rows_and_pickle(self, minutes, monkeypatch):
+        """More distinct metadata maps than the intern table holds: rows
+        stay exact, and the table never reaches a pickle — the state
+        pickles byte-equal to the same stream without metadata."""
+        from repro.workloads import features
+
+        monkeypatch.setattr(features, "_METADATA_INTERN_SIZE", 8)
+        trace, _ = minutes
+        jobs = [
+            dataclasses.replace(
+                j, metadata={**j.metadata, "step_name": f"s{i}-shuffle{i % 50}"}
+            )
+            for i, j in enumerate(list(trace)[:1500])
+        ]
+        rich = Trace(jobs, name="rich")
+        bare = Trace([dataclasses.replace(j, metadata={}) for j in jobs], name="bare")
+        ref = extract_features(rich).X
+        ex_rich, ex_bare = OnlineFeatureExtractor(), OnlineFeatureExtractor()
+        rng = np.random.default_rng(3)
+        lo = 0
+        while lo < len(jobs):
+            k = min((1, 5, 64)[rng.integers(3)], len(jobs) - lo)
+            assert np.array_equal(ex_rich.push(jobs[lo:lo + k]), ref[lo:lo + k])
+            ex_bare.push(list(bare)[lo:lo + k])
+            assert len(ex_rich._meta_codes) < 8 + 64
+            lo += k
+        assert pickle.dumps(ex_rich) == pickle.dumps(ex_bare)
 
 
 class TestOnlineCategorizer:
