@@ -61,11 +61,15 @@ time per decision and recovery time, line records (one JSON line per
 submission) beside column frames.  Both recoveries must reproduce the
 uninterrupted roll-up (``BENCH_WAL_JOBS`` overrides the size, as in CI).
 
-``test_perf_forest_one_row`` times one-row scoring of the hot-path GBT
-(10 rounds x 8 classes, depth 6): ``PackedForest.decision_scores_one``
-(leaf-bitmask tables) against a one-row ``decision_scores`` call (level
-routing), every row asserted bit-identical.  It scores
-``BENCH_HOTPATH_JOBS / 20`` rows.
+``test_perf_forest_one_row`` times the hot-path GBT (10 rounds x 8
+classes, depth 6) in the two serving shapes, one row
+(``decision_scores_one``, leaf-bitmask tables) and a 512-row batch
+(``decision_scores``, level routing), scoring raw feature values beside
+the same forest call on precomputed bin codes; the batch also times the
+code path served before feature-space routing (``binner.transform``,
+then routing the codes).  Every row is asserted bit-identical across
+the paths.  It scores ``BENCH_HOTPATH_JOBS / 20`` rows, timed in
+alternating repetitions with GC frozen.
 
 ``test_perf_transport`` times the fleet's router-to-worker wire format.
 It records every op and reply of two reduced in-process ``fleet-replay``
@@ -939,62 +943,100 @@ def test_perf_wal(tmp_path):
     emit("perf_wal", "\n".join(lines))
 
 
+#: Rows per micro-batch in the forest scoring bench (perfbench's byom-batch size).
+FOREST_BATCH = 512
+
+#: Alternating repetitions behind the forest scoring bench's medians.
+FOREST_REPEATS = 5
+
+
 def test_perf_forest_one_row():
-    """Request-at-a-time scoring: leaf-bitmask tables vs level routing."""
+    """Serving-shape forest scoring: feature values vs bin codes."""
     import platform
 
     rng = np.random.default_rng(1)
-    n_rows = max(N_JOBS // 20, 200)
+    n_rows = max(N_JOBS // 20, 2 * FOREST_BATCH)
+    n_rows -= n_rows % FOREST_BATCH
     X = rng.normal(size=(N_TRAIN + n_rows, N_FEATURES))
     score = X @ rng.normal(size=N_FEATURES) + rng.normal(scale=0.5, size=len(X))
     edges = np.quantile(score, np.linspace(0.0, 1.0, N_CATEGORIES + 1)[1:-1])
     y = np.searchsorted(edges, score)
     model = GBTClassifier(n_rounds=10, max_depth=6).fit(X[:N_TRAIN], y[:N_TRAIN])
-    forest, k = model.packed_, len(model.classes_)
+    forest, binner, k = model.packed_, model.binner_, len(model.classes_)
     base, lr = model.base_score_, model.learning_rate
-    Xb = model.binner_.transform(X[N_TRAIN:])
+    Xs = X[N_TRAIN:]
+    Xb = binner.transform(Xs)
     ref = forest.decision_scores(Xb, base, lr, k)
 
     t0 = time.perf_counter()
-    forest.decision_scores_one(Xb[0], base, lr, k)
+    forest.decision_scores_one(Xs[0], base, lr, k)
     build_ms = (time.perf_counter() - t0) * 1e3
     tables = forest._exit_tables
-    out = np.empty(k)
     for i in range(n_rows):
-        assert np.array_equal(forest.decision_scores_one(Xb[i], base, lr, k, out=out), ref[i])
-        assert np.array_equal(forest.decision_scores(Xb[i:i + 1], base, lr, k)[0], ref[i])
+        assert np.array_equal(forest.decision_scores_one(Xs[i], base, lr, k), ref[i])
+        assert np.array_equal(forest.decision_scores_one(Xb[i], base, lr, k), ref[i])
+    batches = [slice(lo, lo + FOREST_BATCH) for lo in range(0, n_rows, FOREST_BATCH)]
+    for rows in batches:
+        assert np.array_equal(forest.decision_scores(Xs[rows], base, lr, k), ref[rows])
 
-    def bitmask():
+    out, raw = np.empty(k), np.empty((FOREST_BATCH, k))
+    xb = np.empty((FOREST_BATCH, N_FEATURES), dtype=np.uint8)
+
+    def one(inputs):
         for i in range(n_rows):
-            forest.decision_scores_one(Xb[i], base, lr, k, out=out)
+            forest.decision_scores_one(inputs[i], base, lr, k, out=out)
 
-    row = out.reshape(1, k)
+    def batch(inputs):
+        for rows in batches:
+            forest.decision_scores(inputs[rows], base, lr, k, out=raw)
 
-    def levels():
-        for i in range(n_rows):
-            forest.decision_scores(Xb[i:i + 1], base, lr, k, out=row)
+    def batch_transform():
+        for rows in batches:
+            binner.transform(Xs[rows], out=xb)
+            forest.decision_scores(xb, base, lr, k, out=raw)
 
-    best = {"bitmask": float("inf"), "levels": float("inf")}
-    for _ in range(3):  # interleaved, minimum per path
-        for name, fn in (("bitmask", bitmask), ("levels", levels)):
-            t0 = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - t0)
+    paths = {
+        "one_codes": lambda: one(Xb), "one_features": lambda: one(Xs),
+        "batch_codes": lambda: batch(Xb), "batch_transform": batch_transform,
+        "batch_features": lambda: batch(Xs),
+    }
+    times = {name: [] for name in paths}
+    gc.collect()
+    gc.freeze()
+    try:
+        for rep in range(FOREST_REPEATS):  # alternating order per repetition
+            for name in paths if rep % 2 == 0 else reversed(list(paths)):
+                t0 = time.perf_counter()
+                paths[name]()
+                times[name].append(time.perf_counter() - t0)
+    finally:
+        gc.unfreeze()
+    us = {name: float(np.median(t)) / n_rows * 1e6 for name, t in times.items()}
 
     lines = [
-        f"One-row forest scoring: {n_rows:,} rows, {forest.n_trees} trees "
-        f"({model.n_rounds} rounds x {k} classes, depth {forest.max_depth}); "
-        "every row bit-identical to batch routing",
+        f"Forest scoring, feature values vs bin codes: {n_rows:,} rows, "
+        f"{forest.n_trees} trees ({model.n_rounds} rounds x {k} classes, depth "
+        f"{forest.max_depth}); every row bit-identical across the paths",
         f"host: cpu_count={os.cpu_count()}, python {platform.python_version()}, "
         f"numpy {np.__version__}",
-        f"tables: {tables.used.size} of {X.shape[1]} features, "
+        f"exit-leaf tables: {tables.used.size} of {X.shape[1]} features, "
         f"{tables.masks.shape[0]} rows x {forest.n_trees} trees x {tables.words} "
         f"word(s), {tables.masks.nbytes / 1e6:.2f} MB, built in {build_ms:.1f} ms",
-        f"{'path':<40} {'us/row':>8}",
+        f"{FOREST_REPEATS} alternating repetitions, GC frozen; medians",
+        f"{'shape':<15} {'path':<46} {'us/row':>8}",
     ]
-    for name, label in (("levels", "decision_scores, one row (level routing)"),
-                        ("bitmask", "decision_scores_one (leaf bitmasks)")):
-        lines.append(f"{label:<40} {best[name] / n_rows * 1e6:>8.1f}")
+    for shape, name, label in (
+        ("one row", "one_codes", "codes precomputed: decision_scores_one"),
+        ("one row", "one_features", "features: decision_scores_one"),
+        (f"{FOREST_BATCH}-row batch", "batch_codes", "codes precomputed: decision_scores"),
+        (f"{FOREST_BATCH}-row batch", "batch_transform", "codes: transform(out=) + decision_scores"),
+        (f"{FOREST_BATCH}-row batch", "batch_features", "features: decision_scores"),
+    ):
+        lines.append(f"{shape:<15} {label:<46} {us[name]:>8.2f}")
+    lines.append(
+        f"{FOREST_BATCH}-row batch: features {us['batch_transform'] / us['batch_features']:.2f}x "
+        "faster than transform + codes"
+    )
     emit("perf_forest_one_row", "\n".join(lines))
 
 

@@ -3,7 +3,10 @@
 Gradient-boosted trees here follow the standard histogram approach
 (as in LightGBM/YDF): continuous features are quantized into a small
 number of bins once, and split finding scans bin histograms instead of
-sorted feature values.
+sorted feature values.  Binning is a training step only: a fitted
+model's packed forest carries the bin edges and routes raw feature
+values to the same leaves the codes reach (see
+:class:`~repro.ml.packed.PackedForest`).
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ class QuantileBinner:
             raise ValueError("n_bins must be in [2, 256]")
         self.n_bins = n_bins
         self.edges_: list[np.ndarray] | None = None
-        # Single-sample scratch (built lazily by transform_one).
-        self._edge_pad: np.ndarray | None = None
-        self._n_edges: np.ndarray | None = None
-        self._ge: np.ndarray | None = None
-        self._cnt: np.ndarray | None = None
+
+    def __setstate__(self, state: dict) -> None:
+        # Older pickles also carry the retired one-row binning scratch.
+        retired = ("_edge_pad", "_n_edges", "_ge", "_cnt")
+        self.__dict__.update({k: v for k, v in state.items() if k not in retired})
 
     def fit(self, X: np.ndarray) -> "QuantileBinner":
         X = np.asarray(X, dtype=float)
@@ -81,35 +84,6 @@ class QuantileBinner:
             if e.size == 0:
                 continue
             out[:, c] = np.searchsorted(e, X[:, c], side="left").astype(np.uint8)
-        return out
-
-    def transform_one(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Quantize one sample into a preallocated uint8 code vector.
-
-        The request-at-a-time path: one broadcast compare against a
-        NaN-padded edge matrix and a row count, with no per-call
-        allocations.  The padding never compares true, so the code is
-        ``edge count - count(edges >= v)``, which equals
-        ``searchsorted(edges, v, side="left")`` for every ``v``: NaN
-        compares false against every edge and lands in the last bin,
-        as in :meth:`transform`.  Codes are bit-identical to row 0 of
-        :meth:`transform` on the sample.
-        """
-        if self.edges_ is None:
-            raise RuntimeError("binner not fitted")
-        if getattr(self, "_n_edges", None) is None:
-            p = len(self.edges_)
-            width = max((e.size for e in self.edges_), default=0)
-            pad = np.full((p, max(width, 1)), np.nan)
-            for c, e in enumerate(self.edges_):
-                pad[c, : e.size] = e
-            self._edge_pad = pad
-            self._n_edges = np.array([e.size for e in self.edges_], dtype=np.intp)
-            self._ge = np.empty(pad.shape, dtype=bool)
-            self._cnt = np.empty(p, dtype=np.intp)
-        np.greater_equal(self._edge_pad, x[:, None], out=self._ge)
-        self._ge.sum(axis=1, out=self._cnt)
-        np.subtract(self._n_edges, self._cnt, out=out, casting="unsafe")
         return out
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:

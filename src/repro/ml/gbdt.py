@@ -3,9 +3,11 @@
 A from-scratch NumPy substitute for the Yggdrasil Decision Forests
 models the paper trains (Section 4.2: gradient boosted trees, max depth
 6).  Both estimators share the histogram pipeline: a
-:class:`~repro.ml.encoding.QuantileBinner` quantizes features once, and
-each boosting round fits :class:`~repro.ml.tree.HistogramTree` base
-learners to second-order gradients.
+:class:`~repro.ml.encoding.QuantileBinner` quantizes the training
+features once, and each boosting round fits
+:class:`~repro.ml.tree.HistogramTree` base learners to second-order
+gradients.  Prediction hands raw feature values to the packed forest,
+which carries the binner's edges and never bins.
 
 - :class:`GBTClassifier` — softmax objective, one tree per class per
   round; used by the category model and the importance analysis.
@@ -33,7 +35,20 @@ def _softmax(raw: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-class GBTClassifier:
+class _PackedState:
+    """Pickling for the estimators: the packed forest is derived state,
+    repacked with the binner's edges on first use (older pickles carry
+    one without edges), and the weak-referencing prediction cache is left out."""
+
+    def __getstate__(self) -> dict:
+        state = {**self.__dict__, "_packed": None}
+        return state if "_raw_cache" not in state else {**state, "_raw_cache": None}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _packed=None)
+
+
+class GBTClassifier(_PackedState):
     """Multiclass gradient-boosted trees with a softmax objective.
 
     Parameters
@@ -120,13 +135,6 @@ class GBTClassifier:
             self.trees_.append(round_trees)
         return self
 
-    def __getstate__(self) -> dict:
-        # The prediction cache holds a weak reference, which cannot be
-        # pickled; like the packed forest's tables it is derived state.
-        state = self.__dict__.copy()
-        state["_raw_cache"] = None
-        return state
-
     def _check_fitted(self) -> None:
         if self.binner_ is None or self.classes_ is None:
             raise RuntimeError("model not fitted")
@@ -136,21 +144,22 @@ class GBTClassifier:
         """All base learners packed for single-pass inference (lazy)."""
         if self._packed is None and self.trees_:
             self._packed = PackedForest.from_trees(
-                [t for round_trees in self.trees_ for t in round_trees]
+                [t for round_trees in self.trees_ for t in round_trees],
+                self.binner_.edges_,
             )
         return self._packed
 
-    def _raw_scores(self, Xb: np.ndarray, n: int) -> np.ndarray:
-        """Raw per-class scores from binned inputs via the packed forest.
+    def _raw_scores(self, X: np.ndarray) -> np.ndarray:
+        """Raw per-class scores of feature values via the packed forest.
 
         Accumulates per boosting round in fit order, so the result is
-        bit-identical to the legacy per-tree loop.
+        bit-identical to the legacy per-tree loop over bin codes.
         """
         packed = self.packed_
         if packed is None:
-            return np.tile(self.base_score_, (n, 1))
+            return np.tile(self.base_score_, (X.shape[0], 1))
         return packed.decision_scores(
-            Xb, self.base_score_, self.learning_rate, len(self.classes_)
+            X, self.base_score_, self.learning_rate, len(self.classes_)
         )
 
     @staticmethod
@@ -163,19 +172,18 @@ class GBTClassifier:
 
         Consecutive calls on the *same array object* (e.g. a
         ``predict_proba`` followed by ``predict``, or a quota sweep
-        re-deploying over one feature matrix) reuse one binning and one
-        forest pass via a weak-reference cache.  A CRC32 content
-        fingerprint invalidates the cache on any in-place mutation of
-        the array, including sum-preserving ones like row swaps.
+        re-deploying over one feature matrix) reuse one forest pass via a
+        weak-reference cache.  A CRC32 content fingerprint invalidates
+        the cache on any in-place mutation of the array, including
+        sum-preserving ones like row swaps.  The forest scores the
+        feature values unbinned (see :class:`~repro.ml.packed.PackedForest`).
         """
         self._check_fitted()
         if isinstance(X, np.ndarray) and self._raw_cache is not None:
             ref, checksum, raw = self._raw_cache
             if ref() is X and self._fingerprint(X) == checksum:
                 return raw.copy()
-        X_arr = np.asarray(X, dtype=float)
-        Xb = self.binner_.transform(X_arr)
-        raw = self._raw_scores(Xb, X_arr.shape[0])
+        raw = self._raw_scores(np.asarray(X, dtype=float))
         if isinstance(X, np.ndarray):
             try:
                 self._raw_cache = (weakref.ref(X), self._fingerprint(X), raw.copy())
@@ -210,7 +218,7 @@ class GBTClassifier:
         return sum(len(r) for r in self.trees_)
 
 
-class GBTRegressor:
+class GBTRegressor(_PackedState):
     """Gradient-boosted trees for squared-error regression."""
 
     def __init__(
@@ -266,17 +274,16 @@ class GBTRegressor:
     def packed_(self) -> PackedForest | None:
         """The fitted forest packed for single-pass inference (lazy)."""
         if self._packed is None and self.trees_:
-            self._packed = PackedForest.from_trees(self.trees_)
+            self._packed = PackedForest.from_trees(self.trees_, self.binner_.edges_)
         return self._packed
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.binner_ is None:
             raise RuntimeError("model not fitted")
         X = np.asarray(X, dtype=float)
-        Xb = self.binner_.transform(X)
         packed = self.packed_
         if packed is None:
             return np.full(X.shape[0], self.base_score_)
         return packed.decision_scores(
-            Xb, self.base_score_, self.learning_rate, n_classes=1
+            X, self.base_score_, self.learning_rate, n_classes=1
         )[:, 0]

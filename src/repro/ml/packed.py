@@ -1,51 +1,47 @@
 """Packed-forest inference: every tree of a GBDT evaluated in one pass.
 
-:class:`~repro.ml.tree.HistogramTree` stores each tree as flat
-heap-indexed arrays, so a fitted forest is really a ragged pile of
-identically-shaped vectors.  :class:`PackedForest` concatenates them
-into ``(n_trees, n_nodes)`` matrices and routes **all samples through
-all trees per depth level** with a handful of flat gathers, instead of
-the per-tree Python loop legacy ``decision_function``/``predict`` used.
+:class:`PackedForest` concatenates the flat heap-indexed arrays of
+fitted :class:`~repro.ml.tree.HistogramTree` s and routes **all samples
+through all trees per depth level** with a handful of flat gathers.
+Every tree is routed as a *complete* heap of depth ``max_depth``: a leaf
+above it becomes an always-left node (threshold +inf) whose value sits
+at its leftmost depth-``max_depth`` slot.  So each level is three
+gathers (split feature, sample value, threshold), one compare and
+``node = 2 * node + (1 - tree_base) + goes_right`` over int32 node
+indices ``tree_base + heap_index``: no child table, no masking.  Rows
+are routed in chunks through reusable scratch buffers.
 
-Layout tricks that keep the hot loop tight:
+Two threshold tables share the nodes, and the input dtype picks one.
+Integer inputs are bin codes and go left when ``code <= split_bin``, as
+in :meth:`HistogramTree.predict`.  Floating inputs are raw feature
+values (the forest must carry its binner's edges): NaN maps to +inf
+once per batch, and a value goes left when ``x <= edges[split_bin]``,
+or always when ``split_bin >= len(edges)``.  A code is
+``searchsorted(edges, x, "left")``, the number of edges below ``x``,
+and the edges are finite and distinct, so ``code <= cut`` holds exactly
+when ``x <= edges[cut]``; NaN (the last bin) goes right of every edge
+and left wherever ``cut >= len(edges)``.  Both tables route every input
+to the same leaf, so serving never bins.
 
-- Leaves are *self-looping*: the packed child table sends a sample that
-  has reached a leaf back to the same node, so every level is the same
-  three gathers — no "still routable" masking or early-exit bookkeeping.
-  (A leaf's packed split feature is 0 and its cut is a sentinel above
-  any bin code, so the dummy comparison is well-defined.)
-- Left/right children are interleaved in one table indexed by
-  ``2 * node + goes_left``, replacing two gathers plus a select with a
-  single gather.
-- All node tables are flattened to 1-D and indexed by
-  ``tree_offset + heap_index`` (int32), so each gather reads a small,
-  cache-resident table.
-
-Routing is bit-identical to :meth:`HistogramTree.predict`: a
-(sample, tree) pair descends while its node is an internal split and
-reads the same ``value`` cell a per-tree walk would.  Samples are
-processed in row chunks so the working set stays at
-``O(chunk x n_trees)`` regardless of batch size.
-
-One sample takes a different route, the exit-leaf bitvectors of
-QuickScorer (Lucchese et al., SIGIR 2015), because level routing pays
-``max_depth`` rounds of numpy dispatch for a single row.  Each tree's
-leaves are numbered left to right; a split that the sample fails
-(``code > split_bin``, so it goes right) rules out every leaf of its
-left subtree, and the leftmost leaf no failed split rules out is the
-leaf level routing reaches.  For every feature the forest splits on,
-the failed splits depend only on which interval between the feature's
-distinct cuts the code falls in, so one precomputed row per interval
+One sample takes the exit-leaf bitvectors of QuickScorer (Lucchese et
+al., SIGIR 2015) instead, because level routing pays ``max_depth``
+rounds of numpy dispatch for a single row.  The leaves routing can
+reach are numbered left to right within each tree; a split the sample
+fails (goes right at) rules out its left subtree's leaves, and the
+leftmost leaf left is the one level routing reaches.  A sample fails
+the splits on a feature whose thresholds lie below its value, so one
+precomputed row per count of the feature's thresholds below a value
 holds, per tree, the AND of those splits' leaf masks.  Scoring a row
 ANDs one table row per used feature and reads each tree's lowest set
-bit (:meth:`PackedForest.decision_scores_one`).  The tables are derived
-state: built on the first one-row call, cached on the forest and left
-out of pickles and deep copies.
+bit (:meth:`PackedForest.decision_scores_one`).
+
+All routing tables are derived state: built on first use, cached on the
+forest and left out of pickles and deep copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,72 +50,114 @@ from .tree import HistogramTree
 
 __all__ = ["PackedForest"]
 
-#: Rows routed per chunk, sized so the per-chunk leaf-value matrix stays
-#: cache-resident for forests of a few hundred trees.
-_DEFAULT_CHUNK = 8_192
+#: Rows routed per chunk.  Scoring 16k rows through 150 depth-6 trees
+#: took 165 ms in chunks of 1,024 and 273 ms in chunks of 8,192, whose
+#: routing buffers no longer fit in cache.
+_DEFAULT_CHUNK = 1_024
 
 #: ``_ONES_BELOW[b]`` has bits ``0..b-1`` set, for ``b`` in ``0..64``.
 _ONES_BELOW = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
+
+#: Derived attributes, rebuilt on first use; the last five are the
+#: eagerly built routing tables older pickles still carry.
+_DERIVED = ("_bufs", "_levels", "_exit_tables",
+            "_feat0", "_cut", "_child2", "_value_flat", "_roots")
+
+
+def _space(x: np.ndarray, codes, values):
+    """The table for ``x``: feature values if it is floating, else codes."""
+    if x.dtype.kind == "f" and values is None:
+        raise ValueError("feature values need a forest packed with bin edges")
+    return values if x.dtype.kind == "f" else codes
+
+
+class _LevelTables:
+    """The forest as complete depth-``D`` heaps, flattened for routing:
+    tree ``t`` owns the ``n_nodes = 2**(D+1) - 1`` slots from
+    ``tree_base = t * n_nodes`` (``roots``; ``step`` is ``1 - roots``).
+    ``feature`` is the int32 split feature, ``code_thr``/``value_thr``
+    the go-left-iff-``x <= thr`` thresholds for bin codes / feature
+    values (+inf at always-left slots; ``value_thr`` is None without
+    edges), ``value`` the leaf values at the depth-``D`` slots and
+    ``n_in`` the columns an input needs."""
+
+    def __init__(self, forest: "PackedForest"):
+        feature, cut, depth = forest.feature, forest.split_bin, forest.max_depth
+        n_trees, n_nodes = feature.shape
+        split = feature >= 0
+        split[:, n_nodes // 2 :] = False
+        feat = np.where(split, feature, 0)
+        # A leaf above depth D hands its value to its leftmost depth-D
+        # slot; deeper levels first, so a leaf overrides the unreached
+        # slots below it (a reached leaf's ancestors are all splits).
+        value = np.array(forest.value, dtype=float)
+        for d in reversed(range(depth)):
+            lo, hi = 2**d - 1, 2 ** (d + 1) - 1
+            slot = (np.arange(lo, hi) + 1) * 2 ** (depth - d) - 1
+            value[:, slot] = np.where(split[:, lo:hi], value[:, slot], value[:, lo:hi])
+        self.value = value.ravel()
+        self.feature = feat.astype(np.int32).ravel()
+        self.code_thr = np.where(split, cut, np.inf).ravel()
+        self.value_thr = None
+        self.n_in = max(int(feature.max(initial=-1)) + 1, len(forest.edges or ()))
+        if forest.edges is not None:
+            width = max((e.size for e in forest.edges), default=0) + 1
+            pad = np.full((max(len(forest.edges), 1), width), np.inf)
+            for c, e in enumerate(forest.edges):
+                pad[c, : e.size] = e
+            thr = pad[feat, np.minimum(cut, width - 1)]
+            self.value_thr = np.where(split, thr, np.inf).ravel()
+        self.roots = np.arange(n_trees, dtype=np.int32) * np.int32(n_nodes)
+        self.step = 1 - self.roots
 
 
 class _ExitLeafTables:
     """Leaf-bitmask tables of a packed forest, plus one-row scratch.
 
-    With ``W`` 64-bit words per tree (enough for the leafiest tree):
-
-    - ``used``: the features some reachable split tests, ``(n_used,)``;
-    - ``code_row``: ``code_row[i * width + code]`` is the ``masks`` row
-      for code ``code`` of feature ``used[i]``;
-    - ``masks``: ``(n_rows, W * n_trees)`` uint64, word-major.  Feature
-      ``used[i]`` owns one row per interval between its distinct cuts;
-      the row ANDs, per tree, the masks of every split on that feature
-      a code in the interval fails (the first row ANDs none);
-    - ``word_slot``: ``(W * n_trees,)`` uint32, the ``leaf_value``
-      slot of bit 0 of each word (``tree * 64 * W + 64 * word``);
-    - ``leaf_value``: ``(n_trees * 64 * W,)``, leaf ``j`` of tree ``t``
-      at slot ``t * 64 * W + j``.
+    With ``W`` 64-bit words per tree (enough for the leafiest tree),
+    ``used`` are the features some split tests and ``masks`` is ``(n_rows,
+    W * n_trees)`` uint64, word-major: feature ``used[i]`` owns one row
+    per count of its thresholds a value fails, the AND, per tree, of the
+    masks of those splits (the first row ANDs none).  ``codes`` and
+    ``values`` (None without edges) are, per space, sorted complex keys,
+    ``i + 1j * thr`` per threshold of ``used[i]`` and ``i + 0.5`` after
+    them; complex order is by feature rank, then threshold, so the keys
+    below ``i + 1j * x`` (NaN as +inf) are the earlier blocks plus the
+    thresholds ``x`` fails: the row of value ``x``.  ``leaf_value`` holds
+    leaf ``j`` of tree ``t`` at ``t * 64 * W + j``, and ``word_slot`` the
+    slot of bit 0 of each word.
     """
 
-    def __init__(self, forest: "PackedForest"):
-        feature, split_bin = forest.feature, forest.split_bin
-        n_trees, n_nodes = feature.shape
-        depth = forest.max_depth
-        heap = np.arange(n_nodes)
-        node_depth = np.frexp(heap + 1)[1].astype(np.int64) - 1
-        # Depth-`depth` positions [first, first + span) lie under a node.
-        span = np.left_shift(1, depth - node_depth)
-        first = (heap - (2**node_depth - 1)) * span
-        splits = (feature >= 0) & (node_depth < depth)
-        reached = np.zeros_like(splits)
-        reached[:, 0] = True
+    def __init__(self, forest: "PackedForest", levels: _LevelTables):
+        n_trees, depth = forest.n_trees, forest.max_depth
+        n_nodes = 2 ** (depth + 1) - 1
+        split = np.isfinite(levels.code_thr).reshape(n_trees, n_nodes)
+        # The depth-D slots routing reaches (a right child only below a
+        # split) are the leaves; ``leaf_rank`` numbers them left to right.
+        reach = np.ones((n_trees, 1), dtype=bool)
         for d in range(depth):
-            lo, hi = 2**d - 1, 2 ** (d + 1) - 1
-            parent = reached[:, lo:hi] & splits[:, lo:hi]
-            reached[:, 2 * lo + 1 : 2 * hi : 2] = parent
-            reached[:, 2 * lo + 2 : 2 * hi + 1 : 2] = parent
-
-        # Leaves, numbered left to right within each tree.
-        leaf_tree, leaf_node = np.nonzero(reached & ~splits)
-        key = leaf_tree * (1 << depth) + first[leaf_node]
-        order = np.argsort(key, kind="stable")
-        leaf_tree, leaf_node, key = leaf_tree[order], leaf_node[order], key[order]
-        n_leaves = np.bincount(leaf_tree, minlength=n_trees)
-        start = np.cumsum(n_leaves) - n_leaves
-        words = (int(n_leaves.max()) + 63) // 64
+            below = reach & split[:, 2**d - 1 : 2 ** (d + 1) - 1]
+            reach = np.stack((reach, below), axis=2).reshape(n_trees, -1)
+        leaf_rank = np.zeros((n_trees, 2**depth + 1), dtype=np.int64)
+        np.cumsum(reach, axis=1, out=leaf_rank[:, 1:])
+        words = (int(leaf_rank[:, -1].max()) + 63) // 64
         if n_trees * 64 * words > np.iinfo(np.uint32).max:
             raise ValueError("packed forest too large for uint32 leaf slots")
         stride = 64 * words
+        leaf_tree, leaf_slot = np.nonzero(reach)
         self.leaf_value = np.zeros(n_trees * stride)
-        self.leaf_value[leaf_tree * stride + np.arange(key.size) - start[leaf_tree]] = (
-            forest.value[leaf_tree, leaf_node]
+        self.leaf_value[leaf_tree * stride + leaf_rank[leaf_tree, leaf_slot]] = (
+            levels.value.reshape(n_trees, n_nodes)[:, n_nodes // 2 :][reach]
         )
 
-        # Per split: failing it clears the leaf ranks [lo_rank, hi_rank)
-        # of its left subtree.
-        tree, node = np.nonzero(reached & splits)
-        left = tree * (1 << depth) + first[node]
-        lo_rank = np.searchsorted(key, left) - start[tree]
-        hi_rank = np.searchsorted(key, left + span[node] // 2) - start[tree]
+        # Per split: failing it clears the leaves [lo_rank, hi_rank) of
+        # its left subtree.
+        flat = np.flatnonzero(split)
+        tree, node = np.divmod(flat, n_nodes)
+        node_depth = np.frexp(node + 1)[1].astype(np.int64) - 1
+        span = np.left_shift(1, depth - node_depth)
+        left = (node + 1 - np.left_shift(1, node_depth)) * span
+        lo_rank, hi_rank = leaf_rank[tree, left], leaf_rank[tree, left + span // 2]
         bit0 = 64 * np.arange(words)
         cleared = _ONES_BELOW[np.clip(hi_rank[:, None] - bit0, 0, 64)] & ~_ONES_BELOW[
             np.clip(lo_rank[:, None] - bit0, 0, 64)
@@ -127,41 +165,48 @@ class _ExitLeafTables:
 
         # One row per (feature, distinct cut) after each feature's
         # all-ones first row; a row is the running AND of its block.
-        f, cut = feature[tree, node].astype(np.int64), split_bin[tree, node]
-        width = max(256, int(cut.max(initial=0)) + 2)
-        pairs, pair_of = np.unique(f * width + cut, return_inverse=True)
+        f = levels.feature[flat].astype(np.int64)
+        cut = levels.code_thr[flat].astype(np.int64)
+        width = int(cut.max(initial=0)) + 1
+        pairs, first, pair_of = np.unique(f * width + cut, return_index=True,
+                                          return_inverse=True)
         self.used, block0 = np.unique(pairs // width, return_index=True)
         n_used = self.used.size
         rank = np.arange(n_used)
         pair_rank = np.repeat(rank, np.diff(np.append(block0, pairs.size)))
         masks = np.full((pairs.size + n_used, words, n_trees), ~np.uint64(0))
-        np.bitwise_and.at(
-            masks,
-            ((pair_of + pair_rank[pair_of] + 1)[:, None], np.arange(words), tree[:, None]),
-            ~cleared,
-        )
+        row = (pair_of + pair_rank[pair_of] + 1)[:, None]
+        np.bitwise_and.at(masks, (row, np.arange(words), tree[:, None]), ~cleared)
         for b0, b1 in zip(block0 + rank, np.append(block0[1:] + rank[1:], masks.shape[0])):
             np.bitwise_and.accumulate(masks[b0:b1], axis=0, out=masks[b0:b1])
         self.masks = masks.reshape(masks.shape[0], words * n_trees)
-        # A code maps to the row after its feature's cuts below it.
-        codes = (self.used[:, None] * width + np.arange(width)).ravel()
-        self.code_row = np.searchsorted(pairs, codes) + np.repeat(rank, width)
-        self.row_base = rank * width
-        self.width = width
         self.words = words
         self.word_slot = (
             (np.arange(n_trees) * stride)[None, :] + bit0[:, None]
         ).astype(np.uint32).ravel()
 
-        # One-row scratch.
-        self.rows = np.empty(n_used, dtype=np.intp)
-        self.gathered = np.empty((n_used, words * n_trees), dtype=np.uint64)
-        self.acc = np.empty(words * n_trees, dtype=np.uint64)
-        self.low = np.empty(words * n_trees, dtype=np.uint64)
-        self.mant = np.empty(words * n_trees)
-        self.exp = np.empty(words * n_trees, dtype=np.int32)
-        self.slot = np.empty(words * n_trees, dtype=np.uint32)
-        self.exit = np.empty(n_trees, dtype=np.uint32)
+        # Per space, complex keys ``rank + 1j * thr`` (sorting by feature
+        # rank, then threshold) plus ``rank + 0.5`` closing each block.
+        def space(thr):
+            keys = np.empty(pairs.size + n_used, dtype=complex)
+            keys.real = np.append(pair_rank, rank + 0.5)
+            keys.imag = np.append(thr, np.zeros(n_used))
+            return np.sort(keys)
+
+        self.codes = space(cut[first].astype(float))
+        self.values = None
+        if levels.value_thr is not None:
+            self.values = space(levels.value_thr[flat][first])
+
+        # One-row scratch; the query's real parts are the feature ranks.
+        self.query = np.empty(n_used, dtype=complex)
+        self.query.real = rank
+        n = words * n_trees
+        self.gathered = np.empty((n_used, n), dtype=np.uint64)
+        self.acc, self.low = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+        self.mant, self.exp = np.empty(n), np.empty(n, dtype=np.int32)
+        self.slot, self.exit = np.empty(n, dtype=np.uint32), np.empty(n_trees, dtype=np.intp)
+        self.exit_base = self.word_slot[:n_trees].astype(np.intp) - 1
 
 
 @dataclass
@@ -176,85 +221,59 @@ class PackedForest:
         at leaves and unreached nodes.
     max_depth:
         Common depth bound of all packed trees.
+    edges:
+        The binner's per-feature bin edges
+        (:attr:`~repro.ml.encoding.QuantileBinner.edges_`), which let the
+        forest score raw feature values; None scores bin codes only.
     """
 
     feature: np.ndarray
     split_bin: np.ndarray
     value: np.ndarray
     max_depth: int
-    # Flattened routing tables (derived in __post_init__).
-    _feat0: np.ndarray = field(init=False, repr=False)
-    _cut: np.ndarray = field(init=False, repr=False)
-    _child2: np.ndarray = field(init=False, repr=False)
-    _value_flat: np.ndarray = field(init=False, repr=False)
+    edges: Sequence[np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         n_trees, n_nodes = self.feature.shape
         if 2 * n_trees * n_nodes >= np.iinfo(np.int32).max:
             raise ValueError("packed forest too large for int32 node indexing")
-        flat_feature = self.feature.ravel().astype(np.int32)
-        internal = flat_feature >= 0
-        # Dummy split (feature 0, cut above any uint8 bin code) at
-        # leaves keeps the per-level comparison branch-free.
-        self._feat0 = np.where(internal, flat_feature, 0).astype(np.int32)
-        self._cut = np.where(
-            internal, self.split_bin.ravel(), np.iinfo(np.int16).max
-        ).astype(np.int16)
-        idx = np.arange(n_trees * n_nodes, dtype=np.int32)
-        local = idx % n_nodes
-        base = idx - local
-        # child2[2*i + goes_left]: interleaved children within the same
-        # tree's flat block; leaves loop back to themselves so routing
-        # is idempotent past each tree's actual depth.
-        child2 = np.empty(2 * n_trees * n_nodes, dtype=np.int32)
-        child2[0::2] = np.where(internal, base + 2 * local + 2, idx)
-        child2[1::2] = np.where(internal, base + 2 * local + 1, idx)
-        self._child2 = child2
-        self._value_flat = np.ascontiguousarray(self.value.ravel(), dtype=float)
-        #: per-tree root offsets into the flat node tables
-        self._roots = np.arange(n_trees, dtype=np.int32) * np.int32(n_nodes)
-        # Routing scratch, reused across chunks/calls (keyed by chunk
-        # shape); the hot loop then runs entirely in preallocated
-        # buffers via gather-with-out and in-place ufuncs.
-        self._bufs: dict = {}
-        # One-row scoring tables, built by the first decision_scores_one.
-        self._exit_tables: _ExitLeafTables | None = None
+        # Derived state (see _DERIVED): scratch keyed by chunk shape, and
+        # the routing and one-row tables, built on first use.
+        self._bufs, self._levels, self._exit_tables = {}, None, None
 
     def __getstate__(self) -> dict:
-        # Scratch and exit-leaf tables are derived from the node arrays:
-        # keep them out of pickles, snapshots and checkpoints.
-        state = self.__dict__.copy()
-        state["_bufs"] = {}
-        state["_exit_tables"] = None
-        return state
+        # Derived tables and scratch stay out of pickles and checkpoints.
+        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Pickles written before the exit-leaf tables existed.
-        self.__dict__.setdefault("_exit_tables", None)
+        kept = {k: v for k, v in state.items() if k not in _DERIVED}
+        self.__dict__.update({"edges": None, **kept})
+        self._bufs, self._levels, self._exit_tables = {}, None, None
 
-    def _chunk_bufs(self, m: int, p: int, xdtype) -> dict:
+    def _chunk_bufs(self, m: int, p: int) -> dict:
         """Preallocated routing buffers for an ``(m, p)`` chunk."""
-        key = (m, p, np.dtype(xdtype).char)
-        bufs = self._bufs.get(key)
+        bufs = self._bufs.get((m, p))
         if bufs is None:
             shape = (m, self.n_trees)
             if len(self._bufs) > 6:
                 self._bufs.clear()
-            bufs = self._bufs[key] = {
+            bufs = self._bufs[(m, p)] = {
+                "x": np.empty((m, p)),
                 "node": np.empty(shape, dtype=np.int32),
                 "f": np.empty(shape, dtype=np.int32),
-                "xb": np.empty(shape, dtype=xdtype),
-                "cut": np.empty(shape, dtype=np.int16),
+                "xb": np.empty(shape),
+                "leaf": np.empty(shape),
                 "goes": np.empty(shape, dtype=bool),
-                "leaf": np.empty(shape, dtype=float),
                 "row_off": (np.arange(m, dtype=np.int32) * np.int32(p))[:, None],
             }
         return bufs
 
     @classmethod
-    def from_trees(cls, trees: Sequence[HistogramTree]) -> "PackedForest":
-        """Pack fitted trees (all grown with the same ``max_depth``)."""
+    def from_trees(
+        cls, trees: Sequence[HistogramTree], edges: Sequence[np.ndarray] | None = None
+    ) -> "PackedForest":
+        """Pack fitted trees (all grown with the same ``max_depth``);
+        ``edges`` are the bin edges of the codes they were fitted on."""
         if not trees:
             raise ValueError("cannot pack an empty forest")
         depths = {t.max_depth for t in trees}
@@ -265,6 +284,7 @@ class PackedForest:
             split_bin=np.ascontiguousarray([t.split_bin for t in trees], dtype=np.int32),
             value=np.ascontiguousarray([t.value for t in trees], dtype=float),
             max_depth=depths.pop(),
+            edges=edges,
         )
 
     @property
@@ -272,48 +292,49 @@ class PackedForest:
         return self.feature.shape[0]
 
     def _route_chunk(self, Xc: np.ndarray) -> np.ndarray:
-        """Leaf values for one row chunk, shape ``(len(Xc), n_trees)``.
-
-        Runs in this forest's reusable scratch buffers: the returned
-        array is overwritten by the next routing call, so callers must
-        consume (or copy) it before routing again.
-        """
+        """Leaf values for one row chunk, shape ``(len(Xc), n_trees)``, in
+        a scratch buffer that the next routing call overwrites."""
+        lv = self._levels
+        if lv is None:
+            lv = self._levels = _LevelTables(self)
         m, p = Xc.shape
-        xflat = np.ascontiguousarray(Xc).reshape(-1)
-        bufs = self._chunk_bufs(m, p, xflat.dtype)
-        node, f, xb = bufs["node"], bufs["f"], bufs["xb"]
-        cut, goes, row_off = bufs["cut"], bufs["goes"], bufs["row_off"]
-        node[:] = self._roots
+        if p < lv.n_in:
+            raise ValueError(f"X has {p} columns, the forest reads {lv.n_in}")
+        thr_table = _space(Xc, lv.code_thr, lv.value_thr)
+        bufs = self._chunk_bufs(m, p)
+        node, f, xb, row_off = bufs["node"], bufs["f"], bufs["xb"], bufs["row_off"]
+        thr, goes = bufs["leaf"], bufs["goes"]
+        # Codes widen to float64 (no compare with a cut changes); NaN
+        # features route as +inf.
+        xflat = np.fmin(Xc, np.inf, out=bufs["x"]).reshape(-1)
+        node[:] = lv.roots
+        # Every index below is in range by construction; mode="clip"
+        # lets take() write into its out buffer without a checked copy.
         for _ in range(self.max_depth):
-            np.take(self._feat0, node, out=f)
+            np.take(lv.feature, node, out=f, mode="clip")
             f += row_off
-            np.take(xflat, f, out=xb)
-            np.take(self._cut, node, out=cut)
-            np.less_equal(xb, cut, out=goes)
+            np.take(xflat, f, out=xb, mode="clip")
+            np.take(thr_table, node, out=thr, mode="clip")
+            np.greater(xb, thr, out=goes)
             np.left_shift(node, 1, out=node)
-            np.add(node, goes, out=node)
-            np.take(self._child2, node, out=node)
-        leaf = bufs["leaf"]
-        np.take(self._value_flat, node, out=leaf)
-        return leaf
+            node += lv.step
+            node += goes
+        return np.take(lv.value, node, out=bufs["leaf"], mode="clip")
 
-    def predict(
-        self, X_binned: np.ndarray, chunk_size: int = _DEFAULT_CHUNK
-    ) -> np.ndarray:
-        """Leaf values of every tree for every sample, shape ``(n, n_trees)``.
-
-        Column ``j`` equals ``trees[j].predict(X_binned)`` exactly.
-        """
-        n = X_binned.shape[0]
+    def predict(self, X: np.ndarray, chunk_size: int = _DEFAULT_CHUNK) -> np.ndarray:
+        """Leaf values of every tree for every sample, shape ``(n, n_trees)``;
+        column ``j`` equals ``trees[j].predict(codes)`` exactly (``X``
+        holds codes or feature values, see :meth:`decision_scores`)."""
+        n = X.shape[0]
         out = np.empty((n, self.n_trees), dtype=float)
         for start in range(0, n, chunk_size):
             stop = min(start + chunk_size, n)
-            out[start:stop] = self._route_chunk(X_binned[start:stop])
+            out[start:stop] = self._route_chunk(X[start:stop])
         return out
 
     def decision_scores(
         self,
-        X_binned: np.ndarray,
+        X: np.ndarray,
         base_score: np.ndarray | float,
         learning_rate: float,
         n_classes: int = 1,
@@ -322,21 +343,20 @@ class PackedForest:
     ) -> np.ndarray:
         """Boosted raw scores ``base + lr * sum_r leaf_r``, shape ``(n, k)``.
 
-        Trees must be packed round-major (``round0 class0..k-1, round1
-        class0..k-1, ...``, the fit order of the GBT estimators).  The
-        per-round accumulation runs inside the routing chunk, in fit
-        order, so results are bit-identical to the legacy sequential
-        per-tree loop while the leaf matrix is still cache-hot.
-        ``out`` optionally receives the scores (shape ``(n, k)``),
-        letting a serving loop reuse one result buffer across calls.
+        ``X`` holds integer bin codes, or floating feature values (NaN
+        and ±inf allowed) if the forest carries its binner's edges; both
+        score the same bit for bit, and ``X`` is never modified.  Trees
+        are packed round-major (the GBT fit order), and each chunk adds
+        its rounds in that order, so results are bit-identical to the
+        legacy per-tree loop.  ``out`` optionally receives the scores,
+        letting a serving loop reuse one buffer across calls.
         """
-        n = X_binned.shape[0]
+        n = X.shape[0]
         n_trees = self.n_trees
         if n_classes < 1 or n_trees % n_classes:
             raise ValueError(
                 f"n_trees={n_trees} is not a multiple of n_classes={n_classes}"
             )
-        n_rounds = n_trees // n_classes
         base = np.broadcast_to(np.asarray(base_score, dtype=float), (n_classes,))
         if out is None:
             out = np.empty((n, n_classes), dtype=float)
@@ -344,16 +364,17 @@ class PackedForest:
             raise ValueError(f"out has shape {out.shape}, expected {(n, n_classes)}")
         for start in range(0, n, chunk_size):
             stop = min(start + chunk_size, n)
-            leaf = self._route_chunk(X_binned[start:stop])
+            leaf = self._route_chunk(X[start:stop])
+            leaf *= learning_rate
             raw = out[start:stop]
             raw[:] = base
-            for r in range(n_rounds):
-                raw += learning_rate * leaf[:, r * n_classes : (r + 1) * n_classes]
+            for r in range(0, n_trees, n_classes):
+                raw += leaf[:, r : r + n_classes]
         return out
 
     def decision_scores_one(
         self,
-        x_binned: np.ndarray,
+        x: np.ndarray,
         base_score: np.ndarray | float,
         learning_rate: float,
         n_classes: int = 1,
@@ -361,33 +382,30 @@ class PackedForest:
     ) -> np.ndarray:
         """Boosted raw scores for a single sample, shape ``(n_classes,)``.
 
-        The request-at-a-time serving path, scored from the exit-leaf
-        tables (see the module docstring) with a fixed number of numpy
-        calls and no loop over trees or levels.  ``x_binned`` holds
-        integer bin codes.  The rounds accumulate in fit order by
-        ``np.add.accumulate`` over ``[base; lr * leaf]``, which adds
-        sequentially, so the scores are bit-identical to row ``i`` of
-        :meth:`decision_scores` on a batch containing the sample.
+        The request-at-a-time serving path: exit-leaf tables (see the
+        module docstring), a fixed number of numpy calls and no loop
+        over trees or levels.  ``x`` holds bin codes or feature values,
+        as for :meth:`decision_scores`.  The rounds accumulate in fit
+        order by ``np.add.accumulate`` over ``[base; lr * leaf]``, so
+        the scores are bit-identical to the sample's batch row.
         """
         n_trees = self.n_trees
         if n_classes < 1 or n_trees % n_classes:
             raise ValueError(
                 f"n_trees={n_trees} is not a multiple of n_classes={n_classes}"
             )
-        x = np.asarray(x_binned)
+        x = np.asarray(x)
         if x.ndim != 1:
             raise ValueError("decision_scores_one routes exactly one sample")
         t = self._exit_tables
         if t is None:
-            t = self._exit_tables = _ExitLeafTables(self)
-        if x.dtype != np.uint8:
-            # Codes past the largest cut all fail the same splits.
-            x = np.clip(x, 0, t.width - 1)
-        rows, acc, low, slot = t.rows, t.acc, t.low, t.slot
-        # Every index below is in range by construction; mode="clip"
-        # lets take() write into its out buffer without a checked copy.
-        np.add(x.take(t.used), t.row_base, out=rows)
-        t.code_row.take(rows, out=rows, mode="clip")
+            self._levels = self._levels or _LevelTables(self)
+            t = self._exit_tables = _ExitLeafTables(self, self._levels)
+        acc, low, slot = t.acc, t.low, t.slot
+        # One search counts, per used feature, the keys below ``rank +
+        # 1j * x`` (NaN as +inf): that feature's table row.
+        np.fmin(x.take(t.used), np.inf, out=t.query.imag)
+        rows = np.searchsorted(_space(x, t.codes, t.values), t.query)
         t.masks.take(rows, axis=0, out=t.gathered, mode="clip")
         np.bitwise_and.reduce(t.gathered, axis=0, out=acc)
         # Per word, the lowest set bit is 2**e / 2 (e = 0 for an empty
@@ -397,9 +415,12 @@ class PackedForest:
         np.negative(acc, out=low)
         np.bitwise_and(low, acc, out=low)
         np.frexp(low, out=(t.mant, t.exp))
-        np.subtract(t.exp, 1, out=slot, casting="unsafe")
-        np.bitwise_or(slot, t.word_slot, out=slot)
-        np.minimum.reduce(slot.reshape(t.words, n_trees), axis=0, out=t.exit)
+        if t.words == 1:  # an exit bit is never cleared: no word is empty
+            np.add(t.exp, t.exit_base, out=t.exit)
+        else:
+            np.subtract(t.exp, 1, out=slot, casting="unsafe")
+            np.bitwise_or(slot, t.word_slot, out=slot)
+            np.minimum.reduce(slot.reshape(t.words, n_trees), axis=0, out=t.exit)
         steps = np.empty((n_trees // n_classes + 1, n_classes))
         steps[0] = base_score
         leaf = steps.reshape(-1)[n_classes:]

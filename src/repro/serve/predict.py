@@ -12,7 +12,8 @@ per arrival) and the packed-forest inference of the fitted GBT
 for micro-batches; :meth:`~repro.ml.packed.PackedForest.decision_scores_one`,
 leaf-bitmask tables built on the first request, for single requests) —
 into one callable the :class:`~repro.serve.PlacementService` invokes per
-submission.
+submission.  The forest reads the feature rows as they are: it carries
+the binner's edges, so nothing is binned on the admission path.
 
 Predictions are bit-identical to the offline
 ``model.predict(extract_features(trace))`` path over the same jobs
@@ -60,11 +61,13 @@ class OnlineCategorizer:
             raise ValueError("categorizer needs a fitted model")
         self.gbt = gbt
         self.extractor = OnlineFeatureExtractor(rates, n_hash_buckets)
-        # Serving scratch, reused across calls (grown on demand).
-        self._xb: np.ndarray | None = None
+        # Score buffers, reused across calls (grown on demand).
         self._raw: np.ndarray | None = None
-        self._xb_one: np.ndarray | None = None
         self._raw_one: np.ndarray | None = None
+
+    def __setstate__(self, state: dict) -> None:
+        # Older checkpoints also carry the retired bin-code buffers.
+        self.__dict__.update({k: v for k, v in state.items() if k not in ("_xb", "_xb_one")})
 
     def warm_start(self, trace: Trace) -> "OnlineCategorizer":
         """Seed feature history from already-observed jobs (e.g. the
@@ -81,10 +84,11 @@ class OnlineCategorizer:
         """Categories for jobs ``[first, stop)`` of a columnar job log.
 
         The fused serving path: feature extraction
-        (:meth:`OnlineFeatureExtractor.push_block`), binning and
-        packed-forest scoring all run over the log's columns directly,
-        through scratch buffers reused across calls — no per-job
-        objects and no intermediate matrices crossing this boundary.
+        (:meth:`OnlineFeatureExtractor.push_block`) and packed-forest
+        scoring of the feature values run over the log's columns
+        directly, through scratch buffers reused across calls — no
+        per-job objects and no intermediate matrices crossing this
+        boundary.
         Bit-identical to ``self([log[i] for i in range(first, stop)])``
         because column-submitted jobs carry empty metadata/resources.
         """
@@ -107,22 +111,16 @@ class OnlineCategorizer:
             # Single-class fit: every prediction is that class.
             return np.full(n, int(gbt.classes_[0]), dtype=int)
         if n == 1:
-            # Request-at-a-time: 1-D binning scratch, leaf-bitmask scoring.
-            xb = self._xb_one
-            if xb is None or xb.size != X.shape[1]:
-                xb = self._xb_one = np.empty(X.shape[1], dtype=np.uint8)
+            # Request-at-a-time: leaf-bitmask scoring of the feature row.
+            if self._raw_one is None:
                 self._raw_one = np.empty(k)
-            gbt.binner_.transform_one(X[0], out=xb)
             raw = gbt.packed_.decision_scores_one(
-                xb, gbt.base_score_, gbt.learning_rate, k, out=self._raw_one
+                X[0], gbt.base_score_, gbt.learning_rate, k, out=self._raw_one
             ).reshape(1, -1)
         else:
-            xb = self._xb
-            if xb is None or xb.shape[0] < n or xb.shape[1] != X.shape[1]:
-                xb = self._xb = np.zeros((max(n, 256), X.shape[1]), dtype=np.uint8)
-                self._raw = np.empty((xb.shape[0], k))
-            gbt.binner_.transform(X, out=xb[:n])
+            if self._raw is None or self._raw.shape[0] < n:
+                self._raw = np.empty((max(n, 256), k))
             raw = gbt.packed_.decision_scores(
-                xb[:n], gbt.base_score_, gbt.learning_rate, k, out=self._raw[:n]
+                X, gbt.base_score_, gbt.learning_rate, k, out=self._raw[:n]
             )
         return gbt.classes_[np.argmax(raw, axis=1)].astype(int)

@@ -13,7 +13,7 @@ PR contract for the fused kernel work:
 3. **Scalar-fallback accounting** — ``scalar_fallback_jobs`` is pinned
    across engines and unchanged by capacity shocks mid-stream.
 4. **Fused serving layers** — ``tcio_rate_scalar``, the binner's
-   ``transform_one``, the extractor's ``push_block``, and the packed
+   ``transform(out=)``, the extractor's ``push_block``, and the packed
    forest's scratch/out= scoring paths each equal their batch
    references bit for bit.
 """
@@ -208,39 +208,6 @@ class TestFusedServingLayers:
                 float(read_ops[i]), float(write_bytes[i]),
                 float(durations[i]), DEFAULT_RATES,
             ) == vec[i]
-
-    def test_transform_one_matches_transform(self):
-        rng = np.random.default_rng(52)
-        X = rng.normal(size=(500, 12))
-        X[:, 3] = (X[:, 3] > 0)  # a binary column
-        X[:, 7] = 0.0            # a constant (empty-edges) column
-        binner = QuantileBinner(n_bins=32).fit(X)
-        ref = binner.transform(X)
-        out = np.empty(12, dtype=np.uint8)
-        for i in range(0, 500, 13):
-            np.testing.assert_array_equal(
-                binner.transform_one(X[i], out=out), ref[i]
-            )
-
-    def test_transform_one_matches_transform_on_nonfinite(self):
-        rng = np.random.default_rng(57)
-        X = rng.normal(size=(400, 6))
-        X[:, 2] = 0.0  # empty edges
-        X[:, 4] = X[:, 4] > 0  # one edge
-        binner = QuantileBinner(n_bins=16).fit(X)
-        edges = binner.edges_
-        Q = rng.normal(size=(60, 6)) * 3
-        Q[rng.random(Q.shape) < 0.2] = np.nan
-        Q[rng.random(Q.shape) < 0.1] = np.inf
-        Q[rng.random(Q.shape) < 0.1] = -np.inf
-        for c in (0, 1, 4):  # values sitting exactly on edges
-            Q[::5, c] = rng.choice(edges[c], size=Q[::5].shape[0])
-        Q[0] = np.nan
-        ref = binner.transform(Q)
-        out = np.empty(6, dtype=np.uint8)
-        for i in range(Q.shape[0]):
-            np.testing.assert_array_equal(binner.transform_one(Q[i], out=out), ref[i])
-        assert (ref[0] == [e.size for e in edges]).all()
 
     def test_transform_out_buffer_matches(self):
         rng = np.random.default_rng(53)

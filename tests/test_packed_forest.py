@@ -286,3 +286,168 @@ class TestExitLeafTablesAreDerived:
             xb, model.base_score_, model.learning_rate, k
         )
         assert np.array_equal(got, ref[0])
+
+
+def _queries(edges, rng, n=48):
+    """Feature rows that probe every routing boundary: values between
+    and beyond the edges, exactly on an edge, one ulp above one, NaN
+    and ±inf."""
+    Q = rng.normal(size=(n, len(edges))) * 3.0
+    for c, e in enumerate(edges):
+        if e.size:
+            on = rng.random(n) < 0.3
+            Q[on, c] = rng.choice(e, on.sum())
+            up = rng.random(n) < 0.15
+            Q[up, c] = np.nextafter(rng.choice(e, up.sum()), np.inf)
+    Q[rng.random(Q.shape) < 0.08] = np.nan
+    Q[rng.random(Q.shape) < 0.04] = np.inf
+    Q[rng.random(Q.shape) < 0.04] = -np.inf
+    Q[0], Q[1] = np.nan, np.inf
+    return Q
+
+
+def _legacy_scores(trees, codes, base, lr, k):
+    """The sequential per-tree loop over bin codes, round-major trees."""
+    raw = np.tile(np.asarray(base, dtype=float), (codes.shape[0], 1)).reshape(-1, k)
+    for j, tree in enumerate(trees):
+        raw[:, j % k] += lr * tree.predict(codes)
+    return raw
+
+
+class TestFeatureSpaceRouting:
+    """Raw feature values route exactly as their bin codes do: batch
+    and one-row scores of features, code scores of ``binner.transform``
+    and the legacy per-tree loop agree bit for bit."""
+
+    @given(
+        max_depth=st.integers(1, 8),
+        n_classes=st.sampled_from([1, 2, 4]),
+        min_samples_leaf=st.sampled_from([1, 3, 20]),
+        root_leaves=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_features_match_codes(
+        self, max_depth, n_classes, min_samples_leaf, root_leaves, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n, p = 400, 6
+        X = rng.normal(size=(n, p))
+        X[:, 1] = np.round(X[:, 1])  # a coarse column with few edges
+        X[:, 4] = 2.5                # a constant column: no edges
+        X[rng.random(n) < 0.05, 2] = np.nan
+        if n_classes == 1:
+            model = GBTRegressor(
+                n_rounds=6, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+            ).fit(X, X[:, 0] + rng.normal(size=n))
+            rounds = model.trees_
+        else:
+            model = GBTClassifier(
+                n_rounds=3, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+            ).fit(X, rng.integers(0, n_classes, n))
+            rounds = model.trees_
+        # Swap whole rounds for root-leaf trees, then repack.
+        for r in rng.choice(len(rounds), root_leaves, replace=True):
+            leaf = [_root_leaf_tree(max_depth, rng) for _ in range(n_classes)]
+            rounds[r] = leaf[0] if n_classes == 1 else leaf
+        model._packed = None
+        forest, binner = model.packed_, model.binner_
+        assert binner.edges_[4].size == 0
+        base, lr = model.base_score_, model.learning_rate
+        trees = rounds if n_classes == 1 else [t for r in rounds for t in r]
+
+        Q = _queries(binner.edges_, rng)
+        Q_before = Q.copy()
+        codes = binner.transform(Q)
+        got = forest.decision_scores(Q, base, lr, n_classes)
+        assert np.array_equal(Q, Q_before, equal_nan=True)
+        assert np.array_equal(got, forest.decision_scores(codes, base, lr, n_classes))
+        assert np.array_equal(got, _legacy_scores(trees, codes, base, lr, n_classes))
+        if n_classes == 1:
+            assert np.array_equal(model.predict(Q), got[:, 0])
+        else:
+            assert np.array_equal(model.decision_function(Q), got)
+            assert np.array_equal(model._decision_function_legacy(Q), got)
+        out = np.empty(n_classes)
+        for i in range(Q.shape[0]):
+            assert np.array_equal(
+                forest.decision_scores_one(Q[i], base, lr, n_classes, out=out), got[i]
+            ), i
+            assert np.array_equal(
+                forest.decision_scores_one(codes[i], base, lr, n_classes), got[i]
+            ), i
+        # One exit-leaf word per 64 leaves of the leafiest tree: depth-8
+        # trees with few leaves stay at one word, deep regressors on
+        # min_samples_leaf=1 take two.
+        most = max(t.n_leaves for t in trees)
+        assert forest._exit_tables.words == (most + 63) // 64
+        if n_classes == 1 and max_depth >= 7 and min_samples_leaf == 1:
+            assert forest._exit_tables.words > 1
+
+    @staticmethod
+    def _hand_built():
+        """Depth 2: the root splits feature 0 at edge 0; its left child
+        splits feature 1 at bin 5, past the column's 2 edges, so it
+        always goes left (NaN included) to leaf 1.0; leaf 2.0 is reached
+        only by integer codes above 5."""
+        feature = np.array([0, 1, -1, -1, -1, -1, -1])
+        split_bin = np.array([0, 5, 0, 0, 0, 0, 0])
+        value = np.array([0.0, 0.0, 3.0, 1.0, 2.0, 0.0, 0.0])
+        is_leaf = feature < 0
+        tree = HistogramTree(feature, split_bin, value, is_leaf, max_depth=2)
+        edges = [np.array([0.0]), np.array([-1.0, 1.0])]
+        return tree, PackedForest.from_trees([tree], edges)
+
+    def test_cut_past_the_edges_goes_left(self):
+        tree, forest = self._hand_built()
+        x1 = np.array([np.nan, np.inf, -np.inf, -1.0, 1.0, 7.0])
+        X = np.column_stack([np.full(x1.size, -0.5), x1])
+        want = np.ones((x1.size, 1))
+        assert np.array_equal(forest.predict(X), want)
+        assert np.array_equal(forest.decision_scores(X, 0.0, 1.0), want)
+        for i in range(x1.size):
+            assert forest.decision_scores_one(X[i], 0.0, 1.0)[0] == 1.0
+        # Feature 0 at NaN or above its edge goes right, to leaf 3.0.
+        X[:, 0] = [np.nan, np.inf, 0.5, np.nan, 1e-300, 3.0]
+        assert np.array_equal(forest.decision_scores(X, 0.0, 1.0), 3 * want)
+
+    def test_int64_codes_above_255_route_as_the_tree(self):
+        tree, forest = self._hand_built()
+        codes = np.array(
+            [[0, 0], [0, 2], [0, 5], [0, 6], [0, 300], [0, 70_000],
+             [0, 2**40], [0, -7], [1, 0], [300, 300], [-5, 2**62]],
+            dtype=np.int64,
+        )
+        want = tree.predict(codes)
+        assert np.array_equal(want[[3, 4, 5, 6]], [2.0] * 4)
+        assert np.array_equal(forest.predict(codes)[:, 0], want)
+        for i in range(codes.shape[0]):
+            assert forest.decision_scores_one(codes[i], 0.0, 1.0)[0] == want[i]
+
+    def test_int64_codes_above_255_in_a_fitted_forest(self, data):
+        X, y_cls, _, Xq = data
+        model = GBTClassifier(n_rounds=3, max_depth=6).fit(X, y_cls)
+        codes = model.binner_.transform(Xq[:90]).astype(np.int64)
+        codes[::3, 0] = 300
+        codes[1::3, 2] = 2**40
+        codes[2::3, 5] = -7
+        k, trees = len(model.classes_), [t for r in model.trees_ for t in r]
+        want = _legacy_scores(trees, codes, model.base_score_, model.learning_rate, k)
+        forest = model.packed_
+        got = forest.decision_scores(codes, model.base_score_, model.learning_rate, k)
+        assert np.array_equal(got, want)
+        for i in range(codes.shape[0]):
+            one = forest.decision_scores_one(
+                codes[i], model.base_score_, model.learning_rate, k
+            )
+            assert np.array_equal(one, want[i]), i
+
+    def test_features_need_edges(self, data):
+        X, y_cls, _, Xq = data
+        model = GBTClassifier(n_rounds=2).fit(X, y_cls)
+        bare = PackedForest.from_trees([t for r in model.trees_ for t in r])
+        k = len(model.classes_)
+        with pytest.raises(ValueError, match="bin edges"):
+            bare.decision_scores(Xq, model.base_score_, model.learning_rate, k)
+        with pytest.raises(ValueError, match="bin edges"):
+            bare.decision_scores_one(Xq[0], model.base_score_, model.learning_rate, k)

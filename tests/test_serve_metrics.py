@@ -700,6 +700,82 @@ def _float_ledger(kernel, lane_capacities=None):
     return kernel
 
 
+class _Pickled:
+    """Pickles as an instance of ``cls`` carrying ``state``: the form an
+    object takes in a checkpoint written by an older library."""
+
+    def __init__(self, cls, state):
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return self.cls.__new__, (self.cls,), self.state
+
+
+def _as_parent_categorizer(cat):
+    """``cat`` as a checkpoint from before feature-space scoring holds
+    it: the forest carries eagerly built routing tables (``_feat0``,
+    ``_cut``, ``_child2``, ``_value_flat``, ``_roots``) and no edges,
+    the binner the ``transform_one`` scratch, and the categorizer
+    ``_xb``/``_xb_one`` code buffers."""
+    from repro.ml import GBTClassifier, PackedForest
+    from repro.ml.encoding import QuantileBinner
+
+    gbt = cat.gbt
+    forest, edges = gbt.packed_, gbt.binner_.edges_
+    n_trees, n_nodes = forest.feature.shape
+    flat = forest.feature.ravel()
+    internal = flat >= 0
+    idx = np.arange(flat.size, dtype=np.int32)
+    child = idx - idx % n_nodes + 2 * (idx % n_nodes)
+    child2 = np.empty(2 * flat.size, dtype=np.int32)
+    child2[0::2] = np.where(internal, child + 2, idx)
+    child2[1::2] = np.where(internal, child + 1, idx)
+    old_forest = {
+        "feature": forest.feature, "split_bin": forest.split_bin,
+        "value": forest.value, "max_depth": forest.max_depth,
+        "_feat0": np.where(internal, flat, 0).astype(np.int32),
+        "_cut": np.where(
+            internal, forest.split_bin.ravel(), np.iinfo(np.int16).max
+        ).astype(np.int16),
+        "_child2": child2, "_value_flat": forest.value.ravel(),
+        "_roots": np.arange(n_trees, dtype=np.int32) * np.int32(n_nodes),
+        "_bufs": {}, "_exit_tables": None,
+    }
+    pad = np.full((len(edges), max(e.size for e in edges)), np.nan)
+    for c, e in enumerate(edges):
+        pad[c, : e.size] = e
+    old_binner = {
+        **vars(gbt.binner_), "_edge_pad": pad,
+        "_n_edges": np.array([e.size for e in edges], dtype=np.intp),
+        "_ge": np.empty(pad.shape, dtype=bool),
+        "_cnt": np.empty(len(edges), dtype=np.intp),
+    }
+    old_gbt = {
+        **vars(gbt), "_raw_cache": None,
+        "binner_": _Pickled(QuantileBinner, old_binner),
+        "_packed": _Pickled(PackedForest, old_forest),
+    }
+    p, k = len(edges), len(gbt.classes_)
+    return _Pickled(type(cat), {
+        **vars(cat), "gbt": _Pickled(GBTClassifier, old_gbt),
+        "_xb": np.zeros((256, p), dtype=np.uint8),
+        "_xb_one": np.zeros(p, dtype=np.uint8),
+        "_raw": np.empty((256, k)), "_raw_one": np.empty(k),
+    })
+
+
+@pytest.fixture(scope="module")
+def category_model(trace):
+    """A small GBT over the trace's features, 4 size-quartile classes."""
+    from repro.ml import GBTClassifier
+    from repro.workloads import extract_features
+
+    y = np.searchsorted(np.quantile(trace.sizes, [0.25, 0.5, 0.75]), trace.sizes)
+    return GBTClassifier(n_rounds=4, max_depth=5, min_samples_leaf=5).fit(
+        extract_features(trace).X, y
+    )
+
+
 class TestOldCheckpoints:
     def test_stale_metric_caches_are_dropped(self, trace, builders):
         """Checkpoints written before the derived-metric table carry its
@@ -1007,6 +1083,86 @@ class TestOldCheckpoints:
         svc.close()
         ref.close()
         assert_bit_identical(want, got)
+
+    @pytest.mark.parametrize("mode", ("batch", "scalar"))
+    def test_byom_checkpoint_from_before_feature_scoring_restores(
+        self, trace, category_model, mode
+    ):
+        """A byom service checkpoint taken mid-stream, whose forest
+        carries the old eager routing tables and whose binner carries
+        the one-row binning scratch, restores to a forest that scores
+        feature values and continues with identical placements and
+        categories.  Scalar mode submits one job at a time, so the
+        one-row path scores every arrival."""
+        from dataclasses import replace
+
+        from repro.serve import OnlineAdaptivePolicy, OnlineCategorizer
+
+        def build():
+            svc = PlacementService(
+                OnlineAdaptivePolicy(4, AdaptiveParams(
+                    decision_interval=700.0, lookback_window=4000.0,
+                )),
+                CAP, 4, mode=mode,
+                categorizer=OnlineCategorizer(pickle.loads(pickle.dumps(category_model))),
+            )
+            svc.open()
+            return svc
+
+        def feed(svc, lo, hi):
+            jobs = trace.jobs
+            for b in range(lo, hi, 17):
+                if mode == "scalar":
+                    for j in jobs[b:min(b + 17, hi)]:
+                        svc.submit(j)
+                else:
+                    svc.submit_jobs(list(jobs[b:min(b + 17, hi)]))
+
+        n, mid = len(trace), 17 * 5
+        ref, svc = build(), build()
+        for s in (ref, svc):
+            feed(s, 0, mid)
+        feed(ref, mid, n)
+        snap = svc.snapshot()
+        payload = dict(snap.payload)
+        payload["categorizer"] = _as_parent_categorizer(payload["categorizer"])
+        old = pickle.loads(pickle.dumps(replace(snap, payload=payload)))
+        rec = PlacementService.restore(old)
+        gbt = rec.categorizer.gbt
+        assert gbt._packed is None
+        for stale in ("_xb", "_xb_one"):
+            assert stale not in vars(rec.categorizer)
+        assert "_edge_pad" not in vars(gbt.binner_)
+        feed(rec, mid, n)
+        forest = gbt.packed_
+        assert forest.edges is gbt.binner_.edges_
+        for stale in ("_feat0", "_cut", "_child2", "_value_flat", "_roots"):
+            assert stale not in vars(forest)
+        assert (forest._exit_tables is not None) == (mode == "scalar")
+        got, want = rec.result(), ref.result()
+        assert_bit_identical(want, got)
+        assert np.array_equal(rec.policy.categories, ref.policy.categories)
+        assert len(np.unique(ref.policy.categories)) > 1
+
+    def test_classifier_pickle_is_unchanged_by_scoring(self, trace, category_model):
+        """Scoring builds only derived state: a classifier's pickle bytes
+        are the same before and after batch and one-row scoring, through
+        the estimator, the forest and the online categorizer."""
+        from repro.serve import OnlineCategorizer
+        from repro.workloads import extract_features
+
+        gbt = pickle.loads(pickle.dumps(category_model))
+        X = extract_features(trace).X
+        k = len(gbt.classes_)
+        before = pickle.dumps(gbt)
+        gbt.predict(X)
+        gbt.packed_.decision_scores(X[:40], gbt.base_score_, gbt.learning_rate, k)
+        gbt.packed_.decision_scores_one(X[3], gbt.base_score_, gbt.learning_rate, k)
+        cat = OnlineCategorizer(gbt)
+        cat(list(trace.jobs[:17]))
+        cat([trace.jobs[17]])
+        assert gbt.packed_._exit_tables is not None
+        assert pickle.dumps(gbt) == before
 
 
 class TestScrapeEndpoint:
