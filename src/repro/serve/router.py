@@ -529,20 +529,6 @@ class FleetChunkKernel:
             lane = chunk_lanes[cand]
         t0 = float(arrivals[first])
 
-        # The ledger's pending-release window for this chunk (entries
-        # past t0 — open_chunk consumed everything at or before it —
-        # and at or before t_last), viewed before consumption: the
-        # global peak pass below interleaves these with the chunk's
-        # own events exactly as the single-process kernel does.
-        j2 = st.rel_pos + int(np.searchsorted(
-            st.rel_t[st.rel_pos:], t_last, side="right"
-        ))
-        old_t = st.rel_t[st.rel_pos:j2]
-        old_a = st.rel_a[st.rel_pos:j2]
-        old_l = st.rel_l[st.rel_pos:j2]
-        inside = release <= t_last
-        total_free_start = int(st.free.sum())
-
         owner = lane % W
         ops = {}
         parts = {}
@@ -561,7 +547,11 @@ class FleetChunkKernel:
         # Ledger roll-forward: consume the window for every lane, then
         # overwrite each replying worker's lanes with its authoritative
         # free vector (which also holds the chunk's allocations and
-        # in-chunk releases).
+        # in-chunk releases).  The window — entries past t0, since
+        # open_chunk consumed everything at or before it, and at or
+        # before t_last — stays readable as ``[start, rel_pos)`` for the
+        # global peak pass below.
+        start, total = st.rel_pos, int(st.free.sum())
         st.release_until(t_last)
         alloc_arr = np.zeros(cand.size, dtype=np.int64)
         for w, reply in replies.items():
@@ -573,32 +563,37 @@ class FleetChunkKernel:
             alloc_arr[pw] = reply["alloc"]
         # Releases maturing past the chunk, buffered in global
         # candidate order (the ledger's sums do not depend on it).
-        for k in np.flatnonzero((alloc_arr > 0) & ~inside):
-            st.buffer_release(float(release[k]), int(alloc_arr[k]),
-                              int(lane[k]))
+        out = np.flatnonzero((alloc_arr > 0) & (release > t_last))
+        st.new_t.extend(release[out].tolist())
+        st.new_a.extend(alloc_arr[out].tolist())
+        st.new_l.extend(lane[out].tolist())
         if alloc_out is not None:
             alloc_out[cand] = alloc_arr
             release_out[cand] = release
         if W > 1:
-            # Global peak: replay the fleet-wide event timeline —
-            # window releases, candidate arrivals (allocations), and
-            # in-chunk releases, releases due at or before an arrival
-            # first — and sample free at each arrival.
-            pos = np.arange(cand.size)
-            ev_t = np.concatenate([old_t, ct, release[inside]])
-            ev_k = np.concatenate(
-                [np.full(old_t.size, -1), 2 * pos, 2 * pos[inside] + 1]
-            )
-            order = np.lexsort((ev_k, ev_t))
-            ko = ev_k[order]
-            arr_pos = (ko >= 0) & ((ko & 1) == 0)
-            ev_pd = np.concatenate([old_a, -alloc_arr, alloc_arr[inside]])
-            low = int(
-                (total_free_start + np.cumsum(ev_pd[order]))[arr_pos].min()
-            )
-            peak = st.capacity - low
-            if peak > self._peak:
-                self._peak = peak
+            # Global peak: replay the fleet-wide events over the
+            # realized allocations in the single process's order —
+            # window releases and in-chunk releases due at or before an
+            # arrival first — and sample free at each arrival.
+            pend_t = st.rel_t[start:st.rel_pos].tolist()
+            pend_a = st.rel_a[start:st.rel_pos].tolist()
+            p, pend_n = 0, len(pend_t)
+            heap: list[tuple[float, int]] = []  # (time, amount)
+            low = st.capacity - self._peak
+            for t, a, rt in zip(
+                ct.tolist(), alloc_arr.tolist(), release.tolist()
+            ):
+                while p < pend_n and pend_t[p] <= t:
+                    total += pend_a[p]
+                    p += 1
+                while heap and heap[0][0] <= t:
+                    total += heapq.heappop(heap)[1]
+                total -= a
+                if total < low:
+                    low = total
+                if a > 0 and rt <= t_last:
+                    heapq.heappush(heap, (rt, a))
+            self._peak = st.capacity - low
         if t_last > self._cursor:
             self._cursor = t_last
 

@@ -4,8 +4,8 @@ A :class:`PlacementWorker` owns the kernel state for a subset of the
 fleet's lanes — the same :class:`~repro.storage.engine.ChunkKernel` /
 :class:`~repro.storage.engine.ScalarKernel` the single-process
 :class:`~repro.serve.PlacementService` drives, constructed with the
-global→local lane map.  Every admission path resolves a lane by its
-own events alone, so each choice matches the single-process run.
+global→local lane map.  A lane's admissions depend on its own events
+alone, so each one matches the single-process run.
 The worker holds no policy, no log, and no queue: those stay at the
 :class:`~repro.serve.router.FleetRouter`, which is what keeps the
 fleet's decision stream bit-identical to one process.

@@ -27,11 +27,9 @@ the same two engines:
   in the release heap.
 - ``chunked``: for policies implementing the batch protocol
   (:class:`~repro.storage.policy.BatchDecision`), the trace is driven
-  in decision-interval chunks.  Admission is resolved **per lane**: a
-  lane whose capacity trajectory never goes negative inside the chunk
-  is admitted with one vectorized pass; every lane where capacity binds
-  is replayed through one merged exact scalar loop (the legacy
-  admission arithmetic, restricted to those lanes).
+  in decision-interval chunks: one policy round-trip per chunk, and
+  one exact loop over the chunk's SSD candidates with the legacy
+  admission arithmetic.
 
 Peak-usage accounting stays global (the fleet-level metric) and is
 sampled at admission events exactly as the legacy loop samples it.
@@ -57,7 +55,7 @@ Incremental kernels
 -------------------
 Each engine's event-loop arithmetic lives in a stateful *kernel* —
 :class:`ScalarKernel` (the per-job reference loop) and
-:class:`ChunkKernel` (the vectorized decision-interval loop) — that
+:class:`ChunkKernel` (the decision-interval loop) — that
 advances one job / one chunk at a time and does not need the whole
 trace up front.  ``run_placement`` drives a kernel over a materialized
 trace; the online :class:`~repro.serve.PlacementService` drives the
@@ -107,10 +105,10 @@ class SimResult:
     the paper reports them.  ``n_shards`` records the lane count of the
     run (1 = one global SSD pool) and ``lane_capacities`` the realized
     per-lane capacity layout (uniform when ``capacity`` was a scalar);
-    ``scalar_fallback_jobs`` counts every SSD candidate on a lane where
-    capacity binds inside its chunk — the candidates the chunked engine
-    replays through the exact scalar loop (0 when fully vectorized, and
-    always 0 for the legacy engine, which has no vectorized path).
+    ``scalar_fallback_jobs`` counts every SSD candidate of a mask chunk
+    on a lane where at least one candidate spilled inside that chunk
+    (0 when capacity never binds, and always 0 for the legacy engine,
+    which has no chunks).
 
     ``ssd_fraction`` is the per-job effective SSD share (space fraction
     x time fraction) — or ``None`` in **aggregate-only** mode
@@ -804,10 +802,10 @@ class _LaneState:
     with one vectorized stable sort, replacing the legacy per-job heap
     pushes.
 
-    Lanes are independent in capacity space and every admission path
-    resolves a lane by its own events alone, so a worker covering a
-    lane subset of a fleet takes the same path — and counts the same
-    scalar-fallback jobs — as the single-process run it is a slice of.
+    Lanes are independent in capacity space and a lane's admissions
+    depend on its own events alone, so a worker covering a lane subset
+    of a fleet admits — and counts the same scalar-fallback jobs — as
+    the single-process run it is a slice of.
     """
 
     __slots__ = (
@@ -921,10 +919,10 @@ class ChunkKernel:
     Like :class:`ScalarKernel`, the ledger is integer bytes, and a
     chunk kernel may cover a **lane subset** of a larger fleet
     (``lanes`` / ``lane_index`` give the global↔local mapping; lane
-    arguments and the chunk's lane column are local); it then makes
-    the same admission-path choices as the single-process run (see
-    :class:`_LaneState`), and ``track_peak=False`` leaves the global
-    peak metric to the fleet router.
+    arguments and the chunk's lane column are local); it then admits
+    exactly as the single-process run does (see :class:`_LaneState`),
+    and ``track_peak=False`` leaves the global peak metric to the fleet
+    router.
     """
 
     __slots__ = (
@@ -1247,212 +1245,95 @@ def _run_mask_chunk(
 ) -> int:
     """Process one mask-mode chunk; returns the number of spilled jobs.
 
-    Builds the merged (release, arrival) event timeline assuming every
-    candidate fits, then resolves admission **per lane**: a lane whose
-    capacity trajectory never goes negative is accepted with one
-    vectorized pass; every lane where capacity binds is replayed through
-    :func:`_admit_lanes_scalar`'s one merged exact loop, and each of its
-    candidates counts toward ``n_scalar``.  Peak usage is then sampled
-    globally over the realized allocations.
+    One exact loop over the candidates in arrival order with the legacy
+    admission arithmetic, ``alloc = min(size, free[L])``.  Before each
+    arrival it applies the chunk's window of pending releases and a
+    lane-tagged heap of the chunk's own releases due at or before it (a
+    zero-hold job's release comes after its own arrival).  A running
+    total of free bytes samples the global peak at every admission, as
+    the legacy loop samples it.  Every candidate on a lane where at
+    least one candidate spilled counts toward ``n_scalar``.
     """
     idx = first + cand
     ct = arrivals[idx]
     cs = ledger_bytes(sizes[idx])
-    cdur = durations[idx]
     ttl_vals = None if ttl is None else np.asarray(ttl, dtype=float)[cand]
-    release, time_frac = _ttl_release_fracs(ct, cdur, ttl_vals)
-    if chunk_lanes is None:
-        lane = np.zeros(cand.size, dtype=np.intp)
-    else:
-        lane = chunk_lanes[cand]
+    release, time_frac = _ttl_release_fracs(ct, durations[idx], ttl_vals)
+    n = cand.size
+    lanes = [0] * n if chunk_lanes is None else chunk_lanes[cand].tolist()
+    sizes_b = cs.tolist()
 
     # Pending releases maturing inside this chunk.
     j2 = st.rel_pos + int(
         np.searchsorted(st.rel_t[st.rel_pos :], t_last, side="right")
     )
-    old_t = st.rel_t[st.rel_pos : j2]
-    old_a = st.rel_a[st.rel_pos : j2]
-    old_l = st.rel_l[st.rel_pos : j2]
-    inside = release <= t_last
-
-    # Event timeline.  At equal timestamps, releases apply before the
-    # arrival: releases from earlier chunks first (-1), then each
-    # arrival (2k) ahead of the release it creates (2k+1), where k is
-    # the candidate-order position (monotone in job index).
-    pos = np.arange(cand.size)
-    ev_t = np.concatenate([old_t, ct, release[inside]])
-    ev_d = np.concatenate([old_a, -cs, cs[inside]])
-    ev_k = np.concatenate(
-        [np.full(old_t.size, -1), 2 * pos, 2 * pos[inside] + 1]
-    )
-    order = np.lexsort((ev_k, ev_t))
-    total_free_start = int(st.free.sum())
-
-    if st.n_lanes == 1:
-        traj = st.free[0] + np.cumsum(ev_d[order])
-        if traj.size and traj.min() >= 0:
-            # Capacity never binds: every candidate fits in full.
-            if st.track_peak:
-                ko = ev_k[order]
-                arr_pos = (ko >= 0) & ((ko & 1) == 0)
-                low = int(
-                    traj[arr_pos].min() if arr_pos.any() else st.free[0]
-                )
-                st.peak_used = max(st.peak_used, st.capacity - low)
-            st.free[0] = traj[-1]
-            st.rel_pos = j2
-            outside = ~inside
-            st.new_t.extend(release[outside].tolist())
-            st.new_a.extend(cs[outside].tolist())
-            st.new_l.extend([0] * int(outside.sum()))
-            space[cand] = 1.0
-            ssd_fraction[idx] = time_frac
-            if alloc_out is not None:
-                alloc_out[cand] = cs
-                release_out[cand] = release
-            return 0
-        clean = np.zeros(1, dtype=bool)
-        binding_lanes = [0]
-    else:
-        ev_l = np.concatenate([old_l, lane, lane[inside]])
-        # Lane-major event order, derived from the (t, k) sort with one
-        # stable integer argsort (equivalent to lexsort((k, t, lane))).
-        lo = ev_l[order]
-        sub = np.argsort(lo, kind="stable")
-        order_l = order[sub]
-        lo = lo[sub]
-        bounds = np.flatnonzero(np.r_[True, lo[1:] != lo[:-1]])
-        ends = np.r_[bounds[1:], lo.size]
-        clean = np.zeros(st.n_lanes, dtype=bool)
-        binding_lanes = []
-        for a, b in zip(bounds, ends):
-            seg = order_l[a:b]
-            L = int(lo[a])
-            traj_L = st.free[L] + np.cumsum(ev_d[seg])
-            if traj_L.min() >= 0:
-                clean[L] = True
-                st.free[L] = traj_L[-1]
-            else:
-                binding_lanes.append(L)
-
-    alloc_arr = np.zeros(cand.size, dtype=np.int64)
-    n_spilled = 0
-
-    # Clean lanes: one fused vectorized accept across every clean lane
-    # (lanes are independent in capacity space, so binding elsewhere
-    # cannot disturb them).
-    lp = np.flatnonzero(clean[lane])
-    if lp.size:
-        space[cand[lp]] = 1.0
-        ssd_fraction[idx[lp]] = time_frac[lp]
-        alloc_arr[lp] = cs[lp]
-        out = lp[release[lp] > t_last]
-        st.new_t.extend(release[out].tolist())
-        st.new_a.extend(cs[out].tolist())
-        st.new_l.extend(lane[out].tolist())
-
-    if binding_lanes:
-        n_spilled += _admit_lanes_scalar(
-            st, binding_lanes, lane, old_t, old_a, old_l, t_last,
-            ct, cs, release, time_frac, cand, idx,
-            space, spill_col, ssd_fraction, alloc_arr,
-        )
-
+    pend_t = st.rel_t[st.rel_pos : j2].tolist()
+    pend_a = st.rel_a[st.rel_pos : j2].tolist()
+    pend_l = st.rel_l[st.rel_pos : j2].tolist()
     st.rel_pos = j2
-    if alloc_out is not None:
-        alloc_out[cand] = alloc_arr
-        release_out[cand] = release
-
-    # Global peak over the realized allocations, sampled at admissions
-    # exactly as the legacy loop samples it.
-    if st.track_peak:
-        ko = ev_k[order]
-        arr_pos = (ko >= 0) & ((ko & 1) == 0)
-        if arr_pos.any():
-            ev_pd = np.concatenate([old_a, -alloc_arr, alloc_arr[inside]])
-            low = int(
-                (total_free_start + np.cumsum(ev_pd[order]))[arr_pos].min()
-            )
-            st.peak_used = max(st.peak_used, st.capacity - low)
-    return n_spilled
-
-
-def _admit_lanes_scalar(
-    st: _LaneState,
-    lanes: list[int],
-    lane: np.ndarray,
-    old_t: np.ndarray,
-    old_a: np.ndarray,
-    old_l: np.ndarray,
-    t_last: float,
-    ct: np.ndarray,
-    cs: np.ndarray,
-    release: np.ndarray,
-    time_frac: np.ndarray,
-    cand: np.ndarray,
-    idx: np.ndarray,
-    space: np.ndarray,
-    spill_col: np.ndarray,
-    ssd_fraction: np.ndarray,
-    alloc_arr: np.ndarray,
-) -> int:
-    """Merged exact scalar replay for the chunk's binding lanes.
-
-    One pass in arrival order over the selected lanes' candidates with
-    a lane-tagged release heap — the same admission arithmetic as the
-    legacy loop, restricted to the lanes where capacity binds.  Lanes
-    not in ``lanes`` are untouched (their events were consumed by the
-    vectorized paths).
-    """
-    member = np.zeros(st.n_lanes, dtype=bool)
-    member[lanes] = True
-    sel = np.flatnonzero(member[lane])  # candidate positions, time order
-    if st.n_lanes == 1:
-        pend_t, pend_a, pend_l = old_t, old_a, old_l
-    else:
-        om = member[old_l]
-        pend_t, pend_a, pend_l = old_t[om], old_a[om], old_l[om]
-    pend_i = 0
-    pend_n = pend_t.size
+    pend_n = len(pend_t)
+    p = 0
     heap: list[tuple[float, int, int]] = []  # (time, lane, amount)
-    free = st.free
-    n_spilled = 0
-    for q in sel:
-        t = float(ct[q])
-        while pend_i < pend_n and pend_t[pend_i] <= t:
-            free[pend_l[pend_i]] += pend_a[pend_i]
-            pend_i += 1
+    free = st.free.tolist()
+    total = sum(free)
+    # Lowest free total seen at an admission, i.e. the peak's complement.
+    low = st.capacity - st.peak_used
+    allocs = [0] * n
+    spilled: list[int] = []
+    new_t, new_a, new_l = st.new_t, st.new_a, st.new_l
+    for q, (t, size, L, rt) in enumerate(
+        zip(ct.tolist(), sizes_b, lanes, release.tolist())
+    ):
+        while p < pend_n and pend_t[p] <= t:
+            a = pend_a[p]
+            free[pend_l[p]] += a
+            total += a
+            p += 1
         while heap and heap[0][0] <= t:
-            _, hl, amt = heapq.heappop(heap)
-            free[hl] += amt
-        L = int(lane[q])
-        size = int(cs[q])
-        f = int(free[L])
+            _, hl, a = heapq.heappop(heap)
+            free[hl] += a
+            total += a
+        f = free[L]
         alloc = size if size <= f else f
         free[L] = f - alloc
+        total -= alloc
+        if total < low:
+            low = total
         if alloc < size:
-            n_spilled += 1
-            spill_col[cand[q]] = t
+            spilled.append(q)
         if alloc > 0:
-            rt = float(release[q])
             if rt <= t_last:
                 heapq.heappush(heap, (rt, L, alloc))
             else:
-                st.buffer_release(rt, alloc, L)
-        sf = alloc / size if size > 0 else 1.0
-        space[cand[q]] = sf
-        ssd_fraction[idx[q]] = sf * float(time_frac[q])
-        alloc_arr[q] = alloc
+                new_t.append(rt)
+                new_a.append(alloc)
+                new_l.append(L)
+        allocs[q] = alloc
     # Chunk epilogue: apply the remaining in-chunk releases now (the
     # next chunk starts at t >= t_last, so this is indistinguishable
     # from draining them at its first arrival).
-    while pend_i < pend_n:
-        free[pend_l[pend_i]] += pend_a[pend_i]
-        pend_i += 1
-    for _, hl, amt in heap:
-        free[hl] += amt
-    st.n_scalar += sel.size
-    return n_spilled
+    for k in range(p, pend_n):
+        free[pend_l[k]] += pend_a[k]
+    for _, hl, a in heap:
+        free[hl] += a
+    st.free[:] = free
+    if st.track_peak:
+        st.peak_used = st.capacity - low
+
+    frac = np.ones(n)
+    if spilled:
+        for q in spilled:
+            size = sizes_b[q]
+            frac[q] = allocs[q] / size if size > 0 else 1.0
+        spill_col[cand[spilled]] = ct[spilled]
+        bound = {lanes[q] for q in spilled}
+        st.n_scalar += sum(1 for L in lanes if L in bound)
+    space[cand] = frac
+    ssd_fraction[idx] = frac * time_frac
+    if alloc_out is not None:
+        alloc_out[cand] = allocs
+        release_out[cand] = release
+    return len(spilled)
 
 
 def _run_fit_check_chunk(

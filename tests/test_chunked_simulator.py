@@ -4,16 +4,19 @@ Every batched policy is driven through both engines on randomized
 traces across capacity regimes (abundant, binding, zero) and the full
 :class:`SimResult` surface is compared to float tolerance — including
 per-job SSD fractions and, for the adaptive policy, the exact ACT
-trajectory.
+trajectory.  Random mask chunks also drive :class:`ChunkKernel`
+directly against a :class:`ScalarKernel` per-job loop.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import CategoryAdmissionPolicy, FirstFitPolicy, LifetimePolicy
 from repro.config import AdaptiveParams
 from repro.core import AdaptiveCategoryPolicy
 from repro.storage import BatchDecision, FixedPolicy, simulate
+from repro.storage.engine import ChunkKernel, ScalarKernel
 from repro.units import GIB
 from repro.workloads import Trace
 
@@ -195,3 +198,103 @@ class TestChunkProtocolEdges:
             trace, Greedy(np.ones(20, dtype=bool)), 1e18, engine="chunked"
         )
         assert res.n_ssd_requested == 20
+
+
+@st.composite
+def mask_runs(draw):
+    n = draw(st.integers(1, 40))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    n_lanes = draw(st.integers(1, 4))
+    chunks = []
+    while sum(chunks) < n:
+        chunks.append(draw(st.integers(1, 9)))
+    chunks[-1] -= sum(chunks) - n
+    return {
+        # A coarse integer grid: ties everywhere, and ``(t + held) - t``
+        # equals ``held``, so TTL-bounded fractions compare exactly.
+        "arrivals": np.cumsum(column(st.sampled_from((0, 0, 10, 20)))).astype(float),
+        "durations": np.array(column(st.sampled_from((0.0, 5.0, 10.0, 30.0, 100.0)))),
+        "sizes": np.array(column(st.sampled_from((0.0, 1.0, 2.5, 4.0, 7.3, 12.0)))),
+        "lanes": np.array(column(st.integers(0, n_lanes - 1)), dtype=np.intp),
+        "want": np.array(column(st.booleans())),
+        "ttl": (
+            np.array(column(st.sampled_from((np.nan, 0.0, 3.0, 1000.0))))
+            if draw(st.booleans()) else None
+        ),
+        "caps": np.array(
+            draw(st.lists(
+                st.sampled_from((0.0, 3.0, 8.5, 20.0, 1e18)),
+                min_size=n_lanes, max_size=n_lanes,
+            ))
+        ),
+        "global_lanes": (
+            np.array(sorted(draw(st.sets(
+                st.integers(0, 7), min_size=n_lanes, max_size=n_lanes
+            ))), dtype=np.intp)
+            if draw(st.booleans()) else None
+        ),
+        "chunks": chunks,
+    }
+
+
+class TestMaskChunkKernel:
+    """Every mask chunk equals the per-job scalar loop, job by job."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(run=mask_runs())
+    def test_mask_chunks_match_scalar_loop(self, run):
+        t, dur, size = run["arrivals"], run["durations"], run["sizes"]
+        lanes, want, ttl = run["lanes"], run["want"], run["ttl"]
+        n = t.size
+        kern = ChunkKernel(run["caps"], lanes=run["global_lanes"])
+        ref = ScalarKernel(run["caps"], lanes=run["global_lanes"])
+        frac = np.zeros(n)
+        fallback = 0
+        first = 0
+        for count in run["chunks"]:
+            stop = first + count
+            kern.open_chunk(float(t[first]), int(lanes[first]))
+            alloc_out = np.zeros(count, dtype=np.int64)
+            release_out = np.full(count, np.nan)
+            bd = BatchDecision(
+                count, want[first:stop],
+                None if ttl is None else ttl[first:stop],
+            )
+            out = kern.run_chunk(
+                bd, first, stop, t, dur, size, lanes, frac,
+                alloc_out, release_out,
+            )
+            spilled_lanes = set()
+            for k in range(count):
+                i = first + k
+                ref.release_until(t[i])
+                job_ttl = None if ttl is None or np.isnan(ttl[i]) else ttl[i]
+                space, f, spill, alloc, rel = ref.admit(
+                    i, t[i], size[i], dur[i], int(lanes[i]), bool(want[i]),
+                    job_ttl,
+                )
+                assert out.ssd_space_fraction[k] == space, i
+                assert frac[i] == f, i
+                if spill is None:
+                    assert np.isnan(out.spill_time[k]), i
+                else:
+                    assert out.spill_time[k] == spill, i
+                    spilled_lanes.add(int(lanes[i]))
+                if want[i]:
+                    assert alloc_out[k] == alloc, i
+                    assert release_out[k] == rel, i
+            on_spilled = np.isin(lanes[first:stop], list(spilled_lanes))
+            fallback += int(np.count_nonzero(want[first:stop] & on_spilled))
+            # A chunk without candidates leaves its release window to the
+            # next open_chunk; catch both kernels up to the chunk end.
+            kern.open_chunk(float(t[stop - 1]), 0)
+            ref.release_until(t[stop - 1])
+            assert np.array_equal(kern.free, ref.free)
+            assert kern.peak_used == ref.peak_used
+            assert kern.n_spilled == ref.n_spilled
+            assert kern.n_ssd_requested == ref.n_ssd_requested
+            assert kern.scalar_fallback_jobs == fallback
+            first = stop
