@@ -11,12 +11,15 @@ kernel seam (:meth:`PlacementService._make_kernel`), which is what
 keeps the fleet's decision stream bit-identical to one process:
 
 - **Batch mode** — :class:`FleetChunkKernel` scatters each micro-batch
-  chunk to the owning workers as SoA column blocks and gathers their
+  chunk to the owning workers as SoA column blocks (the mask
+  candidates, or every job of a fit-check chunk) and folds their
   outcome columns back into one
-  :class:`~repro.storage.policy.BatchOutcomes`.  A full-lane *ledger*
-  kernel tracks global free state (needed for the policy's chunk
-  context and the global peak sample), overwritten lane-by-lane with
-  each worker's authoritative values at gather.
+  :class:`~repro.storage.policy.BatchOutcomes`.  Both chunk kinds share
+  the fold: admission verdicts stay on the workers, and a full-lane
+  *ledger* kernel, overwritten lane-by-lane with each worker's
+  authoritative free vector, only follows the global free state the
+  policy's chunk context reads and the one exact loop over the realized
+  allocations samples for the global peak.
 - **Scalar mode** — :class:`FleetScalarKernel` forwards each admit to
   the owning worker and mirrors the result into a full-lane
   :class:`~repro.storage.engine.ScalarKernel` replica.
@@ -43,7 +46,6 @@ from ..storage.engine import (
     ScalarKernel,
     SimResult,
     _ttl_release_fracs,
-    ledger_bytes,
 )
 from ..storage.policy import BatchOutcomes
 from .metrics import merge_states
@@ -383,39 +385,31 @@ class _WorkerPool:
         self.__dict__.update(state)
 
 
-class FleetChunkKernel:
-    """Scatter-gather facade over per-worker :class:`ChunkKernel` s.
+class _FleetKernel:
+    """What both kernel facades share: the counter cache, the global
+    peak and the release cursor out-of-band ops catch workers up to.
 
-    Presents the exact ``ChunkKernel`` surface the service drives
-    (``open_chunk`` / ``run_chunk`` / ``cancel`` / ``resize_lane`` plus
-    the counter properties) while the admission arithmetic runs on the
-    workers.  The *ledger* — a full-lane ``ChunkKernel`` that never
-    runs a chunk itself — tracks the global release schedule and free
-    vector: the policy's chunk context and the global peak sample need
-    every lane, which no single worker holds.  Workers that sat out a
-    chunk catch up on their own at their next op's ``t0`` / ``catch``:
-    integer sums do not depend on how releases are grouped.
+    ``local`` is the full-lane kernel a facade keeps beside the
+    workers — the batch ledger or the scalar mirror — whose lane
+    capacities and free vector the service reads.
     """
 
-    def __init__(self, lane_caps, pool: _WorkerPool):
+    def __init__(self, pool: _WorkerPool):
         self.pool = pool
-        self.ledger = ChunkKernel(lane_caps, track_peak=False)
         self._peak = 0
         self._cursor = -np.inf
 
-    # -- passthrough state ----------------------------------------------
-
     @property
     def capacity(self):
-        return self.ledger.capacity
+        return self.local.capacity
 
     @property
     def lane_capacity(self):
-        return self.ledger.lane_capacity
+        return self.local.lane_capacity
 
     @property
     def free(self):
-        return self.ledger.free
+        return self.local.free
 
     @property
     def peak_used(self) -> float:
@@ -454,14 +448,45 @@ class FleetChunkKernel:
             "peak_used": int(self.peak_used),
         }
 
-    @property
-    def st(self):
-        return self.ledger.st
-
     def _catch(self):
         # JSON WALs cannot carry -inf portably; None means "no chunk
         # has run yet, nothing to catch up".
         return None if self._cursor == -np.inf else float(self._cursor)
+
+    def resize_lane(self, lane: int, new_capacity: float):
+        W = self.pool.n_workers
+        self.pool.request(int(lane) % W, {
+            "op": "resize", "catch": self._catch(),
+            "lane": int(lane) // W, "cap": float(new_capacity),
+        })
+        return self.local.resize_lane(lane, new_capacity)
+
+
+class FleetChunkKernel(_FleetKernel):
+    """Scatter-gather facade over per-worker :class:`ChunkKernel` s.
+
+    Presents the exact ``ChunkKernel`` surface the service drives
+    (``open_chunk`` / ``run_chunk`` / ``cancel`` / ``resize_lane`` plus
+    the counter properties) while the admission arithmetic runs on the
+    workers.  Both chunk kinds take one path: scatter the rows to their
+    lanes' owners (the mask candidates, or every job of a fit-check
+    chunk, whose verdicts stay on the workers), then fold the replies.
+    The *ledger* — a full-lane ``ChunkKernel`` that never runs a chunk
+    itself — only follows: each worker's authoritative free vector
+    overwrites its lanes, and the global release schedule and free
+    total feed the policy's chunk context and the global peak, which
+    no single worker holds.  Workers that sat out a chunk catch up on
+    their own at their next op's ``t0`` / ``catch``: integer sums do
+    not depend on how releases are grouped.
+    """
+
+    def __init__(self, lane_caps, pool: _WorkerPool):
+        super().__init__(pool)
+        self.ledger = ChunkKernel(lane_caps, track_peak=False)
+
+    @property
+    def local(self):
+        return self.ledger
 
     # -- chunk lifecycle ------------------------------------------------
 
@@ -482,20 +507,17 @@ class FleetChunkKernel:
         space = np.zeros(count)
         spill_col = np.full(count, np.nan)
         if bd.fit_check:
-            requested = self._run_fit(
-                bd, first, stop, t_last, arrivals, durations, sizes,
-                chunk_lanes, space, spill_col, ssd_fraction,
-                alloc_out, release_out,
-            )
+            requested = np.zeros(count, dtype=bool)
+            cand = np.arange(count)
         else:
             requested = np.asarray(bd.want_ssd, dtype=bool)[:count].copy()
             cand = np.flatnonzero(requested)
-            if cand.size:
-                self._run_mask(
-                    bd, first, cand, t_last, arrivals, durations, sizes,
-                    chunk_lanes, space, spill_col, ssd_fraction,
-                    alloc_out, release_out,
-                )
+        if cand.size:
+            self._scatter_fold(
+                bd, first, cand, t_last, arrivals, durations, sizes,
+                chunk_lanes, requested, space, spill_col, ssd_fraction,
+                alloc_out, release_out,
+            )
         outcomes = BatchOutcomes(
             first=first,
             times=chunk_t,
@@ -507,13 +529,15 @@ class FleetChunkKernel:
         self.ledger.st.merge_new()
         return outcomes
 
-    def _run_mask(
+    def _scatter_fold(
         self, bd, first, cand, t_last, arrivals, durations, sizes,
-        chunk_lanes, space, spill_col, ssd_fraction, alloc_out, release_out,
+        chunk_lanes, requested, space, spill_col, ssd_fraction,
+        alloc_out, release_out,
     ):
         pool = self.pool
         W = pool.n_workers
         st = self.ledger.st
+        fit = bd.fit_check
         idx = first + cand
         ct = arrivals[idx]
         cs = sizes[idx]
@@ -537,7 +561,8 @@ class FleetChunkKernel:
             if pw.size:
                 parts[w] = pw
                 ops[w] = {
-                    "op": "chunk", "t0": t0, "t_last": t_last,
+                    "op": "fit" if fit else "chunk",
+                    "t0": t0, "t_last": t_last,
                     "t": ct[pw], "dur": cdur[pw], "size": cs[pw],
                     "lane": lane[pw] // W,
                     "ttl": None if ttl_vals is None else ttl_vals[pw],
@@ -557,6 +582,8 @@ class FleetChunkKernel:
         for w, reply in replies.items():
             st.free[pool.lanes_by_worker[w]] = reply["free"]
             pw = parts[w]
+            if fit:
+                requested[cand[pw]] = reply["requested"]
             space[cand[pw]] = reply["space"]
             spill_col[cand[pw]] = reply["spill"]
             ssd_fraction[idx[pw]] = reply["frac"]
@@ -568,13 +595,18 @@ class FleetChunkKernel:
         st.new_a.extend(alloc_arr[out].tolist())
         st.new_l.extend(lane[out].tolist())
         if alloc_out is not None:
+            # A fit-check job the workers turned away keeps no release
+            # time, as in the engine's fit loop.
             alloc_out[cand] = alloc_arr
-            release_out[cand] = release
+            held = requested[cand]
+            release_out[cand[held]] = release[held]
         if W > 1:
             # Global peak: replay the fleet-wide events over the
             # realized allocations in the single process's order —
             # window releases and in-chunk releases due at or before an
-            # arrival first — and sample free at each arrival.
+            # arrival first — and sample free at each row.  A row that
+            # allocates nothing cannot raise the peak: between
+            # admissions, used bytes only fall.
             pend_t = st.rel_t[start:st.rel_pos].tolist()
             pend_a = st.rel_a[start:st.rel_pos].tolist()
             p, pend_n = 0, len(pend_t)
@@ -597,89 +629,6 @@ class FleetChunkKernel:
         if t_last > self._cursor:
             self._cursor = t_last
 
-    def _run_fit(
-        self, bd, first, stop, t_last, arrivals, durations, sizes,
-        chunk_lanes, space, spill_col, ssd_fraction, alloc_out, release_out,
-    ):
-        pool = self.pool
-        W = pool.n_workers
-        st = self.ledger.st
-        count = stop - first
-        t0 = float(arrivals[first])
-        chunk_t = arrivals[first:stop]
-        chunk_dur = durations[first:stop]
-        chunk_size = sizes[first:stop]
-        size_bytes = ledger_bytes(chunk_size)
-        ttl_vals = (
-            None if bd.ssd_ttl is None
-            else np.asarray(bd.ssd_ttl, dtype=float)
-        )
-        release, time_frac = _ttl_release_fracs(chunk_t, chunk_dur, ttl_vals)
-        if chunk_lanes is None:
-            lane = np.zeros(count, dtype=np.intp)
-        else:
-            lane = chunk_lanes
-
-        # Fit verdicts depend only on the job's own lane, so each
-        # worker runs the per-job loop over its share and the verdict
-        # columns come back exact.
-        owner = lane % W
-        ops = {}
-        parts = {}
-        for w in range(W):
-            pw = np.flatnonzero(owner == w)
-            if pw.size:
-                parts[w] = pw
-                ops[w] = {
-                    "op": "fit", "t0": t0, "t_last": t_last,
-                    "t": chunk_t[pw], "dur": chunk_dur[pw],
-                    "size": chunk_size[pw], "lane": lane[pw] // W,
-                    "ttl": None if ttl_vals is None else ttl_vals[pw],
-                }
-        replies = pool.scatter(ops)
-        requested = np.zeros(count, dtype=bool)
-        for w, pw in parts.items():
-            requested[pw] = replies[w]["requested"]
-
-        # Replay the single-process per-job loop on the ledger with the
-        # workers' verdicts substituted for the fit test — same release
-        # pops, same subtractions, same in-chunk local heap — for the
-        # global free vector, release schedule, and peak samples.
-        track = W > 1
-        local_heap: list = []
-        for k in range(count):
-            gi = first + k
-            t = float(arrivals[gi])
-            st.release_until(t)
-            while local_heap and local_heap[0][0] <= t:
-                _, hl, amt = heapq.heappop(local_heap)
-                st.free[hl] += amt
-            if not requested[k]:
-                continue
-            L = int(lane[k])
-            size = int(size_bytes[k])
-            st.free[L] -= size
-            if track:
-                used = st.capacity - int(st.free.sum())
-                if used > self._peak:
-                    self._peak = used
-            if size > 0:
-                rt = float(release[k])
-                if rt <= t_last:
-                    heapq.heappush(local_heap, (rt, L, size))
-                else:
-                    st.buffer_release(rt, size, L)
-            space[k] = 1.0
-            ssd_fraction[gi] = float(time_frac[k])
-            if alloc_out is not None:
-                alloc_out[k] = size
-                release_out[k] = float(release[k])
-        for _, hl, amt in local_heap:
-            st.free[hl] += amt
-        if t_last > self._cursor:
-            self._cursor = t_last
-        return requested
-
     # -- out-of-band mutations ------------------------------------------
 
     def cancel(self, lane: int, alloc: int, release_time: float) -> None:
@@ -691,16 +640,8 @@ class FleetChunkKernel:
         })
         self.ledger.cancel(lane, alloc, release_time)
 
-    def resize_lane(self, lane: int, new_capacity: float):
-        W = self.pool.n_workers
-        self.pool.request(int(lane) % W, {
-            "op": "resize", "catch": self._catch(),
-            "lane": int(lane) // W, "cap": float(new_capacity),
-        })
-        return self.ledger.resize_lane(lane, new_capacity)
 
-
-class FleetScalarKernel:
+class FleetScalarKernel(_FleetKernel):
     """Scatter facade over per-worker :class:`ScalarKernel` s.
 
     Each admit goes to the lane's owner; the returned free value and
@@ -712,58 +653,12 @@ class FleetScalarKernel:
     """
 
     def __init__(self, lane_caps, pool: _WorkerPool):
-        self.pool = pool
+        super().__init__(pool)
         self.mirror = ScalarKernel(lane_caps, track_peak=False)
-        self._peak = 0
-        self._cursor = -np.inf
 
     @property
-    def capacity(self):
-        return self.mirror.capacity
-
-    @property
-    def lane_capacity(self):
-        return self.mirror.lane_capacity
-
-    @property
-    def free(self):
-        return self.mirror.free
-
-    @property
-    def peak_used(self) -> float:
-        if self.pool.n_workers == 1:
-            return self.pool.counters[0]["peak"]
-        return self._peak
-
-    @property
-    def n_ssd_requested(self) -> int:
-        return self.pool.total("n_ssd_requested")
-
-    @property
-    def n_spilled(self) -> int:
-        return self.pool.total("n_spilled")
-
-    @property
-    def n_evicted(self) -> int:
-        return self.pool.total("n_evicted")
-
-    @property
-    def evicted_bytes(self) -> int:
-        return self.pool.total("evicted_bytes")
-
-    def counters(self) -> dict:
-        """Fleet-wide admission counters (cache sums; no round-trips)."""
-        return {
-            "n_ssd_requested": int(self.n_ssd_requested),
-            "n_spilled": int(self.n_spilled),
-            "n_evicted": int(self.n_evicted),
-            "evicted_bytes": int(self.evicted_bytes),
-            "scalar_fallback_jobs": int(self.pool.total("n_scalar")),
-            "peak_used": int(self.peak_used),
-        }
-
-    def _catch(self):
-        return None if self._cursor == -np.inf else float(self._cursor)
+    def local(self):
+        return self.mirror
 
     def release_until(self, t: float) -> None:
         self.mirror.release_until(t)
@@ -809,14 +704,6 @@ class FleetScalarKernel:
             "lane": int(lane) // W, "alloc": int(alloc),
         })
         self.mirror.cancel(i, lane, alloc)
-
-    def resize_lane(self, lane: int, new_capacity: float):
-        W = self.pool.n_workers
-        self.pool.request(int(lane) % W, {
-            "op": "resize", "catch": self._catch(),
-            "lane": int(lane) // W, "cap": float(new_capacity),
-        })
-        return self.mirror.resize_lane(lane, new_capacity)
 
 
 class FleetRouter(PlacementService):

@@ -195,42 +195,40 @@ class PlacementWorker:
 
     # -- batch-mode ops -------------------------------------------------
 
-    def _chunk_arrays(self, op: dict):
-        t = _arr(op["t"])
-        dur = _arr(op["dur"])
-        size = _arr(op["size"])
-        lane = _arr(op["lane"], dtype=np.intp)
-        ttl = op.get("ttl")
-        return t, dur, size, lane, None if ttl is None else _arr(ttl)
-
     def _op_chunk(self, op: dict) -> dict:
-        """One mask-mode chunk restricted to this worker's candidates.
+        """One chunk over this worker's rows: mask (``chunk``) or
+        fit-check (``fit``).
 
-        ``t0`` / ``t_last`` are the *fleet-wide* chunk boundaries: the
-        release cursor advances to ``t0`` first (exactly as the
-        single-process ``open_chunk`` would, catching up on any chunk
-        this worker sat out) and ``t_last`` decides which releases are
-        consumed in-chunk, so the worker's ledger is the single-process
-        one restricted to its lanes.
+        A ``chunk`` op carries the mask candidates, a ``fit`` op every
+        job the worker's lanes own; fit verdicts depend only on the
+        job's own lane, so they stay here and come back as
+        ``requested``.  ``t0`` / ``t_last`` are the *fleet-wide* chunk
+        boundaries: the release cursor advances to ``t0`` first (exactly
+        as the single-process ``open_chunk`` would, catching up on any
+        chunk this worker sat out) and ``t_last`` decides which releases
+        are consumed in-chunk, so the worker's ledger is the
+        single-process one restricted to its lanes.  Both kinds reply
+        with the outcome columns the router folds.
         """
         kern = self.kernel
-        t, dur, size, lane, ttl = self._chunk_arrays(op)
+        fit = op["op"] == "fit"
+        t = _arr(op["t"])
         c = t.size
         self._m_batch_jobs.observe(c)
         kern.open_chunk(float(op["t0"]), 0)
+        ttl = op.get("ttl")
         bd = BatchDecision(
-            count=c, want_ssd=np.ones(c, dtype=bool), ssd_ttl=ttl,
-            fit_check=False,
+            count=c, want_ssd=None if fit else np.ones(c, dtype=bool),
+            ssd_ttl=None if ttl is None else _arr(ttl), fit_check=fit,
         )
         frac = np.zeros(c)
         alloc = np.zeros(c, dtype=np.int64)
-        rel = np.zeros(c)
         out = kern.run_chunk(
-            bd, 0, c, t, dur, size,
-            lane if kern.st.n_lanes > 1 else None,
-            frac, alloc, rel, t_last=float(op["t_last"]),
+            bd, 0, c, t, _arr(op["dur"]), _arr(op["size"]),
+            _arr(op["lane"], dtype=np.intp) if kern.st.n_lanes > 1 else None,
+            frac, alloc, np.zeros(c), t_last=float(op["t_last"]),
         )
-        return {
+        reply = {
             "space": out.ssd_space_fraction,
             "spill": out.spill_time,
             "frac": frac,
@@ -238,32 +236,12 @@ class PlacementWorker:
             "free": kern.free.copy(),
             **self._counters(),
         }
+        if fit:
+            reply["requested"] = out.requested_ssd
+        return reply
 
-    def _op_fit(self, op: dict) -> dict:
-        """One fit-check chunk over this worker's share of the jobs.
-
-        Fit decisions depend only on the job's own lane, so each
-        worker's per-job loop is the single-process loop restricted to
-        its lanes; the router replays the returned ``requested`` mask
-        against its full-lane ledger for the global bookkeeping.
-        """
-        kern = self.kernel
-        t, dur, size, lane, ttl = self._chunk_arrays(op)
-        c = t.size
-        self._m_batch_jobs.observe(c)
-        kern.open_chunk(float(op["t0"]), 0)
-        bd = BatchDecision(count=c, want_ssd=None, ssd_ttl=ttl, fit_check=True)
-        frac = np.zeros(c)
-        out = kern.run_chunk(
-            bd, 0, c, t, dur, size,
-            lane if kern.st.n_lanes > 1 else None,
-            frac, None, None, t_last=float(op["t_last"]),
-        )
-        return {
-            "requested": out.requested_ssd,
-            "free": kern.free.copy(),
-            **self._counters(),
-        }
+    # ``fit`` keeps its op name so logged worker WALs still replay.
+    _op_fit = _op_chunk
 
     # -- scalar-mode ops ------------------------------------------------
 

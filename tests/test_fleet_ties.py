@@ -21,10 +21,12 @@ from repro.baselines import FirstFitPolicy
 from repro.config import AdaptiveParams
 from repro.core import AdaptiveCategoryPolicy, hash_categories
 from repro.serve import FleetRouter, PlacementService
+from repro.serve.router import FleetChunkKernel
 from repro.serve.transport import InProcessTransport
 from repro.storage import FixedPolicy
 from repro.units import GIB, WEEK
 from repro.workloads import Trace, default_cluster_specs, generate_cluster_trace
+from repro.workloads.metadata import stable_hash
 
 from helpers import make_job
 from test_serve_service import assert_bit_identical
@@ -148,8 +150,14 @@ class TestTieHeavyFleet:
     def test_inprocess_fleet_matches_single_process(self, run):
         _check(run)
 
-    @pytest.mark.parametrize("mode", ("batch", "scalar"))
-    def test_subprocess_fleet_matches_single_process(self, mode):
+    @pytest.mark.parametrize("mode,policy", [
+        # The adaptive cases keep their original ids.
+        pytest.param("batch", "adaptive", id="batch"),
+        pytest.param("scalar", "adaptive", id="scalar"),
+        pytest.param("batch", "firstfit", id="batch-firstfit"),
+        pytest.param("scalar", "firstfit", id="scalar-firstfit"),
+    ])
+    def test_subprocess_fleet_matches_single_process(self, mode, policy):
         rng = np.random.default_rng(5)
         n = 40
         run = {
@@ -157,14 +165,16 @@ class TestTieHeavyFleet:
                 rng.choice((0, 0, 1, 2), n), rng.choice((0, 1, 2, 3, 5, 8), n),
                 rng.uniform(0.05, 2.5, n), rng.integers(0, 6, n),
             ),
-            "cap": 3.3 * GIB, "mode": mode, "policy": "adaptive", "seed": 5,
+            "cap": 3.3 * GIB, "mode": mode, "policy": policy, "seed": 5,
             "batch": 7, "complete_every": 2, "complete_at_arrival": True,
             "shock_at": 3, "shock_scale": 0.5, "kill_at": 2,
             "checkpoint_every": 3,
         }
         base = _check(run, transport="subprocess")
-        partial = (base.ssd_fraction > 0) & (base.ssd_fraction < 1)
-        assert base.n_spilled and partial.any()
+        assert base.n_ssd_requested
+        if policy == "adaptive":  # FirstFit places no job partially
+            partial = (base.ssd_fraction > 0) & (base.ssd_fraction < 1)
+            assert base.n_spilled and partial.any()
 
 
 class TestZeroHoldThenShock:
@@ -189,6 +199,58 @@ class TestZeroHoldThenShock:
         assert base.peak_ssd_used == GIB
         assert base_counters["n_evicted"] == 0
         assert_bit_identical(base, got, mode)
+        assert counters == base_counters
+
+
+def _pipeline_on(lane: int, n_shards: int) -> str:
+    """A pipeline name the service routes to ``lane``."""
+    return next(
+        name for name in (f"pipe{k}" for k in range(64))
+        if stable_hash(name) % n_shards == lane
+    )
+
+
+class TestFitChunkPeak:
+    """One FirstFit chunk on two workers whose lanes peak at different
+    instants, with releases inside the chunk: the fleet's peak is the
+    one process's global peak — not the larger per-worker peak, not
+    their sum, and not the occupancy left at the chunk's end."""
+
+    #: (arrival, duration, GiB, lane).  Used GiB after each arrival:
+    #: 4, 7, 9 (the global peak), then 8 at t=6 once lane 0's jobs have
+    #: released, and 4 at the end.  Lane 0 alone peaks at 6 (t=2),
+    #: lane 1 alone at 8 (t=6).
+    JOBS = ((0, 5, 4, 0), (1, 10, 3, 1), (2, 1, 2, 0), (6, 1, 5, 1),
+            (8, 100, 1, 0))
+
+    def test_fleet_peak_is_the_global_peak(self):
+        pipes = [_pipeline_on(lane, 2) for lane in (0, 1)]
+        trace = Trace([
+            make_job(i, arrival=float(t), duration=float(d), size=g * GIB,
+                     pipeline=pipes[lane])
+            for i, (t, d, g, lane) in enumerate(self.JOBS)
+        ])
+
+        def drive(svc):
+            svc.open(trace)
+            svc.submit_batch(trace.arrivals, trace.durations, trace.sizes,
+                             pipelines=trace.pipelines)
+            return svc.result(), svc.kernel.counters()
+
+        base, base_counters = drive(
+            PlacementService(FirstFitPolicy(), 20 * GIB, 2, mode="batch")
+        )
+        svc = FleetRouter(
+            FirstFitPolicy(), 20 * GIB, 2, mode="batch", n_workers=2
+        )
+        try:
+            got, counters = drive(svc)
+            assert svc.stats.n_chunks == 1
+        finally:
+            svc.close()
+        assert base.n_ssd_requested == len(self.JOBS)
+        assert base.peak_ssd_used == 9 * GIB
+        assert_bit_identical(base, got, "fit chunk peak")
         assert counters == base_counters
 
 
@@ -266,7 +328,54 @@ class TestFleetReplayShape:
         assert_bit_identical(base, got, "inprocess")
         assert dict(sent) == PINNED_ROUND_TRIPS
 
+    def test_fit_round_trips_are_pinned(self, setup, monkeypatch):
+        """A FirstFit replay sends one ``fit`` op per (chunk, worker
+        holding jobs) — the verdicts come back with the outcome
+        columns, so nothing is replayed or re-sent — and no data-plane
+        op besides ``fit``, ``cancel`` and ``resize``."""
+        trace, cap, _, _ = setup
+        # Chunks of 3 jobs (every submission forces its chunk), so some
+        # chunks land on one worker only.
+        base, _ = _replay(
+            PlacementService(
+                FirstFitPolicy(), cap, 8, mode="batch", max_pending=0
+            ),
+            trace, batch=3,
+        )
+        sent = Counter()
+        holders = []
+        send = InProcessTransport.send
+        run_chunk = FleetChunkKernel.run_chunk
+
+        def counting_send(self, op):
+            sent[op["op"]] += 1
+            return send(self, op)
+
+        def spying_run_chunk(self, bd, first, stop, *args, **kwargs):
+            shards = args[3]
+            holders.append(np.unique(shards[first:stop] % 2).size)
+            return run_chunk(self, bd, first, stop, *args, **kwargs)
+
+        monkeypatch.setattr(InProcessTransport, "send", counting_send)
+        monkeypatch.setattr(FleetChunkKernel, "run_chunk", spying_run_chunk)
+        svc = FleetRouter(
+            FirstFitPolicy(), cap, 8, mode="batch", n_workers=2,
+            max_pending=0,
+        )
+        try:
+            got, _ = _replay(svc, trace, batch=3)
+        finally:
+            svc.close()
+        assert_bit_identical(base, got, "firstfit inprocess")
+        assert set(sent) <= {"fit", "cancel", "resize"}
+        assert sent["fit"] == sum(holders)
+        assert 1 in holders and 2 in holders
+        assert dict(sent) == PINNED_FIT_ROUND_TRIPS
+
 
 #: Worker round trips of one in-process ``TestFleetReplayShape`` run,
 #: by op kind.
 PINNED_ROUND_TRIPS = {"chunk": 1131, "cancel": 44}
+
+#: The same for ``test_fit_round_trips_are_pinned``'s FirstFit replay.
+PINNED_FIT_ROUND_TRIPS = {"fit": 3212, "cancel": 417}

@@ -7,9 +7,10 @@ Three pillars:
 2. Sharded chunked == sharded legacy for every batched policy, across
    capacity regimes, including the policy-visible feedback (adaptive
    trajectory and per-shard counters).
-3. Binding chunks: a lane where capacity binds inside a chunk is
-   replayed through the exact scalar loop, every one of its candidates
-   counts as a scalar fallback, and the other lanes stay vectorized.
+3. Binding chunks: every mask chunk runs one exact per-candidate
+   loop; each candidate on a lane where capacity binds (a candidate
+   spills) inside the chunk counts as a scalar fallback, and the
+   candidates of the other lanes do not.
 """
 
 import numpy as np
@@ -238,7 +239,7 @@ class TestFeedbackPathUnified:
 
 
 class TestBindingChunks:
-    """A binding lane takes the exact scalar loop; clean lanes do not."""
+    """Only a binding lane's candidates count as scalar fallbacks."""
 
     def _binding_setting(self, n=200, monster=100):
         # One chunk (static replay), capacity binds exactly once in the
@@ -260,7 +261,7 @@ class TestBindingChunks:
         ref = simulate(trace, FixedPolicy(decisions), cap, engine="legacy")
         assert_same_result(ref, res, cap, label="binding chunk")
         assert res.n_spilled == 1
-        # Every candidate of the binding lane takes the scalar loop.
+        # Every candidate of the binding lane counts as a fallback.
         assert res.scalar_fallback_jobs == res.n_ssd_requested
 
     def test_binding_lane_beside_clean_lane(self):
