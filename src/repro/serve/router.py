@@ -583,9 +583,12 @@ class FleetChunkKernel(_FleetKernel):
             st.free[pool.lanes_by_worker[w]] = reply["free"]
             pw = parts[w]
             if fit:
-                requested[cand[pw]] = reply["requested"]
-            space[cand[pw]] = reply["space"]
-            spill_col[cand[pw]] = reply["spill"]
+                # Whole footprints or nothing, never a spill: space is
+                # the verdict as 0/1 and the spill column stays NaN.
+                requested[cand[pw]] = space[cand[pw]] = reply["requested"]
+            else:
+                space[cand[pw]] = reply["space"]
+                spill_col[cand[pw]] = reply["spill"]
             ssd_fraction[idx[pw]] = reply["frac"]
             alloc_arr[pw] = reply["alloc"]
         # Releases maturing past the chunk, buffered in global

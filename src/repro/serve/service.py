@@ -70,6 +70,7 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+from collections import Counter
 from itertools import groupby
 from pathlib import Path
 from time import perf_counter
@@ -360,9 +361,6 @@ class PlacementService:
         self.wal = WriteAheadLog(wal) if isinstance(wal, (str, Path)) else wal
         self.fallback_categorizer = fallback_categorizer
         self._wal_seq = 0 if self.wal is None else self.wal.seq
-        self._wal_rec: dict | None = None  # record under construction
-        self._replaying = False  # True while recover() replays the WAL
-        self._replay_cats = None  # (cats, degraded) from the record
         self._degraded_since: float | None = None  # open outage start
         self._shards_ref = None  # routing vector for topology re-fires
         self.alerts = alerts
@@ -565,22 +563,18 @@ class PlacementService:
             raise RuntimeError("service already opened")
         self._opened = True
         policy = self.policy
-        if trace is not None:
-            shards = (
-                assign_shards(trace, self.n_shards, seed=self.shard_seed)
-                if self.n_shards > 1
-                else None
-            )
-            policy.on_simulation_start(trace, self.capacity, self.rates)
-            policy.on_shard_topology(shards, self.lane_capacities.copy())
-            self._shards_ref = shards
-        else:
+        shards = None
+        if trace is None:
             if hasattr(policy, "bind_log"):
                 policy.bind_log(self.log)
-            policy.on_simulation_start(self.log, self.capacity, self.rates)
-            shards_view = self.log.column("lanes") if self.n_shards > 1 else None
-            policy.on_shard_topology(shards_view, self.lane_capacities.copy())
-            self._shards_ref = shards_view
+            trace = self.log
+            if self.n_shards > 1:
+                shards = self.log.column("lanes")
+        elif self.n_shards > 1:
+            shards = assign_shards(trace, self.n_shards, seed=self.shard_seed)
+        policy.on_simulation_start(trace, self.capacity, self.rates)
+        policy.on_shard_topology(shards, self.lane_capacities.copy())
+        self._shards_ref = shards
         return self
 
     def _ensure_open(self) -> None:
@@ -613,27 +607,19 @@ class PlacementService:
         """
         self._ensure_open()
         t_req = perf_counter()
+        jobs = rec = None
         if job is not None:
             arrival, duration, size = job.arrival, job.duration, job.size
             read_bytes, write_bytes = job.read_bytes, job.write_bytes
             read_ops, pipeline, user = job.read_ops, job.pipeline, job.user
+            jobs = [job]
             if job_id is None:
                 job_id = job.job_id
         elif arrival is None or duration is None or size is None:
             raise TypeError("submit() needs a ShuffleJob or arrival/duration/size")
-        logged = self.wal is not None and not self._replaying
-        if logged:
+        if self.wal is not None:
             job_id = wal_job_id(job_id)
-            own_id = None if job is None else wal_job_id(job.job_id)
-        i = self.log.append_job(
-            arrival, duration, size, read_bytes, write_bytes, read_ops,
-            pipeline, user, job_id,
-        )
-        self.stats.n_submitted += 1
-        if arrival > self._clock:
-            self._clock = float(arrival)
-        if logged:
-            rec = {
+            rec = {  # one row: six scalars, no arrays
                 "op": "submit",
                 "columns": (arrival, duration, size, read_bytes, write_bytes, read_ops),
             }
@@ -641,19 +627,15 @@ class PlacementService:
                 rec["pipelines"], rec["users"] = [pipeline], [user]
                 rec["job_ids"] = None if job_id is None else [job_id]
             else:
-                rec["jobs"], rec["job_ids"] = [job], [own_id]
+                own_id = wal_job_id(job.job_id)
+                rec["jobs"], rec["job_ids"] = jobs, [own_id]
                 if job_id != own_id:
                     rec["log_id"] = job_id
-            self._wal_rec = rec
-        if self.categorizer is not None:
-            self._categorize(i, i + 1, [job] if job is not None else None)
-        self._wal_append()
-        if self.mode == "scalar":
-            out = [self._decide_scalar(i)]
-        else:
-            out = self._pump()
-        self._m_request.observe(perf_counter() - t_req)
-        return out
+        i = self.log.append_job(
+            arrival, duration, size, read_bytes, write_bytes, read_ops,
+            pipeline, user, job_id,
+        )
+        return self._submitted(i, i + 1, jobs, rec, None, self._m_request, t_req)
 
     def submit_batch(
         self,
@@ -675,37 +657,10 @@ class PlacementService:
         """
         self._ensure_open()
         t_req = perf_counter()
-        logged = self.wal is not None and not self._replaying
-        if logged and job_ids is not None:
+        if self.wal is not None and job_ids is not None:
             job_ids = wal_job_ids(job_ids)
-        arrivals = np.asarray(arrivals, dtype=float)
-        zeros = np.zeros(arrivals.size)
-        first, stop = self.log.append_block(
-            arrivals, durations, sizes,
-            zeros if read_bytes is None else read_bytes,
-            zeros if write_bytes is None else write_bytes,
-            zeros if read_ops is None else read_ops,
-            pipelines, users, job_ids,
-        )
-        self.stats.n_submitted += stop - first
-        if arrivals.size and arrivals[-1] > self._clock:
-            self._clock = float(arrivals[-1])
-        if logged:
-            log = self.log
-            self._wal_rec = {
-                "op": "batch", "columns": self._log_columns(first, stop),
-                "pipelines": log.pipelines[first:stop],
-                "users": log.users[first:stop], "job_ids": job_ids,
-            }
-        if self.categorizer is not None:
-            self._categorize(first, stop, None)
-        self._wal_append()
-        if self.mode == "scalar":
-            out = [self._decide_scalar(i) for i in range(first, stop)]
-        else:
-            out = self._pump()
-        self._m_batch.observe(perf_counter() - t_req)
-        return out
+        cols = (arrivals, durations, sizes, read_bytes, write_bytes, read_ops)
+        return self._submit_block(t_req, cols, pipelines, users, job_ids)
 
     def submit_jobs(self, jobs: Sequence[ShuffleJob]) -> Sequence[PlacementDecision]:
         """Submit one arrival-ordered micro-batch of rich job objects.
@@ -718,40 +673,10 @@ class PlacementService:
         self._ensure_open()
         t_req = perf_counter()
         jobs = list(jobs)
-        if not jobs:
-            return self._pump() if self.mode == "batch" else []
-        logged = self.wal is not None and not self._replaying
         job_ids = [j.job_id for j in jobs]
-        if logged:
+        if self.wal is not None:
             job_ids = wal_job_ids(job_ids)
-        first, stop = self.log.append_block(
-            np.array([j.arrival for j in jobs]),
-            np.array([j.duration for j in jobs]),
-            np.array([j.size for j in jobs]),
-            np.array([j.read_bytes for j in jobs]),
-            np.array([j.write_bytes for j in jobs]),
-            np.array([j.read_ops for j in jobs]),
-            pipelines=[j.pipeline for j in jobs],
-            users=[j.user for j in jobs],
-            job_ids=job_ids,
-        )
-        self.stats.n_submitted += stop - first
-        if jobs[-1].arrival > self._clock:
-            self._clock = float(jobs[-1].arrival)
-        if logged:
-            self._wal_rec = {
-                "op": "jobs", "columns": self._log_columns(first, stop),
-                "jobs": jobs, "job_ids": job_ids,
-            }
-        if self.categorizer is not None:
-            self._categorize(first, stop, jobs)
-        self._wal_append()
-        if self.mode == "scalar":
-            out = [self._decide_scalar(i) for i in range(first, stop)]
-        else:
-            out = self._pump()
-        self._m_batch.observe(perf_counter() - t_req)
-        return out
+        return self._submit_block(t_req, None, None, None, job_ids, jobs)
 
     def submit_block(self, block) -> Sequence[PlacementDecision]:
         """Submit one :class:`~repro.workloads.streaming.TraceBlock`."""
@@ -770,83 +695,113 @@ class PlacementService:
         and then drains matches the offline run bit for bit.
         """
         self._ensure_open()
-        if self.pending and self.wal is not None and not self._replaying:
+        if self.pending and self.wal is not None:
             self.wal.append({"op": "drain"})
             self._wal_seq += 1
         return self._pump(force=True)
 
-    def _log_columns(self, first: int, stop: int) -> tuple:
-        """The six numeric log columns of one submission, as stored."""
-        log = self.log
-        return (
-            log.arrivals[first:stop], log.durations[first:stop],
-            log.sizes[first:stop], log.read_bytes[first:stop],
-            log.write_bytes[first:stop], log.read_ops[first:stop],
-        )
+    def _submit_block(
+        self, t_req: float, cols, pipelines, users, job_ids,
+        jobs=None, replayed=None,
+    ) -> Sequence[PlacementDecision]:
+        """Append one block, build its WAL record, run the core over it.
 
-    def _wal_append(self) -> None:
-        """Flush the submission record built (and annotated) this call."""
-        rec, self._wal_rec = self._wal_rec, None
+        A missing column (``None``) is all zeros.  Rich ``jobs`` supply
+        the columns, pipelines and users, and ride a ``jobs`` record in
+        place of the last two; bare columns make a ``batch`` record.
+        """
+        log = self.log
+        if jobs is not None:
+            cols = (
+                [j.arrival for j in jobs], [j.duration for j in jobs],
+                [j.size for j in jobs], [j.read_bytes for j in jobs],
+                [j.write_bytes for j in jobs], [j.read_ops for j in jobs],
+            )
+            pipelines, users = [j.pipeline for j in jobs], [j.user for j in jobs]
+        else:
+            zeros = np.zeros(np.size(cols[0]))
+            cols = [zeros if c is None else c for c in cols]
+        first, stop = log.append_block(*cols, pipelines, users, job_ids)
+        rec = None
+        if self.wal is not None:
+            rec = {"op": "batch" if jobs is None else "jobs", "columns": (
+                log.arrivals[first:stop], log.durations[first:stop],
+                log.sizes[first:stop], log.read_bytes[first:stop],
+                log.write_bytes[first:stop], log.read_ops[first:stop],
+            )}
+            if jobs is None:
+                rec["pipelines"] = log.pipelines[first:stop]
+                rec["users"] = log.users[first:stop]
+            else:
+                rec["jobs"] = jobs
+            rec["job_ids"] = job_ids
+        return self._submitted(first, stop, jobs, rec, replayed, self._m_batch, t_req)
+
+    def _submitted(
+        self, first: int, stop: int, jobs, rec, replayed, hist, t_req: float,
+    ) -> Sequence[PlacementDecision]:
+        """The one submission path, for appended log rows ``[first, stop)``.
+
+        Count and clock, categorize (``jobs``: the rich objects, if
+        any; ``replayed``: a replayed record's ``(categories,
+        degraded)``), write the WAL record ``rec`` (``None`` without a
+        WAL and in replay), decide, and time the call into ``hist``.
+        An empty submission writes no record; in batch mode it pumps.
+        """
+        if first == stop:
+            return self._pump() if self.mode == "batch" else []
+        self.stats.n_submitted += stop - first
+        t = self.log._arrivals.data.item(stop - 1)
+        if t > self._clock:
+            self._clock = t
+        if self.categorizer is not None:
+            self._categorize(first, stop, jobs, rec, replayed)
         if rec is not None:
             self.wal.append(rec)
             self._wal_seq += 1
+        if self.mode == "scalar":
+            out = [self._decide_scalar(i) for i in range(first, stop)]
+        else:
+            out = self._pump()
+        hist.observe(perf_counter() - t_req)
+        return out
 
-    def _categorize(self, first: int, stop: int, jobs) -> None:
+    def _categorize(self, first: int, stop: int, jobs, rec, replayed) -> None:
         """Run the on-the-fly categorizer over newly appended jobs.
 
         A categorizer failure degrades instead of raising: admission
         falls back to :meth:`_fallback_categories` (stable-hash
         heuristic by default), the failure and the affected jobs are
         counted, and the open degraded interval is closed at the first
-        healthy call.  During WAL replay the record's categories are
-        authoritative — the model is still re-run on non-degraded
-        records so its rolling feature state matches the uninterrupted
-        run, but its output is discarded in favour of the recorded one.
+        healthy call.  The categories (and the degraded mark) go into
+        the WAL record ``rec``.  In replay, ``replayed`` holds the
+        record's categories, which are authoritative: the model (the
+        wrapped one, if the categorizer has an ``inner``) still runs on
+        non-degraded records so its rolling feature state matches the
+        uninterrupted run, but its output is discarded.
         """
         log = self.log
-        replayed, self._replay_cats = self._replay_cats, None
-        degraded = False
+        model = self.categorizer
+        cats, degraded = (None, False) if replayed is None else replayed
         if replayed is not None:
-            cats, degraded = replayed
-            cats = np.asarray(cats, dtype=np.int64)
-            if not degraded:
-                inner = getattr(self.categorizer, "inner", self.categorizer)
-                try:
-                    # Columnar submissions take the fused path when the
-                    # categorizer supports it; output is discarded here,
-                    # only the rolling feature state matters.
-                    block = (
-                        getattr(inner, "predict_block", None)
-                        if jobs is None
-                        else None
-                    )
-                    if block is not None:
-                        block(log, first, stop)
-                    else:
-                        if jobs is None:
-                            jobs = [log[i] for i in range(first, stop)]
-                        inner(jobs)
-                except Exception:
-                    pass
-        else:
+            model = getattr(model, "inner", model)
+        # Columnar submissions take the fused path when the model has one.
+        block = None if jobs is not None else getattr(model, "predict_block", None)
+        if block is None and jobs is None:
+            jobs = [log[i] for i in range(first, stop)]
+        if not degraded:
             try:
-                block = (
-                    getattr(self.categorizer, "predict_block", None)
-                    if jobs is None
-                    else None
-                )
-                if block is not None:
-                    cats = np.asarray(block(log, first, stop), dtype=np.int64)
-                else:
-                    if jobs is None:
-                        jobs = [log[i] for i in range(first, stop)]
-                    cats = np.asarray(self.categorizer(jobs), dtype=np.int64)
+                out = model(jobs) if block is None else block(log, first, stop)
+                if cats is None:
+                    cats = out
             except Exception:
-                degraded = True
-                if jobs is None:
-                    jobs = [log[i] for i in range(first, stop)]
-                cats = self._fallback_categories(jobs)
-        t0 = float(log.arrivals[first])
+                degraded = cats is None
+        if cats is None:
+            cats = self._fallback_categories(
+                jobs or [log[i] for i in range(first, stop)]
+            )
+        cats = np.asarray(cats, dtype=np.int64)
+        t0 = log._arrivals.data.item(first)
         if degraded:
             self.stats.categorizer_failures += 1
             self.stats.degraded_jobs += stop - first
@@ -855,15 +810,15 @@ class PlacementService:
         elif self._degraded_since is not None:
             self.stats.degraded_intervals.append((self._degraded_since, t0))
             self._degraded_since = None
-        if self._wal_rec is not None:
-            self._wal_rec["cats"] = cats
+        if rec is not None:
+            rec["cats"] = cats
             if degraded:
-                self._wal_rec["degraded"] = True
+                rec["degraded"] = True
         extend = getattr(self.policy, "extend_categories", None)
         if extend is not None:
             extend(cats)
 
-    def _fallback_categories(self, jobs) -> np.ndarray:
+    def _fallback_categories(self, jobs):
         """Heuristic admission while the model is down.
 
         Stable hash of each job's pipeline into ``[1, n_categories)`` —
@@ -872,14 +827,11 @@ class PlacementService:
         arbitrary.  A custom ``fallback_categorizer`` overrides this.
         """
         if self.fallback_categorizer is not None:
-            return np.asarray(self.fallback_categorizer(jobs), dtype=np.int64)
+            return self.fallback_categorizer(jobs)
         n_cat = getattr(self.policy, "n_categories", None)
         if n_cat is None or n_cat < 2:
-            return np.zeros(len(jobs), dtype=np.int64)
-        return np.array(
-            [1 + stable_hash(j.pipeline) % (n_cat - 1) for j in jobs],
-            dtype=np.int64,
-        )
+            return [0] * len(jobs)
+        return [1 + stable_hash(j.pipeline) % (n_cat - 1) for j in jobs]
 
     @property
     def degraded_since(self) -> float | None:
@@ -1000,7 +952,6 @@ class PlacementService:
                 )
                 sel.extend((lo + hit).tolist())
                 self._trace_scanned = hi
-            self._trace_confirmed = n
         else:
             conf = self._trace_confirmed
             if self._trace_scanned > conf:
@@ -1020,7 +971,7 @@ class PlacementService:
                     if tr.sampled(ids_all[k])
                 )
                 self._trace_scanned = n
-            self._trace_confirmed = n
+        self._trace_confirmed = n
 
     def _trace_pump(self, batches) -> None:
         """Record the spans sampled across one pump's decided chunks.
@@ -1039,34 +990,23 @@ class PlacementService:
         ids = self.log.job_ids
         cats = getattr(self.policy, "categories", None)
         for db in batches:
-            outcomes = db._outcomes
-            first = outcomes.first
-            stop = first + len(outcomes.times)
-            # Entries below ``first`` were decided before this
-            # instance's cursor existed (a restore from a pre-tracing
-            # snapshot rescans the whole log); skip them silently.
-            while cur < n_sel and sel[cur] < first:
-                cur += 1
-            if cur >= n_sel:
-                break
-            if sel[cur] >= stop:
-                continue
-            times = outcomes.times
-            req = outcomes.requested_ssd
-            fracs = outcomes.ssd_space_fraction
-            spills = outcomes.spill_time
-            lanes = outcomes.shards
-            rel_buf = db._rel
+            o = db._outcomes
+            first = o.first
+            stop = first + len(o.times)
             while cur < n_sel and sel[cur] < stop:
                 i = sel[cur]
                 cur += 1
+                # Entries below ``first`` were decided before this
+                # instance's cursor existed (a restore from a
+                # pre-tracing snapshot rescans the whole log).
+                if i < first:
+                    continue
                 k = i - first
                 self._trace_decision(
-                    tr, i, ids[i], float(times[k]),
-                    0 if lanes is None else int(lanes[k]),
-                    bool(req[k]), float(fracs[k]), float(spills[k]),
-                    float(rel_buf[k]),
-                    cats,
+                    tr, i, ids[i], float(o.times[k]),
+                    0 if o.shards is None else int(o.shards[k]),
+                    bool(o.requested_ssd[k]), float(o.ssd_space_fraction[k]),
+                    float(o.spill_time[k]), float(db._rel[k]), cats,
                 )
         self._trace_cursor = cur
 
@@ -1142,7 +1082,9 @@ class PlacementService:
             )
             self._frac.n = stop
             self.policy.observe_batch(outcomes)
-            self._advance_now(float(log.arrivals[stop - 1]))
+            t = log._arrivals.data.item(stop - 1)
+            if t > self._now:
+                self._now = t
             self._track_live_chunk(outcomes, alloc_buf, rel_buf)
             out.append(_DecisionBatch(outcomes, alloc_buf, rel_buf, log.job_ids))
             self._decided = stop
@@ -1196,11 +1138,6 @@ class PlacementService:
         self._live = {j: e for j, e in self._live.items() if e[3] > now}
         self._live_sweep_at = max(64, 2 * len(self._live))
 
-    def _advance_now(self, t: float) -> None:
-        """Move the service clock (never backwards)."""
-        if t > self._now:
-            self._now = t
-
     def complete(self, job_id, time: float | None = None) -> bool:
         """Signal that a job finished early, releasing its SSD space now.
 
@@ -1214,7 +1151,7 @@ class PlacementService:
         ``ServiceStats.stale_completes`` — time never runs backwards.
         """
         self._ensure_open()
-        if self.wal is not None and not self._replaying:
+        if self.wal is not None:
             job_id = wal_job_id(job_id)
             self.wal.append(
                 {"op": "complete", "job_id": job_id,
@@ -1226,26 +1163,22 @@ class PlacementService:
             if t < self._now:
                 self.stats.stale_completes += 1
                 t = self._now
-            self._advance_now(t)
+            self._now = t
         entry = self._live.pop(job_id, None)
+        # A scheduled release has already fired once the clock passed
+        # it, or an opened (still pending) chunk advanced the kernel's
+        # release cursor past it: cancelling it then would free the
+        # space a second time.
+        freed = entry is not None and entry[3] > self._now and entry[3] > self._horizon
         if entry is None:
             self.stats.duplicate_completes += 1
-            freed = False
-        else:
+        elif freed:
             index, lane, alloc, release = entry
-            if release <= self._now or release <= self._horizon:
-                # Scheduled release already fired — either the clock
-                # passed it, or an opened (still pending) chunk advanced
-                # the kernel's release cursor past it.  Cancelling now
-                # would free the space a second time.
-                freed = False
+            if self.mode == "scalar":
+                self.kernel.cancel(index, lane, alloc)
             else:
-                if self.mode == "scalar":
-                    self.kernel.cancel(index, lane, alloc)
-                else:
-                    self.kernel.cancel(lane, alloc, release)
-                self.stats.n_completions += 1
-                freed = True
+                self.kernel.cancel(lane, alloc, release)
+            self.stats.n_completions += 1
         if self.tracer is not None:
             # The caller's timestamp (a deterministic input) when given;
             # the service clock otherwise.
@@ -1287,42 +1220,33 @@ class PlacementService:
         """
         self._ensure_open()
         new_caps = self._resolve_shock(capacity, lane, scale)
-        if self.wal is not None and not self._replaying:
+        if self.wal is not None:
             self.wal.append({"op": "shock", "caps": new_caps.tolist()})
             self._wal_seq += 1
         flushed = self._pump(force=True) if self.mode == "batch" else []
-        kern = self.kernel
-        scalar_evicted: list[tuple[float, int, int]] = []
-        chunk_evicted: list[tuple[int, float, int]] = []
+        evicted = []  # (lane, *kernel entry), the allocation last
         for L in range(self.n_shards):
             new, old = float(new_caps[L]), float(self.lane_capacities[L])
             if new == old:
                 continue
-            entries = kern.resize_lane(L, new)
+            evicted += [(L, *e) for e in self.kernel.resize_lane(L, new)]
             # The reported layout keeps the caller's float bytes; the
             # kernel holds them floored.
             self.lane_capacities[L] = new
             self.capacity += new - old
-            if self.mode == "scalar":
-                scalar_evicted.extend(entries)
-            else:
-                chunk_evicted.extend((L, r, a) for (r, a) in entries)
-        n_evicted = len(scalar_evicted) + len(chunk_evicted)
-        evicted_bytes = sum(a for (_, _, a) in scalar_evicted) + sum(
-            a for (_, _, a) in chunk_evicted
-        )
-        if n_evicted:
-            self._purge_live(scalar_evicted, chunk_evicted)
+        evicted_bytes = sum(e[-1] for e in evicted)
+        if evicted:
+            self._purge_live(evicted)
         self.policy.on_shard_topology(
             self._shards_ref, self.lane_capacities.copy()
         )
         self.stats.n_shocks += 1
-        self.stats.n_evicted += n_evicted
+        self.stats.n_evicted += len(evicted)
         self.stats.evicted_bytes += evicted_bytes
         return ShockReport(
             time=float(self._now) if np.isfinite(self._now) else 0.0,
             lane_capacities=self.lane_capacities.copy(),
-            n_evicted=n_evicted,
+            n_evicted=len(evicted),
             evicted_bytes=evicted_bytes,
             flushed=len(flushed),
             decisions=tuple(flushed),
@@ -1366,32 +1290,27 @@ class PlacementService:
             raise ValueError("capacity must be >= 0")
         return arr.astype(float)
 
-    def _purge_live(self, scalar_evicted, chunk_evicted) -> None:
+    def _purge_live(self, evicted) -> None:
         """Retire evicted jobs from the live table.
 
-        Scalar evictions carry the job index; chunk evictions are
-        matched by ``(lane, release_time, alloc)`` — values the table
-        carries verbatim, so matches are exact.  A float ``alloc`` from
-        a checkpoint written before the integer ledger floors, as the
-        kernel's restored entry did.  Stale ``_live_sched``
-        heap entries are skipped naturally when they surface.
+        Scalar evictions ``(lane, release, index, alloc)`` carry the job
+        index; chunk evictions ``(lane, release, alloc)`` are matched by
+        those values — the table carries them verbatim, so matches are
+        exact.  A float ``alloc`` from a checkpoint written before the
+        integer ledger floors, as the kernel's restored entry did.
         """
-        if scalar_evicted:
-            gone = {i for (_, i, _) in scalar_evicted}
-            for jid in [j for j, v in self._live.items() if v[0] in gone]:
-                del self._live[jid]
-        if chunk_evicted:
-            want: dict[tuple[int, float, int], int] = {}
-            for L, r, a in chunk_evicted:
-                key = (L, r, a)
-                want[key] = want.get(key, 0) + 1
-            for jid in list(self._live):
-                _, lane_, alloc, release = self._live[jid]
-                key = (lane_, release, int(alloc))
-                c = want.get(key, 0)
-                if c:
-                    want[key] = c - 1
-                    del self._live[jid]
+        live = self._live
+        if self.mode == "scalar":
+            gone = {e[2] for e in evicted}
+            for jid in [j for j, v in live.items() if v[0] in gone]:
+                del live[jid]
+            return
+        want = Counter(evicted)
+        for jid, (_, lane, alloc, release) in list(live.items()):
+            key = (lane, release, int(alloc))
+            if want[key]:
+                want[key] -= 1
+                del live[jid]
 
     # -- checkpointing --------------------------------------------------
 
@@ -1482,9 +1401,11 @@ class PlacementService:
         state.setdefault("_trace_scanned", 0)
         state.setdefault("_trace_confirmed", 0)
         state.setdefault("_trace_cursor", 0)
-        # Same-schema checkpoints from before the derived-metric table
-        # and from before the engine / track_jobs knobs were removed.
-        for stale in ("_pinned", "_alert_sync", "engine", "track_jobs"):
+        # Same-schema checkpoints from before the derived-metric table,
+        # before the engine / track_jobs knobs were removed, and before
+        # the submission core took the replay state as arguments.
+        for stale in ("_pinned", "_alert_sync", "engine", "track_jobs",
+                      "_wal_rec", "_replay_cats", "_replaying"):
             state.pop(stale, None)
         # Wall-clock gauges restart with the restored instance; the
         # checkpointed perf_counter origin belongs to a dead process.
@@ -1513,12 +1434,12 @@ class PlacementService:
         by :meth:`checkpoint`; ``wal`` a
         :class:`~repro.serve.wal.WriteAheadLog` or its path.  The
         snapshot is restored and every intact WAL record past its
-        ``wal_seq`` anchor is replayed through the normal entry points
-        (submissions at their original micro-batch granularity, with
-        their recorded categories; completes; shocks; drains) — the
-        same deterministic kernels run the same operations in the same
-        order, so the recovered state matches the uninterrupted run
-        bit for bit.  The WAL stays attached: the service keeps
+        ``wal_seq`` anchor is replayed (submissions through the
+        submission core at their original micro-batch granularity,
+        with their recorded categories; completes; shocks; drains) —
+        the same deterministic kernels run the same operations in the
+        same order, so the recovered state matches the uninterrupted
+        run bit for bit.  The WAL stays attached: the service keeps
         appending where the crashed instance left off.
         """
         if not isinstance(checkpoint, ServiceSnapshot):
@@ -1533,81 +1454,63 @@ class PlacementService:
             checkpoint = loaded
         if not isinstance(wal, WriteAheadLog):
             wal = WriteAheadLog(wal)
-        svc = cls.restore(checkpoint)
-        svc._replaying = True
-        try:
-            for seq, rec in wal.records(checkpoint.wal_seq):
-                svc._apply_wal_record(rec)
-                svc._wal_seq = seq + 1
-        finally:
-            svc._replaying = False
-            svc._replay_cats = None
+        svc = cls.restore(checkpoint)  # no WAL attached: replay logs nothing
+        for seq, rec in wal.records(checkpoint.wal_seq):
+            svc._apply_wal_record(rec)
+            svc._wal_seq = seq + 1
         svc.wal = wal
         return svc
 
     def _apply_wal_record(self, rec: dict) -> None:
-        """Replay one WAL record through the normal entry points."""
+        """Replay one WAL record.
+
+        A submission record — a column frame, or a line written before
+        frames existed — becomes log rows (plus the rich jobs it
+        carries) and runs through the submission core with its
+        recorded categories.  The op no longer names an entry point: it
+        only picks the latency histogram the replay counts in.
+        """
         op = rec.get("op")
-        if "columns" in rec and op in ("submit", "batch", "jobs"):
-            # A column frame: the op names the entry point to call.
-            self._stash_replay_cats(rec)
-            jobs, ids = rec.get("jobs"), rec["job_ids"]
-            if op == "jobs":
-                self.submit_jobs(jobs)
-            elif op == "batch":
-                self.submit_batch(
-                    *rec["columns"], pipelines=rec["pipelines"],
-                    users=rec["users"], job_ids=ids,
-                )
-            elif jobs is not None:
-                self.submit(jobs[0], job_id=rec.get("log_id"))
-            else:
-                a, d, s, rb, wb, ro = (float(c[0]) for c in rec["columns"])
-                self.submit(
-                    arrival=a, duration=d, size=s, read_bytes=rb,
-                    write_bytes=wb, read_ops=ro, pipeline=rec["pipelines"][0],
-                    user=rec["users"][0], job_id=None if ids is None else ids[0],
-                )
-        elif op == "submit":  # legacy line records from here to "jobs"
-            self._stash_replay_cats(rec)
-            self.submit(
-                arrival=rec["arrival"], duration=rec["duration"],
-                size=rec["size"], read_bytes=rec["read_bytes"],
-                write_bytes=rec["write_bytes"], read_ops=rec["read_ops"],
-                pipeline=rec["pipeline"], user=rec["user"],
-                job_id=rec["job_id"],
-            )
-        elif op == "batch":
-            self._stash_replay_cats(rec)
-            arrivals = np.asarray(rec["arrivals"], dtype=float)
-            k = arrivals.size
-            zeros = np.zeros(k)
-
-            def col(name):
-                v = rec[name]
-                return zeros if v is None else np.asarray(v, dtype=float)
-
-            self.submit_batch(
-                arrivals, col("durations"), col("sizes"),
-                col("read_bytes"), col("write_bytes"), col("read_ops"),
-                pipelines=rec["pipelines"], users=rec["users"],
-                job_ids=rec["job_ids"],
-            )
-        elif op == "jobs":
-            self._stash_replay_cats(rec)
-            self.submit_jobs([job_from_record(d) for d in rec["jobs"]])
-        elif op == "complete":
+        if op == "complete":
             self.complete(rec["job_id"], time=rec["time"])
-        elif op == "drain":
+            return
+        if op == "drain":
             self.drain()
-        elif op == "shock":
+            return
+        if op == "shock":
             self.apply_shock(np.asarray(rec["caps"], dtype=float))
-        else:
+            return
+        if op not in ("submit", "batch", "jobs"):
             raise WalCorruption(f"unknown WAL record op {op!r}")
-
-    def _stash_replay_cats(self, rec: dict) -> None:
-        if "cats" in rec:
-            self._replay_cats = (rec["cats"], bool(rec.get("degraded", False)))
+        self._ensure_open()
+        t_req = perf_counter()
+        cols, jobs, ids = rec.get("columns"), rec.get("jobs"), rec.get("job_ids")
+        replayed = (rec["cats"], bool(rec.get("degraded"))) if "cats" in rec else None
+        if op == "submit":
+            if cols is None:  # a legacy line
+                row = [rec[k] for k in (
+                    "arrival", "duration", "size", "read_bytes", "write_bytes",
+                    "read_ops", "pipeline", "user", "job_id",
+                )]
+            elif jobs is None:
+                row = [float(c[0]) for c in cols]
+                row += [rec["pipelines"][0], rec["users"][0],
+                        None if ids is None else ids[0]]
+            else:
+                row = [float(c[0]) for c in cols]
+                row += [jobs[0].pipeline, jobs[0].user, rec.get("log_id", ids[0])]
+            first = self.log.append_job(*row)
+            self._submitted(first, first + 1, jobs, None, replayed, self._m_request, t_req)
+            return
+        if cols is None and op == "jobs":
+            jobs = [job_from_record(d) for d in jobs]
+            ids = [j.job_id for j in jobs]
+        elif cols is None:
+            cols = [rec[k] for k in ("arrivals", "durations", "sizes",
+                                     "read_bytes", "write_bytes", "read_ops")]
+        self._submit_block(
+            t_req, cols, rec.get("pipelines"), rec.get("users"), ids, jobs, replayed
+        )
 
     # -- results --------------------------------------------------------
 

@@ -65,14 +65,18 @@ choice (never replay past a hole).
 
 Record kinds (the service writes and replays these):
 
-- ``submit`` / ``batch`` / ``jobs`` column frames — one submission
-  through :meth:`~repro.serve.PlacementService.submit`,
-  ``submit_batch`` (and ``submit_block``) or ``submit_jobs``; the op
-  names the entry point replay calls.  ``rich`` frames rebuild
-  :class:`ShuffleJob` objects equal to the submitted ones, so the
-  categorizer's Table-2 feature groups survive replay.  Read back, a
-  frame is a dict of its header fields plus ``columns`` (six read-only
-  float64 arrays) and either ``jobs`` or ``pipelines`` / ``users``;
+- ``submit`` / ``batch`` / ``jobs`` column frames — one non-empty
+  submission: a one-row :meth:`~repro.serve.PlacementService.submit`,
+  a ``submit_batch`` / ``submit_block`` block, or a ``submit_jobs``
+  block of rich jobs.  Replay turns every frame into log rows for the
+  service's one submission core; the op only picks the latency
+  histogram a replayed submission counts in (``submit``:
+  ``serve_request_seconds``, the others ``serve_batch_seconds``).
+  ``rich`` frames rebuild :class:`ShuffleJob` objects equal to the
+  submitted ones, so the categorizer's Table-2 feature groups survive
+  replay.  Read back, a frame is a dict of its header fields plus
+  ``columns`` (six read-only float64 arrays) and either ``jobs`` or
+  ``pipelines`` / ``users``;
 - ``{"op": "complete", "job_id": ..., "time": ...}``;
 - ``{"op": "drain"}``;
 - ``{"op": "shock", "caps": [...]}`` — resolved per-lane capacities;

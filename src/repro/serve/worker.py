@@ -229,15 +229,17 @@ class PlacementWorker:
             frac, alloc, np.zeros(c), t_last=float(op["t_last"]),
         )
         reply = {
-            "space": out.ssd_space_fraction,
-            "spill": out.spill_time,
             "frac": frac,
             "alloc": alloc,
             "free": kern.free.copy(),
             **self._counters(),
         }
         if fit:
+            # The router derives the rest: a fit chunk's space is the
+            # verdict as 0/1, and nothing spills.
             reply["requested"] = out.requested_ssd
+        else:
+            reply["space"], reply["spill"] = out.ssd_space_fraction, out.spill_time
         return reply
 
     # ``fit`` keeps its op name so logged worker WALs still replay.

@@ -35,6 +35,7 @@ from repro.storage import FixedPolicy, simulate, simulate_sharded
 from repro.units import GIB
 from repro.workloads import Trace
 from repro.workloads.features import extract_features
+from repro.workloads.streaming import TraceBlock
 
 from helpers import make_job
 
@@ -394,11 +395,50 @@ class TestReleaseTime:
             assert (ttl[placed_idx] < dur[placed_idx]).any()  # TTLs bind
 
 
+def _submit_nothing(svc, entry):
+    """One empty call to ``entry``; ``None`` makes no call (``submit``
+    has no empty form: it always carries one job)."""
+    none = np.zeros(0)
+    if entry == "submit_batch":
+        return svc.submit_batch(none, none, none)
+    if entry == "submit_jobs":
+        return svc.submit_jobs([])
+    if entry == "submit_block":
+        return svc.submit_block(TraceBlock(none, none, none, none, none, none))
+    return []
+
+
+#: Mode x empty entry point x categorizer x WAL; the plain case keeps
+#: the bare mode as its id.
+_EMPTY_CASES = [
+    pytest.param(mode, entry, cat, wal, id="-".join(
+        [mode] + [x for x in (entry, cat and "categorizer", wal and "wal") if x]
+    ))
+    for mode in ("scalar", "batch")
+    for entry in (None, "submit_batch", "submit_jobs", "submit_block")
+    for cat in (False, True)
+    for wal in (False, True)
+]
+
+
 class TestEdgeHardening:
-    @pytest.mark.parametrize("mode", ("scalar", "batch"))
-    def test_empty_stream(self, mode):
-        svc = PlacementService(FirstFitPolicy(), 10 * GIB, mode=mode)
+    @pytest.mark.parametrize("mode, entry, categorized, logged", _EMPTY_CASES)
+    def test_empty_stream(self, mode, entry, categorized, logged, tmp_path):
+        """An empty submission appends nothing and writes no WAL record."""
+        seen = []
+        svc = PlacementService(
+            FirstFitPolicy(), 10 * GIB, mode=mode,
+            categorizer=(lambda jobs: seen.append(jobs) or [0] * len(jobs))
+            if categorized else None,
+            wal=str(tmp_path / "e.wal") if logged else None,
+        )
+        assert len(_submit_nothing(svc, entry)) == 0
+        assert svc.stats.n_submitted == len(svc.log) == svc.wal_seq == 0
         res = svc.result()
+        assert seen == [] and svc.stats.n_submitted == 0
+        if logged:
+            svc.wal.close()
+            assert (tmp_path / "e.wal").read_bytes() == b""
         assert res.n_jobs == 0
         assert res.tco_savings_pct == 0.0
         assert res.n_spilled == 0

@@ -472,8 +472,9 @@ class TestColumnReplay:
         rec.wal.close()
 
     def test_one_job_submit_replays_as_a_request(self, tmp_path):
-        """The op names the entry point: ``submit(job)`` replays through
-        ``submit``, so the request histogram's count is exact."""
+        """A frame's op picks the histogram its replay counts in:
+        ``submit`` frames count as requests, so the request histogram's
+        count is exact."""
         trace = random_trace(23, n=30)
         jobs = list(trace.jobs)
         path = str(tmp_path / "h.wal")
@@ -484,6 +485,159 @@ class TestColumnReplay:
         rec = PlacementService.recover(ckpt, path)
         for key in ("serve_request_seconds", "serve_batch_seconds"):
             assert rec.metrics()[key]["count"] == svc.metrics()[key]["count"], key
+        rec.wal.close()
+
+
+# -- a WAL file written by an earlier version of the service -------------
+
+#: Written once by :func:`_fixture_script` at the library version that
+#: introduced it and never regenerated: later versions must replay it
+#: and must write the same bytes for the same calls.
+FIXTURE_WAL = os.path.join(os.path.dirname(__file__), "data", "service_ops.wal")
+
+
+class _Outage:
+    """A categorizer with a switchable outage; replay reaches the model
+    through :attr:`inner`, as it does through the fault injector's."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.down = False
+
+    def __call__(self, jobs):
+        if self.down:
+            raise RuntimeError("categorizer outage")
+        return self.inner(jobs)
+
+
+def _fixture_trace():
+    """The jobs :func:`_fixture_script` submits, in order (tags in the ids)."""
+    rng = np.random.default_rng(26)
+    t, jobs = 0.0, []
+    for tag, n in (("x", 2), ("r", 3), ("b", 11), ("k", 4), ("j", 7),
+                   ("d", 3), ("j", 4), ("t", 3), ("e", 5)):
+        for k in range(n):
+            t += float(rng.uniform(5.0, 60.0))
+            jobs.append(make_job(
+                f"{tag}{len(jobs)}", arrival=t,
+                duration=float(rng.uniform(100.0, 4000.0)),
+                size=float(rng.uniform(0.1, 2.0)) * GIB,
+                pipeline=f"p{int(rng.integers(0, 5))}", user=f"u{k % 2}",
+                step=k % 3,
+            ))
+    return Trace(jobs, name="fixture")
+
+
+def _fixture_service(wal=None):
+    """A replay-mode service, so chunks stay pending and drains are logged."""
+    trace = _fixture_trace()
+    cats = np.random.default_rng(27).integers(0, 8, len(trace))
+    params = AdaptiveParams(decision_interval=500.0, lookback_window=3000.0)
+    svc = PlacementService(
+        AdaptiveCategoryPolicy(cats, 8, params), 6 * GIB, 2, mode="batch",
+        categorizer=_Outage(_Recording(_categorizer())), wal=wal,
+    )
+    return svc.open(trace)
+
+
+def _fixture_script(path):
+    """Every WAL frame shape through one service; returns it.
+
+    Bare ``submit`` (with and without an id), rich ``submit(job)``
+    (with and without a log id), ``batch`` frames with and without job
+    ids (``submit_batch`` and ``submit_block``), ``jobs`` frames, one
+    degraded submission, completes, a shock and a drain.
+    """
+    svc = _fixture_service(wal=str(path))
+    jobs = iter(svc.policy._trace.jobs)
+
+    def take(n):
+        return [next(jobs) for _ in range(n)]
+
+    def columns(js):
+        return [np.array([getattr(j, c) for j in js]) for c in COLUMNS]
+
+    (a,) = take(1)
+    svc.submit(arrival=a.arrival, duration=a.duration, size=a.size,
+               read_bytes=a.read_bytes, write_bytes=a.write_bytes,
+               read_ops=a.read_ops, pipeline=a.pipeline, user=a.user)
+    (a,) = take(1)
+    svc.submit(arrival=a.arrival, duration=a.duration, size=a.size,
+               pipeline=a.pipeline, job_id="s1")
+    for j in take(2):
+        svc.submit(j)
+    (j,) = take(1)
+    svc.submit(j, job_id="r-log")
+    js = take(6)
+    svc.submit_batch(*columns(js), pipelines=[j.pipeline for j in js],
+                     users=[j.user for j in js])
+    js = take(5)
+    svc.submit_batch(*columns(js), pipelines=[j.pipeline for j in js],
+                     job_ids=[j.job_id for j in js])
+    js = take(4)
+    svc.submit_block(TraceBlock(
+        *columns(js), pipelines=tuple(j.pipeline for j in js),
+        job_ids=np.arange(100, 104, dtype=np.int64),
+    ))
+    svc.submit_jobs(take(7))
+    svc.complete(100, time=js[-1].arrival + 1.0)
+    svc.complete("nobody", time=js[0].arrival)
+    svc.categorizer.down = True
+    svc.submit_jobs(take(3))
+    svc.categorizer.down = False
+    svc.submit_jobs(take(4))
+    svc.apply_shock(np.array([2.5 * GIB, 1.5 * GIB]))
+    for jid in ("s1", "r2", "j30"):
+        svc.complete(jid)
+    for j in take(3):
+        svc.submit(j)
+    assert svc.pending
+    svc.drain()
+    svc.complete(102)
+    svc.submit_jobs(take(5))
+    return svc
+
+
+class TestFixtureWal:
+    def test_fixture_recovers_and_is_rewritten_byte_for_byte(self, tmp_path):
+        path = tmp_path / "ops.wal"
+        ref = _fixture_script(path)
+        ref.wal.close()
+        with open(FIXTURE_WAL, "rb") as fh:
+            fixture = fh.read()
+        assert path.read_bytes() == fixture
+
+        ops = [(r["op"], "columns" in r, "jobs" in r, "log_id" in r,
+                r.get("job_ids") is not None, r.get("degraded", False))
+               for _, r in WriteAheadLog.read(FIXTURE_WAL)]
+        for shape in (("submit", True, False, False, False, False),
+                      ("submit", True, True, False, True, False),
+                      ("submit", True, True, True, True, False),
+                      ("batch", True, False, False, False, False),
+                      ("batch", True, False, False, True, False),
+                      ("jobs", True, True, False, True, False),
+                      ("jobs", True, True, False, True, True)):
+            assert shape in ops, shape
+        assert {"complete", "shock", "drain"} <= {op for op, *_ in ops}
+
+        # A fresh checkpoint as the fixture's library version wrote it:
+        # it still carried the replay state as attributes.
+        snap = _fixture_service().snapshot()
+        old = dict(snap.payload, _wal_rec=None, _replaying=False, _replay_cats=None)
+        wal = tmp_path / "fixture.wal"
+        wal.write_bytes(fixture)
+        rec = PlacementService.recover(replace(snap, payload=old), str(wal))
+        for stale in ("_wal_rec", "_replaying", "_replay_cats"):
+            assert stale not in vars(rec)
+        assert rec.stats == ref.stats and rec.stats.degraded_jobs == 3
+        assert rec.categorizer.inner.seen == ref.categorizer.inner.seen
+        assert_bit_identical(_result(ref), _result(rec), "fixture WAL")
+        m_ref, m_rec = ref.metrics(), rec.metrics()
+        for key in METRIC_COUNTER_KEYS:
+            assert m_rec[key] == m_ref[key], key
+        for key in ("serve_request_seconds", "serve_batch_seconds",
+                    "serve_chunk_jobs"):
+            assert m_rec[key]["count"] == m_ref[key]["count"], key
         rec.wal.close()
 
 
