@@ -72,12 +72,13 @@ the paths.  It scores ``BENCH_HOTPATH_JOBS / 20`` rows, timed in
 alternating repetitions with GC frozen.
 
 ``test_perf_transport`` times the fleet's router-to-worker wire format.
-It records every op and reply of two reduced in-process ``fleet-replay``
-runs (a fixed two-week cluster trace of about 10,000 jobs, 8 lanes, 2
-workers, a binding 2% quota, 512-job batches and a complete on every
-8th SSD placement): one in batch mode, and one in scalar mode (one
-``admit`` round trip per job) over the first ``SCALAR_TRANSPORT_JOBS``
-jobs.  Each message goes through ``ForkingPickler.dumps`` +
+It records every op and reply of three reduced in-process
+``fleet-replay`` runs (a fixed two-week cluster trace of about 10,000
+jobs, 8 lanes, 2 workers, a binding 2% quota, 512-job batches and a
+complete on every 8th SSD placement): Adaptive Hash in batch mode,
+Adaptive Hash in scalar mode (one ``admit`` round trip per job) over
+the first ``SCALAR_TRANSPORT_JOBS`` jobs, and FirstFit in batch mode
+with at most 512 queued jobs (``fit`` chunks).  Each message goes through ``ForkingPickler.dumps`` +
 ``pickle.loads`` (what ``multiprocessing.Connection.send``/``recv`` do)
 and through ``transport.encode`` + ``decode`` (a binary frame for
 column blocks, a plain pickle for scalar-only messages).  Every decode
@@ -1044,14 +1045,18 @@ def test_perf_forest_one_row():
 SCALAR_TRANSPORT_JOBS = 2_000
 
 
-def _fleet_messages(trace, policy, mode: str) -> list:
+def _fleet_messages(trace, policy, mode: str, label: str | None = None, **kwargs) -> list:
     """(kind, message) for every op and reply of an in-process
     ``fleet-replay``-shaped run: 8 lanes, 2 workers, a binding 2% quota,
-    512-job batches and a complete on every 8th SSD placement."""
+    512-job batches and a complete on every 8th SSD placement.  Kinds
+    start with ``label`` (default: ``mode``); ``kwargs`` go to the
+    router."""
     from repro.serve import FleetRouter
     from repro.serve.transport import RecordingTransport
 
-    svc = FleetRouter(policy, 0.02 * trace.peak_ssd_usage(), 8, mode=mode, n_workers=2)
+    svc = FleetRouter(
+        policy, 0.02 * trace.peak_ssd_usage(), 8, mode=mode, n_workers=2, **kwargs
+    )
     log = []
     pool = svc.pool
     pool.transports = [RecordingTransport(t, log) for t in pool.transports]
@@ -1069,10 +1074,11 @@ def _fleet_messages(trace, policy, mode: str) -> list:
                     svc.complete(d.job_id)
     svc.drain()
     svc.close()
+    label = label or mode
     out = []
     for op, reply in log:
-        out.append((f"{mode} {op['op']}", op))
-        out.append((f"{mode} {op['op']} reply", reply))
+        out.append((f"{label} {op['op']}", op))
+        out.append((f"{label} {op['op']} reply", reply))
     return out
 
 
@@ -1082,6 +1088,7 @@ def test_perf_transport():
     import platform
     from multiprocessing.reduction import ForkingPickler
 
+    from repro.baselines import FirstFitPolicy
     from repro.core import hash_categories
     from repro.serve.transport import decode, encode, same_message
     from repro.units import WEEK
@@ -1093,8 +1100,12 @@ def test_perf_transport():
     def policy(t):
         return AdaptiveCategoryPolicy(hash_categories(t, 15), 15, name="Adaptive Hash")
 
-    messages = _fleet_messages(trace, policy(trace), "batch") + _fleet_messages(
-        scalar_trace, policy(scalar_trace), "scalar"
+    messages = (
+        _fleet_messages(trace, policy(trace), "batch")
+        + _fleet_messages(scalar_trace, policy(scalar_trace), "scalar")
+        # FirstFit asks for every queued job at once (fit-check chunks),
+        # so the queue bound is what closes its chunks.
+        + _fleet_messages(trace, FirstFitPolicy(), "batch", "firstfit", max_pending=512)
     )
 
     def pickled(m):
@@ -1126,9 +1137,10 @@ def test_perf_transport():
 
     lines = [
         f"Fleet wire messages: {len(messages):,} ops and replies of in-process "
-        f"fleet-replay runs (8 lanes, 2 workers, 2% quota): batch mode over "
-        f"{len(trace):,} jobs, scalar mode over the first {len(scalar_trace):,}; "
-        "every decode equals its original",
+        f"fleet-replay runs (8 lanes, 2 workers, 2% quota): Adaptive Hash in batch "
+        f"mode over {len(trace):,} jobs and in scalar mode over the first "
+        f"{len(scalar_trace):,}, FirstFit (firstfit) in batch mode over "
+        f"{len(trace):,} with at most 512 queued; every decode equals its original",
         f"host: cpu_count={os.cpu_count()}, python {platform.python_version()}, "
         f"numpy {np.__version__}",
         "encode + decode per message (best of 3 rounds of 5 calls), median over the "

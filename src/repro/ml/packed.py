@@ -207,6 +207,18 @@ class _ExitLeafTables:
         self.mant, self.exp = np.empty(n), np.empty(n, dtype=np.int32)
         self.slot, self.exit = np.empty(n, dtype=np.uint32), np.empty(n_trees, dtype=np.intp)
         self.exit_base = self.word_slot[:n_trees].astype(np.intp) - 1
+        # ``leaf_value * learning_rate`` and the ``[base; lr * leaf]``
+        # rounds buffer, kept for the last ``(learning_rate, n_classes)``.
+        self.scaled_key = None
+        self.scaled = self.steps = self.leaf = None
+
+    def scale(self, learning_rate: float, n_classes: int) -> None:
+        """Point ``scaled``/``steps``/``leaf`` at ``learning_rate``."""
+        if self.scaled_key != (learning_rate, n_classes):
+            self.scaled = self.leaf_value * learning_rate
+            self.steps = np.empty((len(self.exit) // n_classes + 1, n_classes))
+            self.leaf = self.steps.reshape(-1)[n_classes:]
+            self.scaled_key = (learning_rate, n_classes)
 
 
 @dataclass
@@ -421,11 +433,10 @@ class PackedForest:
             np.subtract(t.exp, 1, out=slot, casting="unsafe")
             np.bitwise_or(slot, t.word_slot, out=slot)
             np.minimum.reduce(slot.reshape(t.words, n_trees), axis=0, out=t.exit)
-        steps = np.empty((n_trees // n_classes + 1, n_classes))
+        t.scale(learning_rate, n_classes)
+        steps = t.steps
         steps[0] = base_score
-        leaf = steps.reshape(-1)[n_classes:]
-        t.leaf_value.take(t.exit, out=leaf, mode="clip")
-        np.multiply(leaf, learning_rate, out=leaf)
+        t.scaled.take(t.exit, out=t.leaf, mode="clip")
         np.add.accumulate(steps, axis=0, out=steps)
         if out is None:
             out = np.empty(n_classes, dtype=float)

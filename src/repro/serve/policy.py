@@ -59,11 +59,17 @@ class OnlineAdaptivePolicy(AdaptiveCategoryPolicy):
     def extend_categories(self, categories: np.ndarray) -> None:
         """Append predicted categories for newly submitted jobs."""
         categories = np.asarray(categories, dtype=int)
-        if categories.size and (
-            categories.min() < 0 or categories.max() >= self.n_categories
-        ):
-            raise ValueError("categories out of range [0, n_categories)")
-        self._cats.extend(categories)
+        if categories.size == 1:  # one request: scalar check and append
+            c = categories.item()
+            if not 0 <= c < self.n_categories:
+                raise ValueError("categories out of range [0, n_categories)")
+            self._cats.append(c)
+        else:
+            if categories.size and (
+                categories.min() < 0 or categories.max() >= self.n_categories
+            ):
+                raise ValueError("categories out of range [0, n_categories)")
+            self._cats.extend(categories)
         self.categories = self._cats.view()
 
     def on_simulation_start(self, trace, capacity: float, rates: CostRates) -> None:

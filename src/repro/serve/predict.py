@@ -111,16 +111,17 @@ class OnlineCategorizer:
             # Single-class fit: every prediction is that class.
             return np.full(n, int(gbt.classes_[0]), dtype=int)
         if n == 1:
-            # Request-at-a-time: leaf-bitmask scoring of the feature row.
+            # Request-at-a-time: leaf-bitmask scoring of the feature row
+            # and a scalar argmax (first maximum, as the batch path's).
             if self._raw_one is None:
                 self._raw_one = np.empty(k)
             raw = gbt.packed_.decision_scores_one(
                 X[0], gbt.base_score_, gbt.learning_rate, k, out=self._raw_one
-            ).reshape(1, -1)
-        else:
-            if self._raw is None or self._raw.shape[0] < n:
-                self._raw = np.empty((max(n, 256), k))
-            raw = gbt.packed_.decision_scores(
-                X, gbt.base_score_, gbt.learning_rate, k, out=self._raw[:n]
             )
+            return np.array([gbt.classes_.item(raw.argmax())], dtype=int)
+        if self._raw is None or self._raw.shape[0] < n:
+            self._raw = np.empty((max(n, 256), k))
+        raw = gbt.packed_.decision_scores(
+            X, gbt.base_score_, gbt.learning_rate, k, out=self._raw[:n]
+        )
         return gbt.classes_[np.argmax(raw, axis=1)].astype(int)

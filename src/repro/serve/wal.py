@@ -115,9 +115,12 @@ _MAGIC = 0xFB
 #: covers the prefix bytes after itself (the lengths) onwards.
 _PREFIX = struct.Struct("<BIII")
 _LENGTHS = struct.Struct("<II")
+_MAGIC_CRC = struct.Struct("<BI")
 _CRC_FROM = _PREFIX.size - _LENGTHS.size
-#: Compact JSON, one encoder for every record (``json.dumps`` with
-#: non-default separators builds a new encoder per call).
+#: Compact JSON.  One configured ``JSONEncoder`` for every record, but
+#: its ``encode`` still builds a new C encoder per call (about 4 µs,
+#: against 2 µs for a reused one); one-row submits skip it (see
+#: :data:`_ROW_HEADS`).
 _json = json.JSONEncoder(separators=(",", ":")).encode
 #: One submitted row's numeric columns.
 _ROW = struct.Struct("<6d")
@@ -125,6 +128,17 @@ _F8 = np.dtype("<f8")
 _I4 = np.dtype("<i4")
 #: Intern-index columns per row of a bare and of a rich frame.
 _BARE, _RICH = 2, 6
+#: One bare and one rich row's intern indices.
+_BARE_IDX, _RICH_IDX = struct.Struct("<%di" % _BARE), struct.Struct("<%di" % _RICH)
+#: The JSON header of a one-row submit whose record holds, in this key
+#: order, nothing but its columns, one int job id and one int category,
+#: and which interns nothing new: the bytes ``_json`` writes for it.
+_ROW_HEADS = {
+    ("op", "columns", "pipelines", "users", "job_ids", "cats"):
+        b'{"op":"submit","job_ids":[%d],"cats":[%d],"n":1}',
+    ("op", "columns", "jobs", "job_ids", "cats"):
+        b'{"op":"submit","job_ids":[%d],"cats":[%d],"n":1,"rich":true}',
+}
 #: Record keys that travel in a frame's raw section, not its header.
 _COLUMN_KEYS = frozenset({"columns", "pipelines", "users", "jobs"})
 #: Job-id types JSON gives back unchanged.
@@ -242,12 +256,10 @@ def _encode_frame(record: dict, table: _InternTable) -> bytes:
     n0 = len(table.entries)
     cols = record["columns"]
     jobs = record.get("jobs")
-    if record["op"] == "submit":  # one row: six scalars, no arrays
-        n = 1
-        raw = [_ROW.pack(*cols)]
-    else:
-        n = len(cols[0])
-        raw = [c.astype(_F8, copy=False).tobytes() for c in cols]
+    if record["op"] == "submit":  # one row: scalars, no arrays
+        return _encode_row(record, cols, jobs, table, n0)
+    n = len(cols[0])
+    raw = [c.astype(_F8, copy=False).tobytes() for c in cols]
     if jobs is None:
         idx = [table[p] for p in record["pipelines"]]
         idx += [table[u] for u in record["users"]]
@@ -261,6 +273,41 @@ def _encode_frame(record: dict, table: _InternTable) -> bytes:
         vals = list(chain.from_iterable([j.resources.values() for j in jobs]))
         raw.append(struct.pack("<%dd" % len(vals), *vals))
     raw.append(struct.pack("<%di" % len(idx), *idx))
+    return _frame(_json_head(record, n, jobs, table, n0), b"".join(raw))
+
+
+def _encode_row(record: dict, cols, jobs, table: _InternTable, n0: int) -> bytes:
+    """A one-row ``submit`` record as one column frame.
+
+    Scalar work only: ``struct`` packs the row and its indices, and a
+    record that :data:`_ROW_HEADS` covers takes its header from the
+    template instead of ``_json``.
+    """
+    if jobs is None:
+        idx = _BARE_IDX.pack(table[record["pipelines"][0]], table[record["users"][0]])
+        raw = _ROW.pack(*cols) + idx
+    else:
+        (j,) = jobs
+        res = j.resources
+        idx = _RICH_IDX.pack(
+            table[j.pipeline], table[j.user], table[j.cluster], table[j.archetype],
+            table[(*j.metadata, *j.metadata.values())], table[tuple(res)],
+        )
+        vals = res.values()
+        raw = b"".join((_ROW.pack(*cols), struct.pack("<%dd" % len(vals), *vals), idx))
+    head = _ROW_HEADS.get(tuple(record)) if len(table.entries) == n0 else None
+    if head is not None:
+        ids, cats = record["job_ids"], record["cats"]
+        if isinstance(cats, np.ndarray):
+            cats = cats.tolist()
+        if (type(ids) is list and len(ids) == 1 and type(ids[0]) is int
+                and type(cats) is list and len(cats) == 1 and type(cats[0]) is int):
+            return _frame(head % (ids[0], cats[0]), raw)
+    return _frame(_json_head(record, 1, jobs, table, n0), raw)
+
+
+def _json_head(record: dict, n: int, jobs, table: _InternTable, n0: int) -> bytes:
+    """A frame's header: the record's non-column keys as compact JSON."""
     head = {
         k: v.tolist() if isinstance(v, np.ndarray) else v
         for k, v in record.items()
@@ -271,11 +318,13 @@ def _encode_frame(record: dict, table: _InternTable) -> bytes:
         head["rich"] = True
     if len(table.entries) > n0:
         head["strs"] = table.entries[n0:]
-    header = _json(head).encode("utf-8")
-    raw = b"".join(raw)
-    hlen, rlen = len(header), len(raw)
-    crc = zlib.crc32(raw, zlib.crc32(header, zlib.crc32(_LENGTHS.pack(hlen, rlen))))
-    return b"".join((_PREFIX.pack(_MAGIC, crc, hlen, rlen), header, raw))
+    return _json(head).encode("utf-8")
+
+
+def _frame(header: bytes, raw: bytes) -> bytes:
+    """Prefix, ``header`` and ``raw`` as one CRC-covered frame."""
+    body = b"".join((_LENGTHS.pack(len(header), len(raw)), header, raw))
+    return _MAGIC_CRC.pack(_MAGIC, zlib.crc32(body)) + body
 
 
 def _encode_line(record: dict) -> bytes:

@@ -16,7 +16,7 @@ from repro.baselines import CategoryAdmissionPolicy, FirstFitPolicy, LifetimePol
 from repro.config import AdaptiveParams
 from repro.core import AdaptiveCategoryPolicy
 from repro.storage import BatchDecision, FixedPolicy, simulate
-from repro.storage.engine import ChunkKernel, ScalarKernel
+from repro.storage.engine import ChunkKernel, ScalarKernel, _LaneState
 from repro.units import GIB
 from repro.workloads import Trace
 
@@ -198,6 +198,44 @@ class TestChunkProtocolEdges:
             trace, Greedy(np.ones(20, dtype=bool)), 1e18, engine="chunked"
         )
         assert res.n_ssd_requested == 20
+
+
+_release = st.tuples(
+    st.sampled_from((0.0, 5.0, 5.0, 10.0, 30.0)),  # few times: ties
+    st.sampled_from((1, 7, 250, -7, -250)),  # negatives: cancel entries
+    st.integers(0, 2),
+)
+
+
+class TestReleaseWindowMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batches=st.lists(st.lists(_release, max_size=8), min_size=1, max_size=5),
+        cuts=st.lists(st.sampled_from((-1.0, 0.0, 5.0, 12.0)), min_size=5, max_size=5),
+    )
+    def test_merge_is_a_stable_sort_of_window_then_new(self, batches, cuts):
+        """Pending entries stay ahead of new ones at equal times, new
+        ones keep their buffered order, and the consumed prefix goes."""
+        state = _LaneState(np.full(3, 10**6, dtype=np.int64))
+        for batch, cut in zip(batches, cuts):
+            state.release_until(cut)
+            p = state.rel_pos
+            window = [state.rel_t[p:], state.rel_a[p:], state.rel_l[p:]]
+            for t, a, lane in batch:
+                state.new_t.append(t)
+                state.new_a.append(a)
+                state.new_l.append(lane)
+            new = [np.array(c, dtype=w.dtype) for c, w in zip(zip(*batch), window)]
+            state.merge_new()
+            if not batch:
+                assert state.rel_pos == p
+                continue
+            cols = [np.concatenate([w, c]) for w, c in zip(window, new)]
+            order = np.argsort(cols[0], kind="stable")
+            assert state.rel_pos == 0 and not state.new_t
+            for got, col in zip((state.rel_t, state.rel_a, state.rel_l), cols):
+                assert got.dtype == col.dtype
+                assert np.array_equal(got, col[order])
 
 
 @st.composite

@@ -227,6 +227,27 @@ class TestExitLeafScoring:
         self._assert_rows_equal(forest, Xb, np.array([0.5, -1.0]), 0.3, 2)
         assert forest._exit_tables.used.size == 0
 
+    def test_kept_scaling_follows_rate_base_and_classes(self, data):
+        # The one-row path keeps ``leaf * lr`` and its rounds buffer
+        # across calls; alternating the arguments must never reuse a
+        # stale one.
+        X, y_cls, _, Xq = data
+        model = GBTClassifier(n_rounds=3, max_depth=4).fit(X, y_cls)
+        forest = model.packed_
+        k = len(model.classes_)
+        Xb = model.binner_.transform(Xq[:6])
+        calls = [
+            (rate, base, n_classes)
+            for n_classes in (k, 1, k)
+            for rate in (model.learning_rate, 0.37)
+            for base in ((model.base_score_, -0.25) if n_classes == k else (0.0, 2.5))
+        ]
+        for rate, base, n_classes in calls + calls[::-1]:
+            ref = forest.decision_scores(Xb, base, rate, n_classes)
+            for i in range(Xb.shape[0]):
+                got = forest.decision_scores_one(Xb[i], base, rate, n_classes)
+                assert np.array_equal(got, ref[i]), (rate, n_classes, i)
+
     def test_integer_codes_out_of_uint8_range(self, data):
         X, y_cls, _, Xq = data
         model = GBTClassifier(n_rounds=3, max_depth=5).fit(X, y_cls)

@@ -704,3 +704,144 @@ class TestWalJobIds:
             assert (svc.stats.n_submitted, len(svc.log), svc.pending,
                     svc.wal.seq) == before
         svc.wal.close()
+
+
+# -- today's frame bytes, frozen -------------------------------------------
+
+
+class _FrozenTable(dict):
+    """The frame encoder's intern table: a miss appends to ``entries``."""
+
+    def __init__(self):
+        super().__init__()
+        self.entries = []
+
+    def __missing__(self, value):
+        i = self[value] = len(self.entries)
+        self.entries.append(value)
+        return i
+
+
+def _frozen_encode_frame(record, table):
+    """The column-frame encoder of the format's first version, frozen.
+
+    Every later encoder must write these bytes for the same records and
+    the same table.
+    """
+    n0 = len(table.entries)
+    cols = record["columns"]
+    jobs = record.get("jobs")
+    if record["op"] == "submit":
+        n = 1
+        raw = [struct.pack("<6d", *cols)]
+    else:
+        n = len(cols[0])
+        raw = [c.astype("<f8", copy=False).tobytes() for c in cols]
+    if jobs is None:
+        idx = [table[p] for p in record["pipelines"]]
+        idx += [table[u] for u in record["users"]]
+    else:
+        idx = [table[j.pipeline] for j in jobs]
+        idx += [table[j.user] for j in jobs]
+        idx += [table[j.cluster] for j in jobs]
+        idx += [table[j.archetype] for j in jobs]
+        idx += [table[(*j.metadata, *j.metadata.values())] for j in jobs]
+        idx += [table[tuple(j.resources)] for j in jobs]
+        vals = [v for j in jobs for v in j.resources.values()]
+        raw.append(struct.pack("<%dd" % len(vals), *vals))
+    raw.append(struct.pack("<%di" % len(idx), *idx))
+    head = {
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in record.items()
+        if k not in ("columns", "pipelines", "users", "jobs")
+    }
+    head["n"] = n
+    if jobs is not None:
+        head["rich"] = True
+    if len(table.entries) > n0:
+        head["strs"] = table.entries[n0:]
+    header = json.dumps(head, separators=(",", ":")).encode("utf-8")
+    raw = b"".join(raw)
+    lengths = struct.pack("<II", len(header), len(raw))
+    crc = zlib.crc32(raw, zlib.crc32(header, zlib.crc32(lengths)))
+    return struct.pack("<BI", 0xFB, crc) + lengths + header + raw
+
+
+#: Few distinct values; records pick jobs from a small pool, so they
+#: both intern new values and cite interned ones.
+_few_texts = st.sampled_from(["p", "pé", "管道", "", "u1"])
+_ids = st.one_of(
+    st.integers(-5, 10**12), st.booleans(), st.text(max_size=4), st.none(),
+)
+
+
+@st.composite
+def _any_job(draw):
+    return ShuffleJob(
+        job_id=draw(_ids), cluster=draw(_few_texts), user=draw(_few_texts),
+        pipeline=draw(_few_texts), archetype=draw(_few_texts),
+        arrival=draw(_volume), duration=draw(_volume), size=draw(_volume),
+        read_bytes=draw(_volume), write_bytes=draw(_volume),
+        read_ops=draw(_volume),
+        metadata=draw(st.dictionaries(_few_texts, _few_texts, max_size=2)),
+        resources=draw(st.dictionaries(
+            st.sampled_from(["a", "ß"]), _resource_value, max_size=2,
+        )),
+    )
+
+
+@st.composite
+def _submission(draw, pool):
+    """One submission record, keys in the order the service builds them."""
+    n = 1 if draw(st.booleans()) else draw(st.integers(1, 3))
+    jobs = [replace(j, job_id=draw(_ids))
+            for j in draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))]
+    rich = draw(st.booleans())
+    if n == 1 and draw(st.booleans()):
+        rec = {"op": "submit",
+               "columns": tuple(getattr(jobs[0], c) for c in COLUMNS)}
+    else:
+        rec = {"op": "jobs" if rich else "batch", "columns": _columns(jobs)}
+    if rich:
+        rec["jobs"] = jobs
+    else:
+        rec["pipelines"] = [j.pipeline for j in jobs]
+        rec["users"] = [j.user for j in jobs]
+    ids = [j.job_id for j in jobs]
+    form = draw(st.sampled_from(["list", "list", "int64", "none"]))
+    if form == "int64":
+        ids = np.arange(n, dtype=np.int64) + draw(st.integers(-3, 2**40))
+    rec["job_ids"] = None if form == "none" and not rich else ids
+    if rich and draw(st.booleans()):
+        rec["log_id"] = draw(_ids)
+    cats = draw(st.lists(st.integers(0, 14), min_size=n, max_size=n))
+    form = draw(st.sampled_from(["array", "list", "float", "bool", "none"]))
+    if form != "none":
+        rec["cats"] = {
+            "array": np.array(cats, dtype=np.int64), "list": cats,
+            "float": np.array(cats, dtype=float), "bool": [c > 7 for c in cats],
+        }[form]
+        if draw(st.booleans()):
+            rec["degraded"] = True
+    return rec
+
+
+@st.composite
+def _submissions(draw):
+    pool = draw(st.lists(_any_job(), min_size=1, max_size=3))
+    return draw(st.lists(_submission(pool), min_size=1, max_size=10))
+
+
+class TestFrozenFrameBytes:
+    @given(records=_submissions())
+    @settings(max_examples=200, deadline=None)
+    def test_append_writes_the_frozen_bytes(self, records):
+        table = _FrozenTable()
+        want = b"".join(_frozen_encode_frame(r, table) for r in records)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.wal")
+            with WriteAheadLog(path) as wal:
+                for r in records:
+                    wal.append(r)
+            with open(path, "rb") as fh:
+                assert fh.read() == want
