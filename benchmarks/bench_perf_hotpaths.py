@@ -33,6 +33,14 @@ timing (``BENCH_SKEWED_JOBS`` overrides the size, as in CI).  Its gate
 is the median ratio of three alternating legacy/chunked pairs timed
 with GC frozen.
 
+``test_perf_fit_chunks`` drives FirstFit (one fit-check chunk over the
+whole trace) through both engines on the hot-path trace at 1 and
+``N_SHARDS`` lanes and a binding 5% quota.  Chunked placements must
+equal legacy bit for bit (the per-job fraction array, the realized TCO
+and the peak) before any timing is reported; times are the medians of
+three alternating pairs with GC frozen, and no speed bar is asserted.
+``BENCH_HOTPATH_JOBS`` sizes it.
+
 ``test_perf_serve_latency`` is the online-service smoke: the same
 200k-job trace replayed through ``PlacementService`` in micro-batch
 mode (p50/p99 per-batch decision latency + sustained decisions/sec,
@@ -445,6 +453,64 @@ def test_perf_skewed_capacity():
             assert speedup >= 2.0
     finally:
         N_JOBS = saved
+
+
+#: Fit-check bench: lane counts, quota of the trace's peak, timing pairs.
+FIT_LANES = (1, N_SHARDS)
+FIT_QUOTA = 0.05
+FIT_PAIRS = 3
+
+
+def test_perf_fit_chunks():
+    """FirstFit's fit-check chunks, chunked vs legacy, at 1 and 16 lanes."""
+    from repro.baselines import FirstFitPolicy
+
+    trace, _, _ = build_workload()
+    cap = FIT_QUOTA * trace.peak_ssd_usage()
+
+    def run(engine, lanes):
+        t0 = time.perf_counter()
+        res = simulate_sharded(trace, FirstFitPolicy(), cap, lanes, engine=engine)
+        return time.perf_counter() - t0, res
+
+    admitted = {}
+    for lanes in FIT_LANES:
+        legacy, chunked = (run(e, lanes)[1] for e in ("legacy", "chunked"))
+        assert np.array_equal(chunked.ssd_fraction, legacy.ssd_fraction)
+        assert chunked.realized_tco == legacy.realized_tco
+        assert chunked.peak_ssd_used == legacy.peak_ssd_used
+        assert chunked.n_ssd_requested == legacy.n_ssd_requested
+        admitted[lanes] = chunked.n_ssd_requested
+
+    gc.collect()
+    gc.freeze()
+    pairs = {lanes: [] for lanes in FIT_LANES}
+    try:
+        for k in range(FIT_PAIRS):
+            order = ("legacy", "chunked") if k % 2 == 0 else ("chunked", "legacy")
+            for lanes in FIT_LANES:
+                pairs[lanes].append({e: run(e, lanes)[0] for e in order})
+    finally:
+        gc.unfreeze()
+
+    lines = [
+        f"Fit-check chunks: FirstFit over {len(trace):,} jobs at a "
+        f"{FIT_QUOTA:.0%} quota, chunked vs legacy engine",
+        f"{FIT_PAIRS} alternating pairs, GC frozen; times are medians, "
+        "ratio is the median per-pair ratio; chunked == legacy bit for bit",
+        f"{'lanes':<6} {'admitted':>9} {'legacy (s)':>11} {'chunked (s)':>12} "
+        f"{'ratio':>7} {'chunked jobs/s':>15}",
+    ]
+    for lanes in FIT_LANES:
+        ps = pairs[lanes]
+        legacy = float(np.median([p["legacy"] for p in ps]))
+        chunked = float(np.median([p["chunked"] for p in ps]))
+        ratio = float(np.median([p["legacy"] / p["chunked"] for p in ps]))
+        lines.append(
+            f"{lanes:<6} {admitted[lanes]:>9,} {legacy:>11.2f} {chunked:>12.2f} "
+            f"{ratio:>6.1f}x {len(trace) / chunked:>15,.0f}"
+        )
+    emit("perf_fit_chunks", "\n".join(lines))
 
 
 def test_perf_serve_latency():

@@ -5,10 +5,10 @@ kernel is a *facade*: admission arithmetic runs on N
 :class:`~repro.serve.worker.PlacementWorker` instances (in-process
 objects or forked children, see :mod:`repro.serve.transport`), each
 owning the round-robin lane subset ``lane % n_workers == w``.  The
-policy, job log, admission queue, service WAL, shock and snapshot
-machinery are all inherited unchanged — the refactor swaps only the
-kernel seam (:meth:`PlacementService._make_kernel`), which is what
-keeps the fleet's decision stream bit-identical to one process:
+policy, job log, admission queue, roll-up, service WAL, shock and
+snapshot machinery are all inherited unchanged — the refactor swaps
+only the kernel seam (:meth:`PlacementService._make_kernel`), which is
+what keeps the fleet's decision stream bit-identical to one process:
 
 - **Batch mode** — :class:`FleetChunkKernel` scatters each micro-batch
   chunk to the owning workers as SoA column blocks (the mask
@@ -44,7 +44,7 @@ import numpy as np
 from ..storage.engine import (
     ChunkKernel,
     ScalarKernel,
-    SimResult,
+    _chunk_candidates,
     _ttl_release_fracs,
 )
 from ..storage.policy import BatchOutcomes
@@ -468,9 +468,10 @@ class FleetChunkKernel(_FleetKernel):
     Presents the exact ``ChunkKernel`` surface the service drives
     (``open_chunk`` / ``run_chunk`` / ``cancel`` / ``resize_lane`` plus
     the counter properties) while the admission arithmetic runs on the
-    workers.  Both chunk kinds take one path: scatter the rows to their
-    lanes' owners (the mask candidates, or every job of a fit-check
-    chunk, whose verdicts stay on the workers), then fold the replies.
+    workers.  Both chunk kinds take one path: scatter the candidates the
+    engine's own rule picks (the mask rows, or every job of a fit-check
+    chunk, whose verdicts stay on the workers) to their lanes' owners,
+    then fold the replies.
     The *ledger* — a full-lane ``ChunkKernel`` that never runs a chunk
     itself — only follows: each worker's authoritative free vector
     overwrites its lanes, and the global release schedule and free
@@ -506,12 +507,8 @@ class FleetChunkKernel(_FleetKernel):
         chunk_lanes = shards[first:stop] if shards is not None else None
         space = np.zeros(count)
         spill_col = np.full(count, np.nan)
-        if bd.fit_check:
-            requested = np.zeros(count, dtype=bool)
-            cand = np.arange(count)
-        else:
-            requested = np.asarray(bd.want_ssd, dtype=bool)[:count].copy()
-            cand = np.flatnonzero(requested)
+        requested = _chunk_candidates(bd, count)
+        cand = np.flatnonzero(requested)
         if cand.size:
             self._scatter_fold(
                 bd, first, cand, t_last, arrivals, durations, sizes,
@@ -599,7 +596,7 @@ class FleetChunkKernel(_FleetKernel):
         st.new_l.extend(lane[out].tolist())
         if alloc_out is not None:
             # A fit-check job the workers turned away keeps no release
-            # time, as in the engine's fit loop.
+            # time, as in the engine's admission loop.
             alloc_out[cand] = alloc_arr
             held = requested[cand]
             release_out[cand[held]] = release[held]
@@ -859,74 +856,3 @@ class FleetRouter(PlacementService):
                 continue
             spans.extend(reply["spans"])
         return spans
-
-    # -- roll-up --------------------------------------------------------
-
-    def result(
-        self, drain: bool = True, aggregate_only: bool = False
-    ) -> SimResult:
-        """Scatter-gather roll-up: per-worker partial results, merged.
-
-        Each worker's part carries its counters and its jobs' decision
-        fractions (sliced from the router's log by lane ownership);
-        :meth:`SimResult.merge` reassembles the per-job array and
-        recomputes the cost roll-up over the full trace, so the merged
-        result is bit-identical to the single-process service's.
-        Counters come from the router's reply-refreshed cache — no
-        worker round-trip, so a roll-up works even mid-outage.
-        """
-        self._ensure_open()
-        if drain:
-            self.drain()
-        elif self.pending:
-            raise RuntimeError(
-                f"{self.pending} submitted jobs still queued; drain() first "
-                "or call result(drain=True)"
-            )
-        pool = self.pool
-        n = len(self.log)
-        frac = self._frac.view()
-        lanes_col = self.log.lanes if self.n_shards > 1 else None
-        parts = []
-        for w in range(pool.n_workers):
-            lw = pool.lanes_by_worker[w]
-            c = pool.counters[w]
-            if lanes_col is None:
-                ji = (
-                    np.arange(n, dtype=np.intp) if w == 0
-                    else np.empty(0, dtype=np.intp)
-                )
-            else:
-                ji = np.flatnonzero(np.isin(lanes_col, lw))
-            parts.append(SimResult(
-                policy_name=self.policy.name,
-                capacity=(
-                    float(self.lane_capacities[lw].sum()) if lw.size else 0.0
-                ),
-                n_jobs=int(ji.size),
-                baseline_tco=0.0,
-                realized_tco=0.0,
-                baseline_tcio=0.0,
-                realized_hdd_tcio=0.0,
-                n_ssd_requested=int(c["n_ssd_requested"]),
-                n_spilled=int(c["n_spilled"]),
-                peak_ssd_used=float(c["peak"]),
-                ssd_fraction=frac[ji].copy(),
-                n_shards=max(int(lw.size), 1),
-                scalar_fallback_jobs=int(c["n_scalar"]),
-                lane_capacities=self.lane_capacities[lw].copy(),
-                job_indices=ji,
-                lane_indices=lw.copy(),
-            ))
-        return SimResult.merge(
-            parts,
-            trace=self.log,
-            rates=self.rates,
-            policy_name=self.policy.name,
-            capacity=float(self.capacity),
-            n_shards=self.n_shards,
-            lane_capacities=self.lane_capacities.copy(),
-            peak_ssd_used=float(self.kernel.peak_used),
-            n_jobs=n,
-            aggregate_only=aggregate_only,
-        )

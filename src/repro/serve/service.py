@@ -1538,7 +1538,7 @@ class PlacementService:
         kern = self.kernel
         scalar_fallback = 0 if self.mode == "scalar" else kern.scalar_fallback_jobs
         return _finalize(
-            self.log, self.policy, self.capacity, self.lane_capacities,
+            self.log, self.policy, self.capacity, self.lane_capacities.copy(),
             self.n_shards, self.rates,
             self._frac.view().copy(),
             kern.n_ssd_requested, kern.n_spilled, kern.peak_used,

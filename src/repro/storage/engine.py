@@ -28,8 +28,9 @@ the same two engines:
 - ``chunked``: for policies implementing the batch protocol
   (:class:`~repro.storage.policy.BatchDecision`), the trace is driven
   in decision-interval chunks: one policy round-trip per chunk, and
-  one exact loop over the chunk's SSD candidates with the legacy
-  admission arithmetic.
+  one exact loop for every chunk kind over the chunk's SSD candidates
+  (a mask chunk's want-SSD rows, or every row of a FirstFit fit-check
+  chunk) with the legacy admission arithmetic.
 
 Peak-usage accounting stays global (the fleet-level metric) and is
 sampled at admission events exactly as the legacy loop samples it.
@@ -792,7 +793,7 @@ def _run_legacy(
 
 
 class _LaneState:
-    """Multi-lane capacity/release bookkeeping shared by chunk handlers.
+    """Multi-lane capacity/release bookkeeping of a :class:`ChunkKernel`.
 
     One lane per caching server; ``free`` is the per-lane free-space
     vector and ``lane_capacity`` the per-lane capacity vector (lanes
@@ -852,13 +853,6 @@ class _LaneState:
             )
             self.rel_pos = j
 
-    def buffer_release(self, rel_time: float, amount: int, lane: int) -> None:
-        """Queue a release for the merge at chunk end (skips zero allocs)."""
-        if amount > 0:
-            self.new_t.append(rel_time)
-            self.new_a.append(amount)
-            self.new_l.append(lane)
-
     def merge_new(self) -> None:
         """Fold this chunk's buffered releases into the sorted arrays."""
         if not self.new_t:
@@ -900,12 +894,26 @@ def _ttl_release_fracs(
     return release, time_frac
 
 
+def _chunk_candidates(bd, count: int) -> np.ndarray:
+    """The rows of a :class:`~repro.storage.policy.BatchDecision` that
+    enter the admission loop, as a fresh chunk-local mask.
+
+    A mask chunk's candidates are its ``want_ssd`` rows; a fit-check
+    chunk passes every row in, and the loop turns away the rows that do
+    not fit whole (clearing their entries).
+    """
+    if bd.fit_check:
+        return np.ones(count, dtype=bool)
+    return np.asarray(bd.want_ssd, dtype=bool)[:count].copy()
+
+
 class ChunkKernel:
     """Incremental chunk-at-a-time core (the chunked engine's state).
 
     Holds the :class:`_LaneState` capacity accountant plus the
     admission/spill counters, and advances by one decision-interval
-    chunk per :meth:`run_chunk` call.  :func:`_run_chunked` drives it
+    chunk per :meth:`run_chunk` call, through one exact loop for every
+    chunk kind (:meth:`_admit`).  :func:`_run_chunked` drives it
     over a whole trace; the online
     :class:`~repro.serve.PlacementService` drives it one queued chunk
     at a time, with chunk boundaries decided by the *policy* in both
@@ -1044,7 +1052,6 @@ class ChunkKernel:
         instant on every worker for the fleet run to reproduce the
         single-process event order.
         """
-        st = self.st
         count = stop - first
         chunk_t = arrivals[first:stop]
         if t_last is None:
@@ -1053,25 +1060,14 @@ class ChunkKernel:
         space = np.zeros(count)
         spill_col = np.full(count, np.nan)
 
-        if bd.fit_check:
-            requested = _run_fit_check_chunk(
-                st, first, stop, t_last, arrivals, durations, sizes, chunk_lanes,
-                bd.ssd_ttl, space, spill_col, ssd_fraction,
-                alloc_out, release_out,
+        requested = _chunk_candidates(bd, count)
+        cand = np.flatnonzero(requested)
+        if cand.size:
+            self._admit(
+                bd, first, t_last, arrivals, durations, sizes, chunk_lanes,
+                requested, cand, space, spill_col, ssd_fraction, alloc_out,
+                release_out,
             )
-            self.n_ssd_requested += int(requested.sum())
-            self.n_spilled += int(np.count_nonzero(~np.isnan(spill_col)))
-        else:
-            requested = np.asarray(bd.want_ssd, dtype=bool)[:count].copy()
-            cand = np.flatnonzero(requested)
-            if cand.size:
-                spilled = _run_mask_chunk(
-                    st, first, t_last, arrivals, durations, sizes, chunk_lanes,
-                    bd.ssd_ttl, cand, space, spill_col, ssd_fraction,
-                    alloc_out, release_out,
-                )
-                self.n_ssd_requested += cand.size
-                self.n_spilled += spilled
 
         outcomes = BatchOutcomes(
             first=first,
@@ -1081,8 +1077,133 @@ class ChunkKernel:
             spill_time=spill_col,
             shards=chunk_lanes,
         )
-        st.merge_new()
+        self.st.merge_new()
         return outcomes
+
+    def _admit(
+        self, bd, first, t_last, arrivals, durations, sizes, chunk_lanes,
+        requested, cand, space, spill_col, ssd_fraction, alloc_out,
+        release_out,
+    ) -> None:
+        """Admit one chunk's candidates (``requested`` from
+        :func:`_chunk_candidates`, ``cand`` its nonzero rows) and count
+        them.
+
+        One exact loop for every chunk kind, over the candidates in
+        arrival order with the legacy admission arithmetic, ``alloc =
+        min(size, free[L])``.  Before each arrival it applies the
+        chunk's window of pending releases and a lane-tagged heap of the
+        chunk's own releases due at or before it (a zero-hold job's
+        release comes after its own arrival).  A running total of free
+        bytes samples the global peak at every admission, as the legacy
+        loop samples it.  Every candidate on a lane where at least one
+        candidate spilled counts toward ``n_scalar``.
+
+        In a fit-check chunk a candidate that does not fit whole is
+        turned away instead: no allocation, release or spill, its
+        ``requested`` entry is cleared and none of the outputs is
+        written for it.
+        """
+        st = self.st
+        fit_check = bd.fit_check
+        idx = first + cand
+        ct = arrivals[idx]
+        cs = ledger_bytes(sizes[idx])
+        ttl_vals = (
+            None if bd.ssd_ttl is None
+            else np.asarray(bd.ssd_ttl, dtype=float)[cand]
+        )
+        release, time_frac = _ttl_release_fracs(ct, durations[idx], ttl_vals)
+        n = cand.size
+        lanes = [0] * n if chunk_lanes is None else chunk_lanes[cand].tolist()
+        sizes_b = cs.tolist()
+
+        # Pending releases maturing inside this chunk.
+        j2 = st.rel_pos + int(
+            np.searchsorted(st.rel_t[st.rel_pos :], t_last, side="right")
+        )
+        pend_t = st.rel_t[st.rel_pos : j2].tolist()
+        pend_a = st.rel_a[st.rel_pos : j2].tolist()
+        pend_l = st.rel_l[st.rel_pos : j2].tolist()
+        st.rel_pos = j2
+        pend_n = len(pend_t)
+        p = 0
+        heap: list[tuple[float, int, int]] = []  # (time, lane, amount)
+        free = st.free.tolist()
+        total = sum(free)
+        # Lowest free total seen at an admission, i.e. the peak's complement.
+        low = st.capacity - st.peak_used
+        allocs = [0] * n
+        spilled: list[int] = []
+        turned: list[int] = []
+        new_t, new_a, new_l = st.new_t, st.new_a, st.new_l
+        for q, (t, size, L, rt) in enumerate(
+            zip(ct.tolist(), sizes_b, lanes, release.tolist())
+        ):
+            while p < pend_n and pend_t[p] <= t:
+                a = pend_a[p]
+                free[pend_l[p]] += a
+                total += a
+                p += 1
+            while heap and heap[0][0] <= t:
+                _, hl, a = heapq.heappop(heap)
+                free[hl] += a
+                total += a
+            f = free[L]
+            if size <= f:
+                alloc = size
+            elif fit_check:
+                turned.append(q)
+                continue
+            else:
+                alloc = f
+                spilled.append(q)
+            free[L] = f - alloc
+            total -= alloc
+            if total < low:
+                low = total
+            if alloc > 0:
+                if rt <= t_last:
+                    heapq.heappush(heap, (rt, L, alloc))
+                else:
+                    new_t.append(rt)
+                    new_a.append(alloc)
+                    new_l.append(L)
+            allocs[q] = alloc
+        # Chunk epilogue: apply the remaining in-chunk releases now (the
+        # next chunk starts at t >= t_last, so this is indistinguishable
+        # from draining them at its first arrival).
+        for k in range(p, pend_n):
+            free[pend_l[k]] += pend_a[k]
+        for _, hl, a in heap:
+            free[hl] += a
+        st.free[:] = free
+        if st.track_peak:
+            st.peak_used = st.capacity - low
+
+        if turned:
+            # Fit-check rows never spill, so only the admitted rows remain.
+            requested[cand[turned]] = False
+            keep = np.ones(n, dtype=bool)
+            keep[turned] = False
+            cand, idx = cand[keep], idx[keep]
+            release, time_frac = release[keep], time_frac[keep]
+            allocs = np.asarray(allocs)[keep]
+        frac = np.ones(cand.size)
+        if spilled:
+            for q in spilled:
+                size = sizes_b[q]
+                frac[q] = allocs[q] / size if size > 0 else 1.0
+            spill_col[cand[spilled]] = ct[spilled]
+            bound = {lanes[q] for q in spilled}
+            st.n_scalar += sum(1 for L in lanes if L in bound)
+        space[cand] = frac
+        ssd_fraction[idx] = frac * time_frac
+        if alloc_out is not None:
+            alloc_out[cand] = allocs
+            release_out[cand] = release
+        self.n_ssd_requested += cand.size
+        self.n_spilled += len(spilled)
 
     def cancel(self, lane: int, alloc: int, release_time: float) -> None:
         """Return an outstanding allocation to its lane now.
@@ -1225,178 +1346,3 @@ def _run_chunked(
         scalar_fallback_jobs=kern.scalar_fallback_jobs,
         aggregate_only=aggregate_only,
     )
-
-
-def _run_mask_chunk(
-    st: _LaneState,
-    first: int,
-    t_last: float,
-    arrivals: np.ndarray,
-    durations: np.ndarray,
-    sizes: np.ndarray,
-    chunk_lanes: np.ndarray | None,
-    ttl: np.ndarray | None,
-    cand: np.ndarray,
-    space: np.ndarray,
-    spill_col: np.ndarray,
-    ssd_fraction: np.ndarray,
-    alloc_out: np.ndarray | None = None,
-    release_out: np.ndarray | None = None,
-) -> int:
-    """Process one mask-mode chunk; returns the number of spilled jobs.
-
-    One exact loop over the candidates in arrival order with the legacy
-    admission arithmetic, ``alloc = min(size, free[L])``.  Before each
-    arrival it applies the chunk's window of pending releases and a
-    lane-tagged heap of the chunk's own releases due at or before it (a
-    zero-hold job's release comes after its own arrival).  A running
-    total of free bytes samples the global peak at every admission, as
-    the legacy loop samples it.  Every candidate on a lane where at
-    least one candidate spilled counts toward ``n_scalar``.
-    """
-    idx = first + cand
-    ct = arrivals[idx]
-    cs = ledger_bytes(sizes[idx])
-    ttl_vals = None if ttl is None else np.asarray(ttl, dtype=float)[cand]
-    release, time_frac = _ttl_release_fracs(ct, durations[idx], ttl_vals)
-    n = cand.size
-    lanes = [0] * n if chunk_lanes is None else chunk_lanes[cand].tolist()
-    sizes_b = cs.tolist()
-
-    # Pending releases maturing inside this chunk.
-    j2 = st.rel_pos + int(
-        np.searchsorted(st.rel_t[st.rel_pos :], t_last, side="right")
-    )
-    pend_t = st.rel_t[st.rel_pos : j2].tolist()
-    pend_a = st.rel_a[st.rel_pos : j2].tolist()
-    pend_l = st.rel_l[st.rel_pos : j2].tolist()
-    st.rel_pos = j2
-    pend_n = len(pend_t)
-    p = 0
-    heap: list[tuple[float, int, int]] = []  # (time, lane, amount)
-    free = st.free.tolist()
-    total = sum(free)
-    # Lowest free total seen at an admission, i.e. the peak's complement.
-    low = st.capacity - st.peak_used
-    allocs = [0] * n
-    spilled: list[int] = []
-    new_t, new_a, new_l = st.new_t, st.new_a, st.new_l
-    for q, (t, size, L, rt) in enumerate(
-        zip(ct.tolist(), sizes_b, lanes, release.tolist())
-    ):
-        while p < pend_n and pend_t[p] <= t:
-            a = pend_a[p]
-            free[pend_l[p]] += a
-            total += a
-            p += 1
-        while heap and heap[0][0] <= t:
-            _, hl, a = heapq.heappop(heap)
-            free[hl] += a
-            total += a
-        f = free[L]
-        alloc = size if size <= f else f
-        free[L] = f - alloc
-        total -= alloc
-        if total < low:
-            low = total
-        if alloc < size:
-            spilled.append(q)
-        if alloc > 0:
-            if rt <= t_last:
-                heapq.heappush(heap, (rt, L, alloc))
-            else:
-                new_t.append(rt)
-                new_a.append(alloc)
-                new_l.append(L)
-        allocs[q] = alloc
-    # Chunk epilogue: apply the remaining in-chunk releases now (the
-    # next chunk starts at t >= t_last, so this is indistinguishable
-    # from draining them at its first arrival).
-    for k in range(p, pend_n):
-        free[pend_l[k]] += pend_a[k]
-    for _, hl, a in heap:
-        free[hl] += a
-    st.free[:] = free
-    if st.track_peak:
-        st.peak_used = st.capacity - low
-
-    frac = np.ones(n)
-    if spilled:
-        for q in spilled:
-            size = sizes_b[q]
-            frac[q] = allocs[q] / size if size > 0 else 1.0
-        spill_col[cand[spilled]] = ct[spilled]
-        bound = {lanes[q] for q in spilled}
-        st.n_scalar += sum(1 for L in lanes if L in bound)
-    space[cand] = frac
-    ssd_fraction[idx] = frac * time_frac
-    if alloc_out is not None:
-        alloc_out[cand] = allocs
-        release_out[cand] = release
-    return len(spilled)
-
-
-def _run_fit_check_chunk(
-    st: _LaneState,
-    first: int,
-    stop: int,
-    t_last: float,
-    arrivals: np.ndarray,
-    durations: np.ndarray,
-    sizes: np.ndarray,
-    chunk_lanes: np.ndarray | None,
-    ttl: np.ndarray | None,
-    space: np.ndarray,
-    spill_col: np.ndarray,
-    ssd_fraction: np.ndarray,
-    alloc_out: np.ndarray | None = None,
-    release_out: np.ndarray | None = None,
-) -> np.ndarray:
-    """FirstFit-style chunk: want SSD iff the full footprint fits in the
-    job's own lane right now.
-
-    Decisions depend on evolving occupancy, so this stays a per-job
-    loop — but without per-job policy calls, decision objects, or heap
-    churn for rejected jobs.  Returns the want-SSD mask.
-    """
-    count = stop - first
-    requested = np.zeros(count, dtype=bool)
-    chunk_t = arrivals[first:stop]
-    chunk_dur = durations[first:stop]
-    chunk_size = ledger_bytes(sizes[first:stop])
-    ttl_vals = None if ttl is None else np.asarray(ttl, dtype=float)
-    release, time_frac = _ttl_release_fracs(chunk_t, chunk_dur, ttl_vals)
-    local_heap: list[tuple[float, int, int]] = []  # (t, lane, amount)
-    for k in range(count):
-        gi = first + k
-        t = float(arrivals[gi])
-        st.release_until(t)
-        while local_heap and local_heap[0][0] <= t:
-            _, hl, amt = heapq.heappop(local_heap)
-            st.free[hl] += amt
-        L = int(chunk_lanes[k]) if chunk_lanes is not None else 0
-        size = int(chunk_size[k])
-        if size > st.free[L]:
-            continue
-        requested[k] = True
-        st.free[L] -= size
-        if st.track_peak:
-            used = st.capacity - int(st.free.sum())
-            if used > st.peak_used:
-                st.peak_used = used
-        if size > 0:
-            rt = float(release[k])
-            if rt <= t_last:
-                heapq.heappush(local_heap, (rt, L, size))
-            else:
-                st.buffer_release(rt, size, L)
-        space[k] = 1.0
-        ssd_fraction[gi] = float(time_frac[k])
-        if alloc_out is not None:
-            alloc_out[k] = size
-            release_out[k] = float(release[k])
-    # Chunk epilogue: the remaining in-chunk releases (<= t_last) apply
-    # now, as in the mask paths, so none is left pending as a resident.
-    for _, hl, amt in local_heap:
-        st.free[hl] += amt
-    return requested

@@ -16,7 +16,9 @@ from repro.baselines import CategoryAdmissionPolicy, FirstFitPolicy, LifetimePol
 from repro.config import AdaptiveParams
 from repro.core import AdaptiveCategoryPolicy
 from repro.storage import BatchDecision, FixedPolicy, simulate
-from repro.storage.engine import ChunkKernel, ScalarKernel, _LaneState
+from repro.storage.engine import (
+    ChunkKernel, ScalarKernel, _LaneState, ledger_bytes,
+)
 from repro.units import GIB
 from repro.workloads import Trace
 
@@ -275,31 +277,38 @@ def mask_runs(draw):
             if draw(st.booleans()) else None
         ),
         "chunks": chunks,
+        # Per chunk: a fit-check chunk (every row a candidate, admitted
+        # only whole) instead of a mask chunk.
+        "fit": draw(st.lists(
+            st.booleans(), min_size=len(chunks), max_size=len(chunks)
+        )),
     }
 
 
 class TestMaskChunkKernel:
-    """Every mask chunk equals the per-job scalar loop, job by job."""
+    """Every chunk equals the per-job scalar loop, job by job: a mask
+    chunk admits its ``want_ssd`` rows, a fit-check chunk the rows whose
+    whole size fits their lane after the releases due at arrival."""
 
     @settings(max_examples=300, deadline=None)
     @given(run=mask_runs())
     def test_mask_chunks_match_scalar_loop(self, run):
         t, dur, size = run["arrivals"], run["durations"], run["sizes"]
-        lanes, want, ttl = run["lanes"], run["want"], run["ttl"]
+        lanes, want, ttl = run["lanes"], run["want"].copy(), run["ttl"]
         n = t.size
         kern = ChunkKernel(run["caps"], lanes=run["global_lanes"])
         ref = ScalarKernel(run["caps"], lanes=run["global_lanes"])
         frac = np.zeros(n)
         fallback = 0
         first = 0
-        for count in run["chunks"]:
+        for count, fit in zip(run["chunks"], run["fit"]):
             stop = first + count
             kern.open_chunk(float(t[first]), int(lanes[first]))
             alloc_out = np.zeros(count, dtype=np.int64)
             release_out = np.full(count, np.nan)
             bd = BatchDecision(
-                count, want[first:stop],
-                None if ttl is None else ttl[first:stop],
+                count, None if fit else want[first:stop],
+                None if ttl is None else ttl[first:stop], fit_check=fit,
             )
             out = kern.run_chunk(
                 bd, first, stop, t, dur, size, lanes, frac,
@@ -309,11 +318,15 @@ class TestMaskChunkKernel:
             for k in range(count):
                 i = first + k
                 ref.release_until(t[i])
+                if fit:
+                    lane_free = ref.free[int(lanes[i])]
+                    want[i] = ledger_bytes(float(size[i])) <= lane_free
                 job_ttl = None if ttl is None or np.isnan(ttl[i]) else ttl[i]
                 space, f, spill, alloc, rel = ref.admit(
                     i, t[i], size[i], dur[i], int(lanes[i]), bool(want[i]),
                     job_ttl,
                 )
+                assert out.requested_ssd[k] == want[i], i
                 assert out.ssd_space_fraction[k] == space, i
                 assert frac[i] == f, i
                 if spill is None:
@@ -324,6 +337,9 @@ class TestMaskChunkKernel:
                 if want[i]:
                     assert alloc_out[k] == alloc, i
                     assert release_out[k] == rel, i
+                else:
+                    assert alloc_out[k] == 0, i
+                    assert np.isnan(release_out[k]), i
             on_spilled = np.isin(lanes[first:stop], list(spilled_lanes))
             fallback += int(np.count_nonzero(want[first:stop] & on_spilled))
             # A chunk without candidates leaves its release window to the

@@ -195,6 +195,22 @@ class TestChunkKernelShocks:
         assert len(rep.decisions) == 4
         assert svc.pending == 0
 
+    @pytest.mark.parametrize("fleet", (False, True))
+    def test_shock_leaves_handed_out_result_alone(self, fleet):
+        caps = [4 * GIB] * 4
+        if fleet:
+            from repro.serve import FleetRouter
+
+            svc = FleetRouter(FirstFitPolicy(), np.asarray(caps), 4,
+                              mode="batch", n_workers=2)
+        else:
+            svc = self._service(caps)
+        self._submit(svc, 0.0, 1 * GIB, 100.0)
+        res = svc.result()
+        svc.apply_shock(0.0, lane=1)
+        assert float(svc.lane_capacities[1]) == 0.0
+        np.testing.assert_array_equal(res.lane_capacities, caps)
+
     def test_scale_and_total_spellings(self):
         svc = self._service([8 * GIB, 4 * GIB])
         svc.apply_shock(scale=0.5)

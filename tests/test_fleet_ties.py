@@ -253,6 +253,41 @@ class TestFitChunkPeak:
         assert_bit_identical(base, got, "fit chunk peak")
         assert counters == base_counters
 
+    #: Three chunks, one per submitted block.  Job 0's release (t=5)
+    #: falls inside the second chunk after its lane-0 row (t=1) but
+    #: before the chunk end (t=6, a lane-1 row): worker 0 must apply it
+    #: in that chunk, as the router's ledger does, or the third chunk's
+    #: peak pass starts 4 GiB short of free space.  The global peak is
+    #: 5 GiB (t=1).
+    CHUNKS = (((0, 5, 4, 0),), ((1, 100, 1, 0), (6, 100, 1, 1)),
+              ((7, 100, 1, 1),))
+
+    def test_release_between_a_worker_row_and_the_chunk_end(self):
+        pipes = [_pipeline_on(lane, 2) for lane in (0, 1)]
+
+        def drive(svc):
+            svc.open()
+            for rows in self.CHUNKS:
+                t, d, g, lane = np.array(rows, dtype=float).T
+                svc.submit_batch(t, d, g * GIB,
+                                 pipelines=[pipes[int(k)] for k in lane])
+            return svc.result(), svc.kernel.counters()
+
+        base, base_counters = drive(
+            PlacementService(FirstFitPolicy(), 20 * GIB, 2, mode="batch")
+        )
+        svc = FleetRouter(
+            FirstFitPolicy(), 20 * GIB, 2, mode="batch", n_workers=2
+        )
+        try:
+            got, counters = drive(svc)
+            assert svc.stats.n_chunks == len(self.CHUNKS)
+        finally:
+            svc.close()
+        assert base.peak_ssd_used == 5 * GIB
+        assert_bit_identical(base, got, "fit chunk release window")
+        assert counters == base_counters
+
 
 def _replay_trace(n_jobs: int) -> Trace:
     spec = default_cluster_specs(10)[0]
