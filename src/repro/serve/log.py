@@ -237,8 +237,6 @@ class JobLog(TraceBase):
         Identical to :func:`~repro.storage.engine.assign_shards` for
         the same seed: both hash each unique pipeline once.
         """
-        if self.n_shards == 1:
-            return 0
         lane = self._lane_cache.get(pipeline)
         if lane is None:
             lane = stable_hash(pipeline, seed=self.shard_seed) % self.n_shards
@@ -354,11 +352,15 @@ class JobLog(TraceBase):
             pipelines = ["pipeline0"] * k
         elif len(pipelines) != k:
             raise ValueError(f"batch pipelines has {len(pipelines)} entries, expected {k}")
-        self._lanes.extend(
-            np.fromiter(
-                (self._lane_of(p) for p in pipelines), dtype=np.intp, count=k
-            )
-        )
+        lookup = self._lane_cache.__getitem__
+        try:
+            lanes = np.fromiter(map(lookup, pipelines), dtype=np.intp, count=k)
+        except KeyError:
+            # New pipelines: hash each one once, then look every job up.
+            for p in dict.fromkeys(pipelines):
+                self._lane_of(p)
+            lanes = np.fromiter(map(lookup, pipelines), dtype=np.intp, count=k)
+        self._lanes.extend(lanes)
         self._pipelines.extend(pipelines)
         if users is None:
             self._users.extend(["user0"] * k)

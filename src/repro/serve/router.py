@@ -61,6 +61,17 @@ __all__ = ["FleetRouter", "worker_lanes"]
 #: (and therefore replayed during worker recovery).
 _MUTATING_OPS = frozenset({"chunk", "fit", "admit", "cancel", "resize"})
 
+#: Ops that carry their worker's queued cancels (see
+#: :meth:`_WorkerPool.queue_cancel`).  ``spans`` neither carries nor
+#: flushes them: gathering telemetry never writes a worker's WAL.  Any
+#: other op sends the queue ahead as standalone ``cancel`` ops.
+_CARRIERS = frozenset({"chunk", "fit"})
+
+#: The columns a carrier op holds its queued cancels in, in the order of
+#: a queue entry.
+_CARRIED_KEYS = ("cancel_lane", "cancel_alloc", "cancel_release", "cancel_catch")
+_CARRIED_DTYPES = (np.intp, np.int64, float, float)
+
 #: Op-dict keys that carry arrays, and the dtype each restores to when
 #: a WAL record (JSON lists) is replayed.
 _ARRAY_KEYS = {
@@ -90,6 +101,14 @@ def _op_to_record(op: dict) -> dict:
     return rec
 
 
+def _cancel_record(lane: int, alloc: int, release: float, catch: float) -> dict:
+    """A queued cancel as the standalone ``cancel`` op it stands for."""
+    return {
+        "op": "cancel", "catch": None if catch == -np.inf else catch,
+        "lane": lane, "alloc": alloc, "release": release,
+    }
+
+
 def _op_from_record(rec: dict) -> dict:
     """Rebuild a dispatchable op from a WAL record (lists → arrays)."""
     op = dict(rec)
@@ -108,6 +127,14 @@ class _WorkerPool:
     logging, periodic checkpointing, crash detection and recovery, and
     the running counter cache every reply refreshes (so results never
     need an extra round-trip to a worker — or a live worker at all).
+
+    A batch-mode cancel makes no round trip of its own: it waits in its
+    worker's queue (:meth:`queue_cancel`) and rides the next ``chunk``
+    or ``fit`` op to that worker as four columns, applied before the
+    chunk opens.  Any other op first sends the queue as standalone
+    ``cancel`` ops.  Either way the WAL holds each cancel as its own
+    ``cancel`` record, written just before the record of the op that
+    delivers it, so recovery and old logs replay unchanged.
 
     Picklable/deep-copyable: ``__getstate__`` swaps the live transports
     for point-in-time worker payloads; a restored pool respawns workers
@@ -159,6 +186,9 @@ class _WorkerPool:
                 for w in range(self.n_workers)
             ]
         self.counters = [self._zero_counters() for _ in range(self.n_workers)]
+        # Per worker: (local lane, alloc, release, catch) of cancels not
+        # sent yet, in the order they were made; catch -inf is "none".
+        self.queued: list[list[tuple]] = [[] for _ in range(self.n_workers)]
         self.n_recoveries = 0  # workers rebuilt from checkpoint + WAL
         self._pending_payloads = None
         self.transports = [self._spawn(w) for w in range(self.n_workers)]
@@ -196,24 +226,64 @@ class _WorkerPool:
 
     # -- dispatch -------------------------------------------------------
 
-    def _log_op(self, w: int, op: dict) -> bool:
-        """WAL-before-dispatch; returns whether the op was logged."""
+    def queue_cancel(
+        self, w: int, lane: int, alloc: int, release: float, catch: float
+    ) -> None:
+        """Hold one cancel for worker ``w`` (local ``lane``) until its
+        next op; ``catch`` is the release cursor it applies after
+        (``-inf``: none)."""
+        self.queued[w].append((lane, alloc, release, catch))
+
+    def _prepare(self, w: int, op: dict) -> tuple[dict, int | None]:
+        """Deliver worker ``w``'s queued cancels and WAL-log ``op``.
+
+        A carrier op comes back with the queue attached as columns; any
+        other op (but ``spans``) first sends the queue as standalone
+        ``cancel`` ops.  Returns the op to send and the WAL length
+        before it was logged (``None`` when nothing was logged).
+        """
+        queue = self.queued[w]
+        kind = op.get("op")
+        if queue and kind not in _CARRIERS:
+            if kind != "spans":
+                self.queued[w] = []
+                for entry in queue:
+                    # Through the instance attribute, so wrappers on
+                    # ``request`` see every round trip.
+                    self.request(w, _cancel_record(*entry))
+            queue = ()
         wal = self.wals[w]
-        if wal is None or op.get("op") not in _MUTATING_OPS:
-            return False
-        wal.append(_op_to_record(op))
-        return True
+        before = None
+        if wal is not None and kind in _MUTATING_OPS:
+            before = wal.seq
+            for entry in queue:
+                wal.append(_cancel_record(*entry))
+            wal.append(_op_to_record(op))
+        if queue:
+            op = dict(op)
+            for key, dtype, col in zip(_CARRIED_KEYS, _CARRIED_DTYPES, zip(*queue)):
+                op[key] = np.array(col, dtype=dtype)
+            self.queued[w] = []
+        return op, before
 
     def _update(self, w: int, reply: dict) -> None:
+        col = reply.get("counters")
+        if col is not None:
+            # Chunk and fit replies pack the six counters in one column.
+            self.counters[w] = dict(zip(self._COUNTER_KEYS, col.tolist()))
+            return
         c = self.counters[w]
         for k in self._COUNTER_KEYS:
             if k in reply:
                 c[k] = reply[k]
 
-    def _maybe_checkpoint(self, w: int) -> None:
+    def _maybe_checkpoint(self, w: int, before: int | None) -> None:
+        """Checkpoint worker ``w`` when the records logged since
+        ``before`` crossed a multiple of ``checkpoint_every`` — one
+        dispatch may log several (its carried cancels)."""
         every = self.checkpoint_every
         wal = self.wals[w]
-        if not every or wal is None or wal.seq % every:
+        if before is None or not every or wal.seq // every == before // every:
             return
         try:
             self.transports[w].request({
@@ -234,28 +304,30 @@ class _WorkerPool:
         non-mutating op is re-issued against the recovered worker.
         """
         self._ensure()
-        logged = self._log_op(w, op)
+        op, before = self._prepare(w, op)
         try:
             reply = self.transports[w].request(op)
         except WorkerDied:
             last = self.recover(w)
-            reply = last if logged else self.transports[w].request(op)
+            reply = last if before is not None else self.transports[w].request(op)
         self._update(w, reply)
-        if logged:
-            self._maybe_checkpoint(w)
+        self._maybe_checkpoint(w, before)
         return reply
 
     def scatter(self, ops: dict) -> dict:
         """Send every op before receiving any reply (workers overlap).
 
-        ``ops`` maps worker id → op dict; returns worker id → reply.
+        ``ops`` maps worker id → op dict (updated in place to the ops as
+        sent, carried cancels included); returns worker id → reply.
         Dead workers are recovered exactly as in :meth:`request`.  The
         first error — a worker's, or a recovery's — is raised only after
         every other reply has been received, so no channel is left
         holding a stale reply.
         """
         self._ensure()
-        logged = {w: self._log_op(w, op) for w, op in ops.items()}
+        before = {}
+        for w in ops:
+            ops[w], before[w] = self._prepare(w, ops[w])
         failed = set()
         for w, op in ops.items():
             try:
@@ -274,11 +346,11 @@ class _WorkerPool:
                 if w in failed:
                     last = self.recover(w)
                     replies[w] = (
-                        last if logged[w] else self.transports[w].request(op)
+                        last if before[w] is not None
+                        else self.transports[w].request(op)
                     )
                 self._update(w, replies[w])
-                if logged[w]:
-                    self._maybe_checkpoint(w)
+                self._maybe_checkpoint(w, before[w])
             except Exception as exc:
                 if error is None:
                     error = exc
@@ -374,6 +446,9 @@ class _WorkerPool:
                 for w in range(self.n_workers)
             ]
         state = self.__dict__.copy()
+        # Empty unless the workers were not respawned since a restore:
+        # then the queue travels with the payloads it was made against.
+        state["queued"] = [list(q) for q in self.queued]
         state["transports"] = None
         state["wals"] = [None] * self.n_workers
         state["worker_dir"] = None
@@ -382,6 +457,8 @@ class _WorkerPool:
         return state
 
     def __setstate__(self, state):
+        # Pools pickled before the cancel queue existed had none.
+        state.setdefault("queued", [[] for _ in range(state["n_workers"])])
         self.__dict__.update(state)
 
 
@@ -503,12 +580,13 @@ class FleetChunkKernel(_FleetKernel):
         count = stop - first
         chunk_t = arrivals[first:stop]
         if t_last is None:
-            t_last = float(chunk_t[count - 1])
+            t_last = chunk_t.item(count - 1)
         chunk_lanes = shards[first:stop] if shards is not None else None
+        # Written at the candidates only: every other row reads 0 / NaN.
         space = np.zeros(count)
         spill_col = np.full(count, np.nan)
         requested = _chunk_candidates(bd, count)
-        cand = np.flatnonzero(requested)
+        cand = requested.nonzero()[0]
         if cand.size:
             self._scatter_fold(
                 bd, first, cand, t_last, arrivals, durations, sizes,
@@ -519,7 +597,7 @@ class FleetChunkKernel(_FleetKernel):
             first=first,
             times=chunk_t,
             requested_ssd=requested,
-            ssd_space_fraction=np.where(requested, space, 0.0),
+            ssd_space_fraction=space,
             spill_time=spill_col,
             shards=chunk_lanes,
         )
@@ -535,35 +613,42 @@ class FleetChunkKernel(_FleetKernel):
         W = pool.n_workers
         st = self.ledger.st
         fit = bd.fit_check
-        idx = first + cand
-        ct = arrivals[idx]
-        cs = sizes[idx]
-        cdur = durations[idx]
-        ttl_vals = (
-            None if bd.ssd_ttl is None
-            else np.asarray(bd.ssd_ttl, dtype=float)[cand]
-        )
-        release, _ = _ttl_release_fracs(ct, cdur, ttl_vals)
+        # Candidates grouped by owner, stably (so each lane keeps arrival
+        # order): one gather per column, and each worker's op and reply
+        # are one contiguous slice of it.
         if chunk_lanes is None:
             lane = np.zeros(cand.size, dtype=np.intp)
         else:
             lane = chunk_lanes[cand]
-        t0 = float(arrivals[first])
-
         owner = lane % W
+        order = owner.argsort(kind="stable")
+        cand = cand[order]
+        lane = lane[order]
+        idx = cand + first
+        ct = arrivals[idx]
+        cdur = durations[idx]
+        cs = sizes[idx]
+        local = lane // W
+        if bd.ssd_ttl is None:
+            ttl_vals = None
+            release = ct + cdur
+        else:
+            ttl_vals = np.asarray(bd.ssd_ttl, dtype=float)[cand]
+            release, _ = _ttl_release_fracs(ct, cdur, ttl_vals)
+        kind = "fit" if fit else "chunk"
+        t0 = arrivals.item(first)
         ops = {}
-        parts = {}
-        for w in range(W):
-            pw = np.flatnonzero(owner == w)
-            if pw.size:
-                parts[w] = pw
+        a = 0
+        for w, n_w in enumerate(np.bincount(owner, minlength=W).tolist()):
+            if n_w:
+                b = a + n_w
                 ops[w] = {
-                    "op": "fit" if fit else "chunk",
-                    "t0": t0, "t_last": t_last,
-                    "t": ct[pw], "dur": cdur[pw], "size": cs[pw],
-                    "lane": lane[pw] // W,
-                    "ttl": None if ttl_vals is None else ttl_vals[pw],
+                    "op": kind, "t0": t0, "t_last": t_last,
+                    "t": ct[a:b], "dur": cdur[a:b], "size": cs[a:b],
+                    "lane": local[a:b],
+                    "ttl": None if ttl_vals is None else ttl_vals[a:b],
                 }
+                a = b
         replies = pool.scatter(ops)
 
         # Ledger roll-forward: consume the window for every lane, then
@@ -573,71 +658,95 @@ class FleetChunkKernel(_FleetKernel):
         # open_chunk consumed everything at or before it, and at or
         # before t_last — stays readable as ``[start, rel_pos)`` for the
         # global peak pass below.
-        start, total = st.rel_pos, int(st.free.sum())
+        start = st.rel_pos
+        total = sum(st.free.tolist()) if W > 1 else 0
         st.release_until(t_last)
-        alloc_arr = np.zeros(cand.size, dtype=np.int64)
+        parts = list(replies.values())  # in worker order, as ``ops``
         for w, reply in replies.items():
             st.free[pool.lanes_by_worker[w]] = reply["free"]
-            pw = parts[w]
-            if fit:
-                # Whole footprints or nothing, never a spill: space is
-                # the verdict as 0/1 and the spill column stays NaN.
-                requested[cand[pw]] = space[cand[pw]] = reply["requested"]
-            else:
-                space[cand[pw]] = reply["space"]
-                spill_col[cand[pw]] = reply["spill"]
-            ssd_fraction[idx[pw]] = reply["frac"]
-            alloc_arr[pw] = reply["alloc"]
-        # Releases maturing past the chunk, buffered in global
-        # candidate order (the ledger's sums do not depend on it).
-        out = np.flatnonzero((alloc_arr > 0) & (release > t_last))
-        st.new_t.extend(release[out].tolist())
-        st.new_a.extend(alloc_arr[out].tolist())
-        st.new_l.extend(lane[out].tolist())
+        alloc = np.concatenate([r["alloc"] for r in parts])
+        ssd_fraction[idx] = np.concatenate([r["frac"] for r in parts])
+        if fit:
+            # Whole footprints or nothing, never a spill: space is the
+            # verdict as 0/1 and the spill column stays NaN.
+            held = np.concatenate([r["requested"] for r in parts])
+            requested[cand] = space[cand] = held
+        else:
+            space[cand] = np.concatenate([r["space"] for r in parts])
+            spill_col[cand] = np.concatenate([r["spill"] for r in parts])
         if alloc_out is not None:
-            # A fit-check job the workers turned away keeps no release
-            # time, as in the engine's admission loop.
-            alloc_out[cand] = alloc_arr
-            held = requested[cand]
-            release_out[cand[held]] = release[held]
-        if W > 1:
-            # Global peak: replay the fleet-wide events over the
-            # realized allocations in the single process's order —
-            # window releases and in-chunk releases due at or before an
-            # arrival first — and sample free at each row.  A row that
-            # allocates nothing cannot raise the peak: between
-            # admissions, used bytes only fall.
-            pend_t = st.rel_t[start:st.rel_pos].tolist()
-            pend_a = st.rel_a[start:st.rel_pos].tolist()
-            p, pend_n = 0, len(pend_t)
-            heap: list[tuple[float, int]] = []  # (time, amount)
-            low = st.capacity - self._peak
-            for t, a, rt in zip(
-                ct.tolist(), alloc_arr.tolist(), release.tolist()
-            ):
-                while p < pend_n and pend_t[p] <= t:
-                    total += pend_a[p]
-                    p += 1
-                while heap and heap[0][0] <= t:
-                    total += heapq.heappop(heap)[1]
-                total -= a
-                if total < low:
-                    low = total
-                if a > 0 and rt <= t_last:
-                    heapq.heappush(heap, (rt, a))
-            self._peak = st.capacity - low
+            alloc_out[cand] = alloc
+            if fit:
+                # A fit-check job the workers turned away keeps no
+                # release time, as in the engine's admission loop.
+                release_out[cand[held]] = release[held]
+            else:
+                release_out[cand] = release
+        # Releases maturing past the chunk, buffered in owner order:
+        # each lane's entries keep arrival order, and the ledger's sums
+        # do not depend on the order across lanes.
+        allocs = alloc.tolist()
+        releases = release.tolist()
+        new_t, new_a, new_l = st.new_t, st.new_a, st.new_l
+        for a, rt, L in zip(allocs, releases, lane.tolist()):
+            if a > 0 and rt > t_last:
+                new_t.append(rt)
+                new_a.append(a)
+                new_l.append(L)
+        # Global peak.  Between samples free bytes only fall by this
+        # chunk's allocations (window releases net to >= 0, as a cancel's
+        # compensating entry shares its release's timestamp), so when
+        # even all of them leave the total at or above the lowest one
+        # seen, no sample can set a new low and the replay is skipped.
+        if W > 1 and total - sum(allocs) < st.capacity - self._peak:
+            rows = sorted(zip(order.tolist(), ct.tolist(), allocs, releases))
+            self._replay_peak(rows, start, total, t_last)
         if t_last > self._cursor:
             self._cursor = t_last
+
+    def _replay_peak(self, rows, start, total, t_last) -> None:
+        """Sample the fleet-wide free total at every candidate arrival.
+
+        Replays the window releases ``[start, rel_pos)`` and the
+        chunk's own releases due in it over the realized allocations
+        (``rows``: ``(position, time, alloc, release)`` in candidate
+        order), in the single process's order — releases due at or
+        before an arrival first.  A row that allocates nothing cannot
+        raise the peak: between admissions, used bytes only fall.
+        """
+        st = self.ledger.st
+        pend_t = st.rel_t[start:st.rel_pos].tolist()
+        pend_a = st.rel_a[start:st.rel_pos].tolist()
+        p, pend_n = 0, len(pend_t)
+        heap: list[tuple[float, int]] = []  # (time, amount)
+        low = st.capacity - self._peak
+        for _, t, a, rt in rows:
+            while p < pend_n and pend_t[p] <= t:
+                total += pend_a[p]
+                p += 1
+            while heap and heap[0][0] <= t:
+                total += heapq.heappop(heap)[1]
+            total -= a
+            if total < low:
+                low = total
+            if a > 0 and rt <= t_last:
+                heapq.heappush(heap, (rt, a))
+        self._peak = st.capacity - low
 
     # -- out-of-band mutations ------------------------------------------
 
     def cancel(self, lane: int, alloc: int, release_time: float) -> None:
+        """Return an allocation now: to the ledger at once, and to its
+        worker with that worker's next op (see
+        :meth:`_WorkerPool.queue_cancel`).  Nothing waits on the
+        worker: whether space was freed is the service's call, and the
+        ledger is local."""
         W = self.pool.n_workers
-        self.pool.request(int(lane) % W, {
-            "op": "cancel", "catch": self._catch(),
-            "lane": int(lane) // W, "alloc": int(alloc),
-            "release": float(release_time),
-        })
+        lane = int(lane)
+        self.pool.queue_cancel(
+            lane % W, lane // W, int(alloc), float(release_time),
+            float(self._cursor),
+        )
         self.ledger.cancel(lane, alloc, release_time)
 
 

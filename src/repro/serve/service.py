@@ -446,8 +446,9 @@ class PlacementService:
             return
         sel = np.asarray(cats[first:stop])[requested]
         if sel.size:
-            for cat, cnt in zip(*np.unique(sel, return_counts=True)):
-                self._cat_counter(int(cat)).inc(int(cnt))
+            counts = np.bincount(sel)
+            for cat in np.flatnonzero(counts).tolist():
+                self._cat_counter(cat).inc(int(counts[cat]))
 
     def _derived(self) -> list:
         """Every ``_DERIVED`` sample as ``(metric, row, lane)``.

@@ -22,6 +22,7 @@ other:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -127,23 +128,19 @@ class _DecisionBatch(Sequence):
             o = self._outcomes
             first = o.first
             n = len(o)
-            times = o.times.tolist()
-            req = o.requested_ssd.tolist()
-            space = o.ssd_space_fraction.tolist()
+            stop = first + n
             spills = o.spill_time.tolist()
-            rels = self._rel.tolist()
-            lanes = [0] * n if o.shards is None else o.shards.tolist()
-            ids = self._job_ids
-            self._items = [
-                PlacementDecision(
-                    first + k, ids[first + k], times[k], lanes[k], req[k],
-                    space[k],
-                    # NaN-encoded "no spill" (NaN != NaN).
-                    spills[k] if spills[k] == spills[k] else None,
-                    rels[k],
-                )
-                for k in range(n)
-            ]
+            # Tuples built from the columns in C, without a per-field
+            # constructor call; NaN-encoded "no spill" (NaN != NaN)
+            # reads None.
+            self._items = list(map(tuple.__new__, repeat(PlacementDecision), zip(
+                range(first, stop), self._job_ids[first:stop],
+                o.times.tolist(),
+                repeat(0, n) if o.shards is None else o.shards.tolist(),
+                o.requested_ssd.tolist(), o.ssd_space_fraction.tolist(),
+                [s if s == s else None for s in spills],
+                self._rel.tolist(),
+            )))
         return self._items
 
     def __len__(self) -> int:

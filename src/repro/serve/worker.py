@@ -142,12 +142,24 @@ class PlacementWorker:
         Every reply carries the worker's running counters (admission /
         spill / eviction totals and its peak sample), so the router's
         per-worker counter cache stays current without extra
-        round-trips.
+        round-trips.  An op may carry queued cancels as four columns
+        (``cancel_lane``, ``cancel_alloc``, ``cancel_release``,
+        ``cancel_catch``); they apply first, in order.
         """
         kind = op.get("op")
         handler = getattr(self, f"_op_{kind}", None)
         if handler is None:
             raise ValueError(f"unknown worker op {kind!r}")
+        lanes = op.get("cancel_lane")
+        if lanes is not None:
+            # Each exactly as the standalone ``cancel`` op it stands for.
+            for cancel in zip(
+                lanes.tolist(), op["cancel_alloc"].tolist(),
+                op["cancel_release"].tolist(), op["cancel_catch"].tolist(),
+            ):
+                self._count_op("cancel")
+                self._record_op_span("cancel", {"catch": cancel[3]})
+                self._cancel(*cancel)
         self._count_op(str(kind))
         if kind in self._SPAN_OPS:
             self._record_op_span(str(kind), op)
@@ -193,6 +205,17 @@ class PlacementWorker:
             "peak": c["peak_used"],
         }
 
+    def _counter_column(self) -> np.ndarray:
+        """:meth:`_counters`' values, in its order, as one int64 column
+        (a chunk reply's ``counters``)."""
+        k = self.kernel
+        st = k.st
+        return np.array(
+            (k.n_ssd_requested, k.n_spilled, k.n_evicted, k.evicted_bytes,
+             st.n_scalar, st.peak_used),
+            dtype=np.int64,
+        )
+
     # -- batch-mode ops -------------------------------------------------
 
     def _op_chunk(self, op: dict) -> dict:
@@ -208,14 +231,17 @@ class PlacementWorker:
         chunk this worker sat out) and ``t_last`` decides which releases
         are consumed in-chunk, so the worker's ledger is the
         single-process one restricted to its lanes.  Both kinds reply
-        with the outcome columns the router folds.
+        with only what the router folds: the outcome columns, the free
+        vector and the counters as one column.  Cancels the op carries
+        were applied before (see :meth:`handle`).
         """
         kern = self.kernel
         fit = op["op"] == "fit"
         t = _arr(op["t"])
         c = t.size
         self._m_batch_jobs.observe(c)
-        kern.open_chunk(float(op["t0"]), 0)
+        # The single process's open_chunk, without the policy context.
+        kern.st.release_until(float(op["t0"]))
         ttl = op.get("ttl")
         bd = BatchDecision(
             count=c, want_ssd=None if fit else np.ones(c, dtype=bool),
@@ -226,13 +252,11 @@ class PlacementWorker:
         out = kern.run_chunk(
             bd, 0, c, t, _arr(op["dur"]), _arr(op["size"]),
             _arr(op["lane"], dtype=np.intp) if kern.st.n_lanes > 1 else None,
-            frac, alloc, np.zeros(c), t_last=float(op["t_last"]),
+            frac, alloc, np.empty(c), t_last=float(op["t_last"]),
         )
         reply = {
-            "frac": frac,
-            "alloc": alloc,
-            "free": kern.free.copy(),
-            **self._counters(),
+            "frac": frac, "alloc": alloc, "free": kern.free.copy(),
+            "counters": self._counter_column(),
         }
         if fit:
             # The router derives the rest: a fit chunk's space is the
@@ -284,16 +308,21 @@ class PlacementWorker:
         else:
             self.kernel.st.release_until(t)
 
+    def _cancel(self, lane: int, alloc, release: float, catch) -> None:
+        """One batch-mode cancel after catching up to ``catch``."""
+        self._catch_up(catch)
+        self.kernel.cancel(lane, alloc, release)
+
     def _op_cancel(self, op: dict) -> dict:
         kern = self.kernel
-        self._catch_up(op.get("catch"))
         lane = int(op["lane"])
         # The kernel floors ``alloc``: logs written before the integer
         # ledger carry float bytes.
         if self.mode == "scalar":
+            self._catch_up(op.get("catch"))
             kern.cancel(int(op["i"]), lane, op["alloc"])
         else:
-            kern.cancel(lane, op["alloc"], float(op["release"]))
+            self._cancel(lane, op["alloc"], float(op["release"]), op.get("catch"))
         return {"free": int(kern.free[lane]), **self._counters()}
 
     def _op_resize(self, op: dict) -> dict:

@@ -301,18 +301,18 @@ def assign_shards(trace: TraceBase, n_shards: int, seed: int = 0) -> np.ndarray:
 
     All jobs of one pipeline land on the same caching server, mirroring
     the locality of a pipeline's intermediate files.  Pipelines repeat
-    heavily across a trace, so each unique pipeline is hashed once and
-    broadcast back through the inverse index.
+    heavily across a trace, so each distinct pipeline is hashed once and
+    every job looks its lane up.
     """
     if n_shards < 1:
         raise ValueError("need at least one shard")
-    uniq, inverse = np.unique(
-        np.asarray(trace.pipelines, dtype=object), return_inverse=True
+    pipelines = trace.pipelines
+    lane = {
+        p: stable_hash(p, seed=seed) % n_shards for p in dict.fromkeys(pipelines)
+    }
+    return np.fromiter(
+        map(lane.__getitem__, pipelines), dtype=np.intp, count=len(pipelines)
     )
-    lanes = np.array(
-        [stable_hash(p, seed=seed) % n_shards for p in uniq], dtype=np.intp
-    )
-    return lanes[inverse]
 
 
 def ledger_bytes(x, round_up: bool = True):
@@ -842,9 +842,7 @@ class _LaneState:
 
     def release_until(self, t: float) -> None:
         """Apply every pending release with time <= ``t`` to its lane."""
-        j = self.rel_pos + int(
-            np.searchsorted(self.rel_t[self.rel_pos :], t, side="right")
-        )
+        j = self.rel_pos + int(self.rel_t[self.rel_pos :].searchsorted(t, "right"))
         if j > self.rel_pos:
             np.add.at(
                 self.free,
@@ -857,13 +855,9 @@ class _LaneState:
         """Fold this chunk's buffered releases into the sorted arrays."""
         if not self.new_t:
             return
-        all_t = np.concatenate([self.rel_t[self.rel_pos :], np.asarray(self.new_t)])
-        all_a = np.concatenate(
-            [self.rel_a[self.rel_pos :], np.asarray(self.new_a, dtype=np.int64)]
-        )
-        all_l = np.concatenate(
-            [self.rel_l[self.rel_pos :], np.asarray(self.new_l, dtype=np.intp)]
-        )
+        all_t = np.concatenate((self.rel_t[self.rel_pos :], self.new_t))
+        all_a = np.concatenate((self.rel_a[self.rel_pos :], self.new_a))
+        all_l = np.concatenate((self.rel_l[self.rel_pos :], self.new_l))
         order = np.argsort(all_t, kind="stable")
         self.rel_t = all_t[order]
         self.rel_a = all_a[order]
@@ -1119,9 +1113,7 @@ class ChunkKernel:
         sizes_b = cs.tolist()
 
         # Pending releases maturing inside this chunk.
-        j2 = st.rel_pos + int(
-            np.searchsorted(st.rel_t[st.rel_pos :], t_last, side="right")
-        )
+        j2 = st.rel_pos + int(st.rel_t[st.rel_pos :].searchsorted(t_last, "right"))
         pend_t = st.rel_t[st.rel_pos : j2].tolist()
         pend_a = st.rel_a[st.rel_pos : j2].tolist()
         pend_l = st.rel_l[st.rel_pos : j2].tolist()

@@ -344,30 +344,36 @@ class TestFleetReplayShape:
         assert counters["scalar_fallback_jobs"] > 0  # capacity binds
 
     def test_worker_round_trips_are_pinned(self, setup, monkeypatch):
-        """Every worker round trip carries work: chunks and cancels, no
-        release catch-up ops.  The exact count pins the protocol."""
+        """Every worker round trip carries work: chunks, no release
+        catch-up ops, and no cancel of its own — each rides its
+        worker's next chunk.  The exact counts pin the protocol."""
         trace, cap, policy, (base, _) = setup
         sent = Counter()
+        carried = Counter()
         send = InProcessTransport.send
 
         def counting_send(self, op):
             sent[op["op"]] += 1
+            carried[op["op"]] += len(op.get("cancel_lane", ()))
             return send(self, op)
 
         monkeypatch.setattr(InProcessTransport, "send", counting_send)
         svc = FleetRouter(policy(), cap, 8, mode="batch", n_workers=2)
         try:
             got, _ = _replay(svc, trace)
+            carried["queued"] = sum(map(len, svc.pool.queued))
         finally:
             svc.close()
         assert_bit_identical(base, got, "inprocess")
         assert dict(sent) == PINNED_ROUND_TRIPS
+        assert +carried == PINNED_CARRIED_CANCELS
 
     def test_fit_round_trips_are_pinned(self, setup, monkeypatch):
         """A FirstFit replay sends one ``fit`` op per (chunk, worker
         holding jobs) — the verdicts come back with the outcome
         columns, so nothing is replayed or re-sent — and no data-plane
-        op besides ``fit``, ``cancel`` and ``resize``."""
+        op besides ``fit``, ``cancel`` and ``resize``.  Cancels ride
+        the ``fit`` ops."""
         trace, cap, _, _ = setup
         # Chunks of 3 jobs (every submission forces its chunk), so some
         # chunks land on one worker only.
@@ -378,12 +384,14 @@ class TestFleetReplayShape:
             trace, batch=3,
         )
         sent = Counter()
+        carried = Counter()
         holders = []
         send = InProcessTransport.send
         run_chunk = FleetChunkKernel.run_chunk
 
         def counting_send(self, op):
             sent[op["op"]] += 1
+            carried[op["op"]] += len(op.get("cancel_lane", ()))
             return send(self, op)
 
         def spying_run_chunk(self, bd, first, stop, *args, **kwargs):
@@ -399,6 +407,7 @@ class TestFleetReplayShape:
         )
         try:
             got, _ = _replay(svc, trace, batch=3)
+            carried["queued"] = sum(map(len, svc.pool.queued))
         finally:
             svc.close()
         assert_bit_identical(base, got, "firstfit inprocess")
@@ -406,11 +415,17 @@ class TestFleetReplayShape:
         assert sent["fit"] == sum(holders)
         assert 1 in holders and 2 in holders
         assert dict(sent) == PINNED_FIT_ROUND_TRIPS
+        assert +carried == PINNED_FIT_CARRIED_CANCELS
 
 
 #: Worker round trips of one in-process ``TestFleetReplayShape`` run,
 #: by op kind.
-PINNED_ROUND_TRIPS = {"chunk": 1131, "cancel": 44}
+PINNED_ROUND_TRIPS = {"chunk": 1131}
+
+#: The cancels that run made, by how they reached their worker: carried
+#: by an op of that kind, or still ``queued`` when the replay ended.
+PINNED_CARRIED_CANCELS = {"chunk": 43, "queued": 1}
 
 #: The same for ``test_fit_round_trips_are_pinned``'s FirstFit replay.
-PINNED_FIT_ROUND_TRIPS = {"fit": 3212, "cancel": 417}
+PINNED_FIT_ROUND_TRIPS = {"fit": 3212}
+PINNED_FIT_CARRIED_CANCELS = {"fit": 416, "queued": 1}

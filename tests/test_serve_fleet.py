@@ -29,6 +29,7 @@ from repro.serve import (
     WorkerDied,
     worker_lanes,
 )
+from repro.serve.transport import RecordingTransport
 from repro.storage.engine import SimResult
 from repro.workloads import save_trace
 from repro.workloads.streaming import materialize_trace
@@ -324,6 +325,215 @@ class TestFailover:
             _feed(svc, trace, 46, 92)
             svc.drain()
         svc.close()
+
+
+def _queued(svc) -> int:
+    return sum(map(len, svc.pool.queued))
+
+
+def _live_jobs(svc) -> list:
+    """Jobs whose ``complete`` would free space now, oldest first."""
+    return [
+        j for j, e in svc._live.items()
+        if e[3] > svc._now and e[3] > svc._horizon
+    ]
+
+
+def _drive_queued(svc, trace, event=None, at=115):
+    """23-job batches, each followed by a complete of the oldest job
+    that still holds space.
+
+    ``event(svc)`` runs once, after the completes of the first batch
+    from ``at`` on that freed space, so a fleet holds queued cancels
+    then; it may return the service to continue with (a restored
+    one)."""
+    svc.open(trace)
+    fired = event is None
+    for lo in range(0, 260, 23):
+        _feed(svc, trace, lo, min(lo + 23, 260), step=23)
+        live = _live_jobs(svc)
+        freed = bool(live) and svc.complete(live[0])
+        if not fired and lo >= at and freed:
+            if isinstance(svc, FleetRouter):
+                assert _queued(svc)
+            svc = event(svc) or svc
+            fired = True
+    assert fired
+    return svc, svc.result()
+
+
+class _KillOnCarrier(RecordingTransport):
+    """Kills its worker right after sending it an op that carries
+    cancels: the op is logged and sent, its reply never comes."""
+
+    def send(self, op):
+        super().send(op)
+        if "cancel_lane" in op:
+            self.inner.kill()
+
+
+class TestQueuedCancels:
+    """Batch cancels wait in their worker's queue for its next op.
+    Whatever happens while they wait, the run stays bit-identical to
+    one process and to the uninterrupted fleet."""
+
+    @pytest.fixture(scope="class")
+    def base(self, trace, builders):
+        _, res = _drive_queued(
+            PlacementService(builders["adaptive"](), CAP, 4, mode="batch"), trace
+        )
+        return res
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, trace, builders, base):
+        svc = FleetRouter(
+            builders["adaptive"](), CAP, 4, mode="batch", n_workers=3
+        )
+        _, res = _drive_queued(svc, trace)
+        svc.close()
+        assert_bit_identical(base, res, "uninterrupted")
+        return res
+
+    def _fleet(self, builders, tmp_path, transport="inprocess", every=64):
+        return FleetRouter(
+            builders["adaptive"](), CAP, 4, mode="batch", n_workers=3,
+            transport=transport, worker_dir=str(tmp_path),
+            worker_checkpoint_every=every,
+        )
+
+    def _check(self, res, base, uninterrupted, label):
+        assert_bit_identical(base, res, label)
+        assert_bit_identical(uninterrupted, res, label)
+
+    @pytest.mark.parametrize("transport", ("inprocess", "subprocess"))
+    def test_kill_before_the_queue_is_sent(
+        self, trace, builders, base, uninterrupted, tmp_path, transport
+    ):
+        def kill(svc):
+            svc.kill_worker(next(w for w, q in enumerate(svc.pool.queued) if q))
+
+        svc = self._fleet(builders, tmp_path, transport)
+        svc, res = _drive_queued(svc, trace, kill)
+        assert svc.pool.n_recoveries == 1
+        svc.close()
+        self._check(res, base, uninterrupted, f"kill-queued/{transport}")
+
+    @pytest.mark.parametrize("transport", ("inprocess", "subprocess"))
+    def test_kill_during_the_carrying_chunk(
+        self, trace, builders, base, uninterrupted, tmp_path, transport
+    ):
+        log = []
+
+        def arm(svc):
+            pool = svc.pool
+            w = next(w for w, q in enumerate(pool.queued) if q)
+            pool.transports[w] = _KillOnCarrier(pool.transports[w], log)
+
+        svc = self._fleet(builders, tmp_path, transport)
+        svc, res = _drive_queued(svc, trace, arm)
+        assert svc.pool.n_recoveries == 1
+        svc.close()
+        self._check(res, base, uninterrupted, f"kill-carrier/{transport}")
+
+    def test_checkpoint_inside_a_carried_batch(
+        self, trace, builders, base, uninterrupted, tmp_path
+    ):
+        """A dispatch that logs its carried cancels and its chunk may
+        step over a multiple of ``worker_checkpoint_every``; the
+        checkpoint is still taken, anchored after the whole dispatch,
+        and a worker killed later recovers from it."""
+        every = 2
+        svc = self._fleet(builders, tmp_path, every=every)
+        pool = svc.pool
+        logs = [[] for _ in range(3)]
+        pool.transports = [
+            RecordingTransport(tr, logs[w]) for w, tr in enumerate(pool.transports)
+        ]
+        svc, res = _drive_queued(svc, trace, lambda svc: svc.kill_worker(1), at=161)
+        assert pool.n_recoveries == 1
+        svc.close()
+        self._check(res, base, uninterrupted, "checkpoint-in-batch")
+        stepped_over = 0
+        for w, log in enumerate(logs):
+            ops = [op for op, _ in log]
+            seq = 0
+            for op, nxt in zip(ops, ops[1:] + [None]):
+                if op["op"] not in ("chunk", "cancel", "resize"):
+                    continue
+                before = seq
+                seq += 1 + len(op.get("cancel_lane", ()))
+                if seq // every > before // every:
+                    assert nxt == {
+                        "op": "checkpoint", "path": pool._ckpt_path(w),
+                        "anchor": seq,
+                    }, (w, before, seq)
+                    stepped_over += seq % every != 0
+        assert stepped_over
+
+    @pytest.mark.parametrize("event", ("metrics", "shock", "snapshot"))
+    def test_events_while_queued(
+        self, trace, builders, base, uninterrupted, tmp_path, event
+    ):
+        def single(svc):
+            if event == "shock":
+                svc.apply_shock(scale=0.5)
+
+        def fleet(svc):
+            if event == "metrics":
+                svc.metrics()
+                assert not _queued(svc)
+            elif event == "shock":
+                svc.apply_shock(scale=0.5)
+            else:
+                blob = pickle.dumps(svc.snapshot())
+                assert not _queued(svc)
+                svc.close()
+                return FleetRouter.restore(pickle.loads(blob))
+
+        _, want = _drive_queued(
+            PlacementService(builders["adaptive"](), CAP, 4, mode="batch"),
+            trace, single,
+        )
+        if event != "shock":
+            assert_bit_identical(base, want, event)
+        svc = self._fleet(builders, tmp_path)
+        svc, got = _drive_queued(svc, trace, fleet)
+        svc.close()
+        assert_bit_identical(want, got, event)
+        if event != "shock":
+            assert_bit_identical(uninterrupted, got, event)
+
+    def test_snapshot_of_a_restored_fleet_keeps_its_queue(
+        self, trace, builders
+    ):
+        """A restored fleet respawns its workers on first use.  A cancel
+        made before that, and a snapshot taken then, keep the cancel
+        queued with the worker payloads it applies to."""
+        def single(svc):
+            assert svc.complete(_live_jobs(svc)[0])
+
+        def twice(svc):
+            restored = FleetRouter.restore(pickle.loads(pickle.dumps(svc.snapshot())))
+            svc.close()
+            assert restored.complete(_live_jobs(restored)[0])
+            assert restored.pool.transports is None
+            assert _queued(restored) == 1
+            again = FleetRouter.restore(
+                pickle.loads(pickle.dumps(restored.snapshot()))
+            )
+            assert restored.pool.transports is None
+            assert _queued(again) == 1
+            restored.close()
+            return again
+
+        _, want = _drive_queued(
+            PlacementService(builders["adaptive"](), CAP, 4, mode="batch"),
+            trace, single,
+        )
+        svc = FleetRouter(builders["adaptive"](), CAP, 4, mode="batch", n_workers=3)
+        svc, got = _drive_queued(svc, trace, twice)
+        svc.close()
+        assert_bit_identical(want, got, "restored-twice")
 
 
 class TestSnapshots:

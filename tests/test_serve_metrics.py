@@ -655,6 +655,29 @@ class TestRenderOrder:
         assert lanes == _LANE_SAMPLES
 
 
+class TestAdmissionsByCategory:
+    def test_unique_counts_in_registration_order(self, trace, builders):
+        """Each decided chunk's admissions count by category, and a
+        category's counter registers, in ascending order within its
+        first chunk, as a sorted ``np.unique`` walk of the chunk would."""
+        svc = PlacementService(builders["adaptive"](), CAP, 4, mode="batch")
+        svc.open(trace)
+        cats = np.asarray(svc.policy.categories)
+        rng = np.random.default_rng(3)
+        want: dict = {}
+        for first in range(0, len(cats) - 20, 20):
+            req = rng.random(20) < 0.5
+            svc._count_admissions(first, first + 20, req)
+            chunk = cats[first:first + 20][req]
+            for c, k in zip(*np.unique(chunk, return_counts=True)):
+                want[int(c)] = want.get(int(c), 0) + int(k)
+        got = [
+            (int(dict(m.labels)["category"]), m.value) for m in svc.registry
+            if m.name == "serve_admitted_by_category_total"
+        ]
+        assert got == list(want.items())
+
+
 def _mask_wall_clock(text):
     """Blank the samples that read the wall clock (uptime, throughput,
     request/batch latency histograms); everything else is exact."""

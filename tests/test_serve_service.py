@@ -395,6 +395,50 @@ class TestReleaseTime:
             assert (ttl[placed_idx] < dur[placed_idx]).any()  # TTLs bind
 
 
+class TestDecisionColumns:
+    """A chunk's lazily built decisions equal, field by field and type
+    by type, ``PlacementDecision`` built one field at a time."""
+
+    @pytest.mark.parametrize("sharded", (False, True))
+    def test_materialized_fields_and_types(self, sharded):
+        from repro.serve.types import PlacementDecision, _DecisionBatch
+        from repro.storage.policy import BatchOutcomes
+
+        rng = np.random.default_rng(4)
+        n, first = 9, 5
+        spill = rng.uniform(0.0, 10.0, n)
+        spill[rng.random(n) < 0.5] = np.nan
+        out = BatchOutcomes(
+            first=first,
+            times=rng.uniform(0.0, 10.0, n),
+            requested_ssd=rng.random(n) < 0.6,
+            ssd_space_fraction=rng.random(n),
+            spill_time=spill,
+            shards=rng.integers(0, 4, n).astype(np.intp) if sharded else None,
+        )
+        rel = rng.uniform(10.0, 20.0, n)
+        ids = list(range(first)) + [f"job-{k}" if k % 2 else k for k in range(n)]
+        want = [
+            PlacementDecision(
+                index=first + k,
+                job_id=ids[first + k],
+                time=float(out.times[k]),
+                shard=0 if out.shards is None else int(out.shards[k]),
+                requested_ssd=bool(out.requested_ssd[k]),
+                ssd_space_fraction=float(out.ssd_space_fraction[k]),
+                spill_time=None if np.isnan(spill[k]) else float(spill[k]),
+                release_time=float(rel[k]),
+            )
+            for k in range(n)
+        ]
+        got = list(_DecisionBatch(out, np.zeros(n, dtype=np.int64), rel, ids))
+        assert got == want
+        for g, w in zip(got, want):
+            assert type(g) is PlacementDecision
+            assert [type(v) for v in g] == [type(v) for v in w]
+            assert g.job_id is w.job_id
+
+
 def _submit_nothing(svc, entry):
     """One empty call to ``entry``; ``None`` makes no call (``submit``
     has no empty form: it always carries one job)."""

@@ -1,5 +1,7 @@
 """Sharded caching-server simulation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,35 @@ from repro.storage import (
     simulate,
     simulate_sharded,
 )
+from repro.serve.log import JobLog
 from repro.units import GIB
 from repro.workloads import Trace
+from repro.workloads.metadata import stable_hash
 
 from helpers import make_job
+
+
+def _unique_inverse_shards(pipelines, n_shards, seed):
+    """Lanes by the sorted-unique formula: hash every distinct
+    pipeline, broadcast back through the inverse index."""
+    uniq, inverse = np.unique(np.asarray(pipelines, dtype=object), return_inverse=True)
+    lanes = np.array([stable_hash(p, seed=seed) % n_shards for p in uniq], dtype=np.intp)
+    return lanes[inverse]
+
+
+def _random_pipelines(seed, n, names):
+    rng = np.random.default_rng(seed)
+    return [names[k] for k in rng.integers(0, len(names), n)]
+
+
+_PIPELINE_CASES = [
+    [],
+    ["solo"],
+    ["solo"] * 9,
+    _random_pipelines(1, 40, ["etl", "etl-2", "Zeta", "a", "b", "b "]),
+    _random_pipelines(2, 60, ["pipé", "流水线", "straße", "naïve", "🚀", "ascii", "ASCII"]),
+    [f"p{k % 13}" for k in range(50)],
+]
 
 
 class AlwaysSSD(PlacementPolicy):
@@ -38,6 +65,35 @@ class TestAssignShards:
     def test_rejects_zero_shards(self, small_trace):
         with pytest.raises(ValueError):
             assign_shards(small_trace, 0)
+
+    @pytest.mark.parametrize("pipelines", _PIPELINE_CASES)
+    @pytest.mark.parametrize("n_shards,seed", [(1, 0), (3, 0), (8, 5)])
+    def test_matches_the_sorted_unique_formula(self, pipelines, n_shards, seed):
+        got = assign_shards(SimpleNamespace(pipelines=pipelines), n_shards, seed)
+        want = _unique_inverse_shards(pipelines, n_shards, seed)
+        assert got.dtype == want.dtype == np.intp
+        assert got.tolist() == want.tolist()
+
+
+class TestLogLanes:
+    """``JobLog`` routes each job as ``assign_shards`` does, whether the
+    jobs come one at a time or in blocks that repeat pipelines."""
+
+    @pytest.mark.parametrize("pipelines", _PIPELINE_CASES)
+    @pytest.mark.parametrize("n_shards,seed", [(1, 0), (3, 0), (8, 5)])
+    def test_block_lanes_match_per_job_lanes(self, pipelines, n_shards, seed):
+        blocks, one = JobLog(n_shards=n_shards, shard_seed=seed), JobLog(
+            n_shards=n_shards, shard_seed=seed
+        )
+        n = len(pipelines)
+        for lo in range(0, n, 7):
+            part = pipelines[lo:lo + 7]
+            z = np.zeros(len(part))
+            blocks.append_block(z, z, z, z, z, z, pipelines=part)
+        for p in pipelines:
+            one.append_job(0.0, 0.0, 0.0, pipeline=p)
+        want = _unique_inverse_shards(pipelines, n_shards, seed).tolist()
+        assert blocks.lanes.tolist() == one.lanes.tolist() == want
 
 
 class TestSimulateSharded:
