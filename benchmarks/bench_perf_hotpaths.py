@@ -91,7 +91,10 @@ with at most 512 queued jobs (``fit`` chunks).  Each message goes through ``Fork
 and through ``transport.encode`` + ``decode`` (a binary frame for
 column blocks, a plain pickle for scalar-only messages).  Every decode
 must equal its original, and for every kind of message the wire
-codec's median time must be below pickle's.
+codec's median time must be below pickle's.  A second table gives the
+"worker chunk op": the batch run's recorded ops replayed on a fresh
+worker, in process (``PlacementWorker.handle``) and as real round trips
+to a forked ``SubprocessTransport`` worker, in µs per op.
 """
 
 from __future__ import annotations
@@ -1111,21 +1114,27 @@ def test_perf_forest_one_row():
 SCALAR_TRANSPORT_JOBS = 2_000
 
 
-def _fleet_messages(trace, policy, mode: str, label: str | None = None, **kwargs) -> list:
+def _fleet_messages(
+    trace, policy, mode: str, label: str | None = None, workers: list | None = None,
+    **kwargs,
+) -> list:
     """(kind, message) for every op and reply of an in-process
     ``fleet-replay``-shaped run: 8 lanes, 2 workers, a binding 2% quota,
     512-job batches and a complete on every 8th SSD placement.  Kinds
     start with ``label`` (default: ``mode``); ``kwargs`` go to the
-    router."""
+    router.  ``workers``, when given, receives each worker's spec and
+    its ``(op, reply)`` log."""
     from repro.serve import FleetRouter
     from repro.serve.transport import RecordingTransport
 
     svc = FleetRouter(
         policy, 0.02 * trace.peak_ssd_usage(), 8, mode=mode, n_workers=2, **kwargs
     )
-    log = []
     pool = svc.pool
-    pool.transports = [RecordingTransport(t, log) for t in pool.transports]
+    logs = [[] for _ in pool.transports]
+    if workers is not None:
+        workers.extend(zip((dict(s) for s in pool.specs), logs))
+    pool.transports = [RecordingTransport(t, lg) for t, lg in zip(pool.transports, logs)]
     svc.open(trace)
     cols = (trace.arrivals, trace.durations, trace.sizes, trace.read_bytes,
             trace.write_bytes, trace.read_ops)
@@ -1142,7 +1151,7 @@ def _fleet_messages(trace, policy, mode: str, label: str | None = None, **kwargs
     svc.close()
     label = label or mode
     out = []
-    for op, reply in log:
+    for op, reply in (m for lg in logs for m in lg):
         out.append((f"{label} {op['op']}", op))
         out.append((f"{label} {op['op']} reply", reply))
     return out
@@ -1166,8 +1175,9 @@ def test_perf_transport():
     def policy(t):
         return AdaptiveCategoryPolicy(hash_categories(t, 15), 15, name="Adaptive Hash")
 
+    workers: list = []
     messages = (
-        _fleet_messages(trace, policy(trace), "batch")
+        _fleet_messages(trace, policy(trace), "batch", workers=workers)
         + _fleet_messages(scalar_trace, policy(scalar_trace), "scalar")
         # FirstFit asks for every queued job at once (fit-check chunks),
         # so the queue bound is what closes its chunks.
@@ -1227,8 +1237,65 @@ def test_perf_transport():
             f"{med_p:>10.1f} {med_w:>8.1f} {nbytes['pickle'][sel].mean():>9.0f} "
             f"{nbytes['wire'][sel].mean():>7.0f}"
         )
+    lines += _worker_chunk_op_lines(workers)
     emit("perf_transport", "\n".join(lines))
     assert not slower, slower
+
+
+def _worker_chunk_op_lines(workers: list) -> list[str]:
+    """Time the batch run's recorded worker ops: replayed in order on a
+    fresh in-process worker, and as real round trips to a fresh
+    subprocess worker.  Every reply must equal the recorded one."""
+    from repro.serve.transport import SubprocessTransport, same_message
+    from repro.serve.worker import PlacementWorker
+
+    n_ops = sum(len(log) for _, log in workers)
+    assert all(op["op"] == "chunk" for _, log in workers for op, _ in log)
+    handle_s = round_trip_s = np.inf
+    for _ in range(5):
+        live = [PlacementWorker(dict(spec)) for spec, _ in workers]
+        gc.collect()
+        t0 = time.perf_counter()
+        replies = [[w.handle(op) for op, _ in log] for w, (_, log) in zip(live, workers)]
+        handle_s = min(handle_s, time.perf_counter() - t0)
+        for got, (_, log) in zip(replies, workers):
+            assert all(same_message(r, g) for (_, r), g in zip(log, got))
+    # Router and worker share one CPU, as in perfbench's fleet runs (the
+    # forked worker inherits the pin): a wake-up on another CPU can cost
+    # more than the op itself on a small virtual host.
+    pinned = hasattr(os, "sched_setaffinity")
+    if pinned:
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+    try:
+        for _ in range(3):
+            # One worker at a time: each request waits for its reply, so
+            # this is the serial round trip, not the scatter's overlap.
+            elapsed = 0.0
+            for w, (spec, log) in enumerate(workers):
+                tr = SubprocessTransport(w, dict(spec))
+                try:
+                    t0 = time.perf_counter()
+                    got = [tr.request(op) for op, _ in log]
+                    elapsed += time.perf_counter() - t0
+                finally:
+                    tr.close()
+                assert all(same_message(r, g) for (_, r), g in zip(log, got))
+            round_trip_s = min(round_trip_s, elapsed)
+    finally:
+        if pinned:
+            os.sched_setaffinity(0, cpus)
+    return [
+        "",
+        f"worker chunk op: the batch run's {n_ops:,} recorded chunk ops, each worker's "
+        "ops in order on a fresh worker (every reply equals the recorded one); "
+        "handle = PlacementWorker.handle in this process (best of 5 passes), "
+        "round trip = SubprocessTransport.request to a forked worker, one op in "
+        f"flight, {'both pinned to one CPU' if pinned else 'unpinned'} (best of 3 passes)",
+        f"{'kind':<20} {'ops':>9} {'handle us':>10} {'round trip us':>14}",
+        f"{'worker chunk op':<20} {n_ops:>9,} {handle_s / n_ops * 1e6:>10.1f} "
+        f"{round_trip_s / n_ops * 1e6:>14.1f}",
+    ]
 
 
 if __name__ == "__main__":

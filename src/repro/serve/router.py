@@ -45,7 +45,7 @@ from ..storage.engine import (
     ChunkKernel,
     ScalarKernel,
     _chunk_candidates,
-    _ttl_release_fracs,
+    _ttl_release,
 )
 from ..storage.policy import BatchOutcomes
 from .metrics import merge_states
@@ -634,7 +634,9 @@ class FleetChunkKernel(_FleetKernel):
             release = ct + cdur
         else:
             ttl_vals = np.asarray(bd.ssd_ttl, dtype=float)[cand]
-            release, _ = _ttl_release_fracs(ct, cdur, ttl_vals)
+            release = np.array(
+                _ttl_release(ct.tolist(), cdur.tolist(), ttl_vals.tolist())[0]
+            )
         kind = "fit" if fit else "chunk"
         t0 = arrivals.item(first)
         ops = {}

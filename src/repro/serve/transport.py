@@ -12,12 +12,13 @@ Two implementations:
   ops execute synchronously on :meth:`request`.  Zero copies, zero
   serialization; the default, and the reference the subprocess
   transport is tested bit-identical against.
-- :class:`SubprocessTransport` — the worker runs in a forked
-  ``multiprocessing`` child connected by a duplex pipe.  Every message
-  crosses it as one :func:`encode` buffer (see "Wire format" below).
-  A dead child (crash, kill, exit) surfaces as :class:`WorkerDied` on
-  the next request, which is the router's signal to run per-worker
-  recovery.
+- :class:`SubprocessTransport` — the worker runs in a forked child
+  process connected by two one-way ``os.pipe`` channels, ops down one
+  and replies up the other.  Every message crosses as one
+  :func:`encode` buffer behind an 8-byte length (see "Wire format"
+  below).  A dead child (crash, kill, exit) surfaces as
+  :class:`WorkerDied` on the next request, which is the router's
+  signal to run per-worker recovery.
 
 Both expose the same tiny surface — ``request`` (send one op, wait for
 its reply), split ``send``/``recv`` halves (the router *scatters* one
@@ -51,6 +52,11 @@ scalar-only ops and replies (``admit``, ``cancel``, ``resize``,
 them.  A decoded message has the same keys in the same order and the
 same types; floats are bit-exact and a frame's arrays are fresh,
 writable copies.  :func:`same_message` is that equality.
+
+On a subprocess channel each message is its length as a little-endian
+``u64`` followed by its :func:`encode` bytes, written with one
+``os.write`` (continued after a partial write) and usually read with
+one ``os.readv`` into the channel's kept buffer.
 """
 
 from __future__ import annotations
@@ -332,64 +338,163 @@ class InProcessTransport(WorkerTransport):
         return not self._dead and self._worker is not None
 
 
-def _child_main(conn, spec: dict) -> None:
-    """Entry point of a forked worker child: serve ops until stop/EOF."""
+#: The length prefix of every message on a subprocess channel.
+_LENGTH = struct.Struct("<Q")
+
+#: Size of a channel's kept read buffer; a longer message grows it for
+#: as long as it takes to read.
+_READ_BUFFER = 1 << 16
+
+
+def _write_message(fd: int, data: bytes) -> None:
+    """Write one message to ``fd``: its 8-byte length, then its bytes.
+
+    One ``os.write`` per message; a partial write (a message larger
+    than the pipe buffer, or a signal mid-write) continues from where
+    it stopped.
+    """
+    view = memoryview(_LENGTH.pack(len(data)) + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _Reader:
+    """The read end of a channel, with a kept buffer.
+
+    A message usually arrives in one ``os.readv`` into the buffer;
+    bytes read past a message's end stay for the next one.  End of file
+    raises ``EOFError``, also in the middle of a message.
+    """
+
+    __slots__ = ("fd", "buf", "start", "end")
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.buf = bytearray(_READ_BUFFER)
+        self.start = 0  # first unconsumed byte
+        self.end = 0  # one past the last byte read
+
+    def _fill(self, need: int) -> None:
+        """Read until at least ``need`` unconsumed bytes are buffered."""
+        if self.start + need > len(self.buf):
+            # Move the unconsumed bytes to the front, growing the
+            # buffer when the message does not fit in it.
+            rest = self.buf[self.start:self.end]
+            if need > len(self.buf):
+                self.buf = bytearray(max(need, 2 * len(self.buf)))
+            self.buf[:len(rest)] = rest
+            self.start, self.end = 0, len(rest)
+        view = memoryview(self.buf)
+        while self.end - self.start < need:
+            got = os.readv(self.fd, [view[self.end:]])
+            if not got:
+                raise EOFError("channel closed")
+            self.end += got
+
+    def read(self) -> bytes:
+        """The next message's bytes."""
+        if self.end - self.start < 8:
+            self._fill(8)
+        (n,) = _LENGTH.unpack_from(self.buf, self.start)
+        if self.end - self.start < 8 + n:
+            self._fill(8 + n)
+        a = self.start + 8
+        self.start = a + n
+        data = bytes(memoryview(self.buf)[a:self.start])
+        if self.start == self.end:
+            self.start = self.end = 0
+            if len(self.buf) > _READ_BUFFER:
+                # A message outgrew the buffer: do not keep its size.
+                self.buf = bytearray(_READ_BUFFER)
+        return data
+
+
+def _child_main(op_fd: int, reply_fd: int, parent_fds: tuple, spec: dict) -> None:
+    """Entry point of a forked worker child: serve ops until stop/EOF.
+
+    ``parent_fds`` are the router's ends of this channel, which the
+    fork copied; closing them here is what lets the child see end of
+    file once the router's end closes.
+    """
     # Import here: the child only needs the worker, and a top-level
     # import would make transport <-> worker circular.
     from .worker import PlacementWorker
 
-    worker = PlacementWorker.from_spec(spec)
+    for fd in parent_fds:
+        os.close(fd)
+    reader = _Reader(op_fd)
     try:
+        worker = PlacementWorker.from_spec(spec)
         while True:
             try:
-                op = decode(conn.recv_bytes())
+                op = decode(reader.read())
             except EOFError:
                 break
             try:
                 reply = worker.handle(op)
             except Exception as exc:  # surface, don't kill the child
                 reply = {"error": type(exc).__name__, "message": str(exc)}
-            conn.send_bytes(encode(reply))
+            try:
+                _write_message(reply_fd, encode(reply))
+            except OSError:  # the router's end is gone
+                break
             if op.get("op") == "stop":
                 break
     finally:
-        conn.close()
+        os.close(op_fd)
+        os.close(reply_fd)
 
 
 class SubprocessTransport(WorkerTransport):
-    """A forked ``multiprocessing`` child behind a duplex pipe.
+    """A forked child process behind two one-way pipes.
 
     Fork (not spawn): the child inherits the parent's imports, so
     startup is milliseconds, and the worker spec — plain dict of
     scalars and small arrays — still travels explicitly so a recovery
-    respawn builds the identical worker.  Ops and replies cross the
-    pipe as :func:`encode` buffers, one message each way per op.  Every
-    broken-pipe condition is normalized to :class:`WorkerDied`.
+    respawn builds the identical worker.  Ops go down one ``os.pipe``
+    and replies come up the other, each message an :func:`encode`
+    buffer behind an 8-byte little-endian length: one message each
+    way per op.  End of file, a broken pipe and every other ``OSError``
+    on the channel are normalized to :class:`WorkerDied`.
     """
 
     def __init__(self, worker_id: int, spec: dict):
         self.worker_id = worker_id
         self._spec = spec
+        op_r, op_w = os.pipe()
+        reply_r, reply_w = os.pipe()
         ctx = multiprocessing.get_context("fork")
-        self._conn, child_conn = ctx.Pipe(duplex=True)
-        self._proc = ctx.Process(
-            target=_child_main, args=(child_conn, spec), daemon=True
-        )
-        self._proc.start()
-        child_conn.close()
+        try:
+            self._proc = ctx.Process(
+                target=_child_main,
+                args=(op_r, reply_w, (op_w, reply_r), spec),
+                daemon=True,
+            )
+            self._proc.start()
+        except BaseException:
+            for fd in (op_r, op_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        os.close(op_r)
+        os.close(reply_w)
+        self._op_fd = op_w
+        self._reader = _Reader(reply_r)
+        self._open = True
 
     def send(self, op: dict) -> None:
         if not self.alive:
             raise WorkerDied(self.worker_id, "process not running")
         try:
-            self._conn.send_bytes(encode(op))
-        except (EOFError, BrokenPipeError, OSError) as exc:
+            _write_message(self._op_fd, encode(op))
+        except OSError as exc:
             raise WorkerDied(self.worker_id, str(exc)) from None
 
     def recv(self) -> dict:
+        if not self._open:
+            raise WorkerDied(self.worker_id, "channel closed")
         try:
-            reply = decode(self._conn.recv_bytes())
-        except (EOFError, BrokenPipeError, OSError) as exc:
+            reply = decode(self._reader.read())
+        except (EOFError, OSError) as exc:
             raise WorkerDied(self.worker_id, str(exc)) from None
         if "error" in reply:
             raise _worker_error(
@@ -397,29 +502,39 @@ class SubprocessTransport(WorkerTransport):
             )
         return reply
 
+    def _release(self) -> None:
+        """Close the router's ends and the reaped child's handles."""
+        if not self._open:
+            return
+        self._open = False
+        os.close(self._op_fd)
+        os.close(self._reader.fd)
+        if self._proc.exitcode is not None:
+            self._proc.close()
+
     def kill(self) -> None:
         """SIGKILL the child — the hardest crash a process can have."""
-        if self._proc.is_alive():
+        if self._open and self._proc.is_alive():
             os.kill(self._proc.pid, signal.SIGKILL)
             self._proc.join(timeout=5.0)
-        self._conn.close()
+        self._release()
 
     def close(self) -> None:
-        if self._proc.is_alive():
+        if self._open and self._proc.is_alive():
             try:
-                self._conn.send_bytes(encode({"op": "stop"}))
-                self._conn.recv_bytes()
-            except (EOFError, BrokenPipeError, OSError):
+                _write_message(self._op_fd, encode({"op": "stop"}))
+                self._reader.read()
+            except (EOFError, OSError):
                 pass
             self._proc.join(timeout=5.0)
             if self._proc.is_alive():
                 self._proc.terminate()
                 self._proc.join(timeout=5.0)
-        self._conn.close()
+        self._release()
 
     @property
     def alive(self) -> bool:
-        return self._proc.is_alive()
+        return self._open and self._proc.is_alive()
 
 
 class RecordingTransport(WorkerTransport):

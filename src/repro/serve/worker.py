@@ -34,8 +34,7 @@ import tempfile
 import numpy as np
 
 from .. import __version__
-from ..storage.engine import ChunkKernel, ScalarKernel
-from ..storage.policy import BatchDecision
+from ..storage.engine import ChunkKernel, ScalarKernel, _ledger_sizes
 from .metrics import SIZE_BUCKETS_JOBS, MetricsRegistry
 from .types import WORKER_SNAPSHOT_SCHEMA, SnapshotMismatch
 
@@ -44,6 +43,11 @@ __all__ = ["PlacementWorker"]
 
 def _arr(x, dtype=float) -> np.ndarray:
     return np.asarray(x, dtype=dtype)
+
+
+def _col(x, dtype=float) -> list:
+    """An op column (array or list) as a list of Python scalars."""
+    return np.asarray(x, dtype=dtype).tolist()
 
 
 #: The spec keys a worker reads.  Any other key — a retired knob such as
@@ -226,44 +230,47 @@ class PlacementWorker:
         job the worker's lanes own; fit verdicts depend only on the
         job's own lane, so they stay here and come back as
         ``requested``.  ``t0`` / ``t_last`` are the *fleet-wide* chunk
-        boundaries: the release cursor advances to ``t0`` first (exactly
+        boundaries: releases at or before ``t0`` apply first (exactly
         as the single-process ``open_chunk`` would, catching up on any
         chunk this worker sat out) and ``t_last`` decides which releases
         are consumed in-chunk, so the worker's ledger is the
-        single-process one restricted to its lanes.  Both kinds reply
-        with only what the router folds: the outcome columns, the free
-        vector and the counters as one column.  Cancels the op carries
-        were applied before (see :meth:`handle`).
+        single-process one restricted to its lanes.
+
+        The op's columns (arrays off the wire, or lists from a replayed
+        worker WAL) go to :meth:`~repro.storage.engine.ChunkKernel.admit_chunk`
+        as lists, and each reply column is built once from its result.
+        Both kinds reply with only what the router folds: the outcome
+        columns, the free vector and the counters as one column.
+        Cancels the op carries were applied before (see :meth:`handle`).
         """
         kern = self.kernel
         fit = op["op"] == "fit"
-        t = _arr(op["t"])
-        c = t.size
-        self._m_batch_jobs.observe(c)
-        # The single process's open_chunk, without the policy context.
-        kern.st.release_until(float(op["t0"]))
+        ts = _col(op["t"])
+        n = len(ts)
+        self._m_batch_jobs.observe(n)
         ttl = op.get("ttl")
-        bd = BatchDecision(
-            count=c, want_ssd=None if fit else np.ones(c, dtype=bool),
-            ssd_ttl=None if ttl is None else _arr(ttl), fit_check=fit,
-        )
-        frac = np.zeros(c)
-        alloc = np.zeros(c, dtype=np.int64)
-        out = kern.run_chunk(
-            bd, 0, c, t, _arr(op["dur"]), _arr(op["size"]),
-            _arr(op["lane"], dtype=np.intp) if kern.st.n_lanes > 1 else None,
-            frac, alloc, np.empty(c), t_last=float(op["t_last"]),
+        allocs, space, fracs, _, spilled, turned = kern.admit_chunk(
+            float(op["t0"]), float(op["t_last"]), ts, _col(op["dur"]),
+            _ledger_sizes(_col(op["size"])), _col(op["lane"], np.intp),
+            None if ttl is None else _col(ttl), fit,
         )
         reply = {
-            "frac": frac, "alloc": alloc, "free": kern.free.copy(),
+            "frac": np.array(fracs, dtype=float),
+            "alloc": np.array(allocs, dtype=np.int64),
+            "free": kern.free.copy(),
             "counters": self._counter_column(),
         }
         if fit:
             # The router derives the rest: a fit chunk's space is the
             # verdict as 0/1, and nothing spills.
-            reply["requested"] = out.requested_ssd
+            requested = np.ones(n, dtype=bool)
+            requested[turned] = False
+            reply["requested"] = requested
         else:
-            reply["space"], reply["spill"] = out.ssd_space_fraction, out.spill_time
+            spill = np.full(n, np.nan)
+            if spilled:
+                spill[spilled] = [ts[q] for q in spilled]
+            reply["space"], reply["spill"] = np.array(space, dtype=float), spill
         return reply
 
     # ``fit`` keeps its op name so logged worker WALs still replay.

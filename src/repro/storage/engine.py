@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -868,24 +869,34 @@ class _LaneState:
         self.new_l.clear()
 
 
-def _ttl_release_fracs(
-    t: np.ndarray, dur: np.ndarray, ttl: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized TTL semantics of the legacy loop.
+def _ttl_release(ts: list, durs: list, ttls: list) -> tuple[list, list]:
+    """TTL semantics of the legacy loop, over lists.
 
     Returns ``(release_time, time_fraction)`` per job: a TTL shorter
-    than the lifetime releases at ``t + max(ttl, 0)`` and charges only
-    the resident share of the duration.
+    than the lifetime (NaN: no TTL) releases at ``t + max(ttl, 0)`` and
+    charges only the resident share of the duration.
     """
-    if ttl is None:
-        return t + dur, np.ones(len(t))
-    ttl = np.asarray(ttl, dtype=float)
-    bounded = ~np.isnan(ttl) & (ttl < dur)
-    held = np.clip(ttl, 0.0, None)
-    release = np.where(bounded, t + held, t + dur)
-    safe_dur = np.where(dur > 0, dur, 1.0)
-    time_frac = np.where(bounded & (dur > 0), held / safe_dur, 1.0)
-    return release, time_frac
+    releases: list[float] = []
+    fracs: list[float] = []
+    for t, d, x in zip(ts, durs, ttls):
+        if x < d:
+            held = x if x > 0.0 else 0.0
+            releases.append(t + held)
+            fracs.append(held / d if d > 0 else 1.0)
+        else:
+            releases.append(t + d)
+            fracs.append(1.0)
+    return releases, fracs
+
+
+def _ledger_sizes(sizes: list) -> list[int]:
+    """:func:`ledger_bytes` over a list of sizes, as Python ints."""
+    lim = _MAX_LEDGER_BYTES
+    out = [math.ceil(s) for s in sizes if -lim < s < lim]
+    if len(out) < len(sizes):
+        bad = next(s for s in sizes if not -lim < s < lim)
+        raise ValueError(f"byte count {bad!r} is not finite or exceeds 2**53")
+    return out
 
 
 def _chunk_candidates(bd, count: int) -> np.ndarray:
@@ -906,8 +917,9 @@ class ChunkKernel:
 
     Holds the :class:`_LaneState` capacity accountant plus the
     admission/spill counters, and advances by one decision-interval
-    chunk per :meth:`run_chunk` call, through one exact loop for every
-    chunk kind (:meth:`_admit`).  :func:`_run_chunked` drives it
+    chunk per call, through one exact loop for every chunk kind
+    (:meth:`admit_chunk`, over Python lists).  :meth:`run_chunk` is its
+    single-process adapter: :func:`_run_chunked` drives it
     over a whole trace; the online
     :class:`~repro.serve.PlacementService` drives it one queued chunk
     at a time, with chunk boundaries decided by the *policy* in both
@@ -916,7 +928,8 @@ class ChunkKernel:
 
     The column arrays passed to :meth:`run_chunk` are indexed with
     global job indices; callers may pass views over a growing log as
-    long as indices ``[first, stop)`` are populated.
+    long as indices ``[first, stop)`` are populated.  A fleet worker
+    calls :meth:`admit_chunk` on its op's columns directly.
 
     Like :class:`ScalarKernel`, the ledger is integer bytes, and a
     chunk kernel may cover a **lane subset** of a larger fleet
@@ -1040,11 +1053,14 @@ class ChunkKernel:
         callers tracking live jobs (the service's ``complete`` events).
 
         ``t_last`` overrides the chunk-end boundary (default: the last
-        arrival).  A lane-subset worker passes the *fleet-wide* chunk
-        end here: the boundary decides which releases are consumed
-        in-chunk versus buffered for later, and it must be the same
-        instant on every worker for the fleet run to reproduce the
-        single-process event order.
+        arrival).  The boundary decides which releases are consumed
+        in-chunk versus buffered for later.
+
+        The adapter over :meth:`admit_chunk`: it picks the candidates
+        (:func:`_chunk_candidates`), hands their columns over as lists
+        and scatters the results into the chunk-wide outputs.  A
+        fit-check row turned away keeps ``requested`` False and writes
+        none of ``ssd_fraction``, ``alloc_out`` and ``release_out``.
         """
         count = stop - first
         chunk_t = arrivals[first:stop]
@@ -1053,75 +1069,117 @@ class ChunkKernel:
         chunk_lanes = shards[first:stop] if shards is not None else None
         space = np.zeros(count)
         spill_col = np.full(count, np.nan)
-
         requested = _chunk_candidates(bd, count)
         cand = np.flatnonzero(requested)
         if cand.size:
-            self._admit(
-                bd, first, t_last, arrivals, durations, sizes, chunk_lanes,
-                requested, cand, space, spill_col, ssd_fraction, alloc_out,
-                release_out,
+            idx = first + cand
+            ts = arrivals[idx].tolist()
+            allocs, sp, fracs, releases, spilled, turned = self.admit_chunk(
+                -math.inf, t_last, ts, durations[idx].tolist(),
+                ledger_bytes(sizes[idx]).tolist(),
+                [0] * cand.size if chunk_lanes is None
+                else chunk_lanes[cand].tolist(),
+                None if bd.ssd_ttl is None
+                else np.asarray(bd.ssd_ttl, dtype=float)[cand].tolist(),
+                bd.fit_check,
             )
-
-        outcomes = BatchOutcomes(
+            if spilled:
+                spill_col[cand[spilled]] = [ts[q] for q in spilled]
+            if turned:
+                tq = np.array(turned, dtype=np.intp)
+                requested[cand[tq]] = False
+                keep = np.ones(cand.size, dtype=bool)
+                keep[tq] = False
+                cand, idx = cand[keep], idx[keep]
+                same = fracs is sp  # no TTL: one list for both
+                sp = np.array(sp, dtype=float)[keep]
+                fracs = sp if same else np.array(fracs, dtype=float)[keep]
+                allocs = np.array(allocs, dtype=np.int64)[keep]
+                releases = np.array(releases, dtype=float)[keep]
+            space[cand] = sp
+            ssd_fraction[idx] = fracs
+            if alloc_out is not None:
+                alloc_out[cand] = allocs
+                release_out[cand] = releases
+        return BatchOutcomes(
             first=first,
             times=chunk_t,
             requested_ssd=requested,
-            ssd_space_fraction=np.where(requested, space, 0.0),
+            ssd_space_fraction=space,
             spill_time=spill_col,
             shards=chunk_lanes,
         )
-        self.st.merge_new()
-        return outcomes
 
-    def _admit(
-        self, bd, first, t_last, arrivals, durations, sizes, chunk_lanes,
-        requested, cand, space, spill_col, ssd_fraction, alloc_out,
-        release_out,
-    ) -> None:
-        """Admit one chunk's candidates (``requested`` from
-        :func:`_chunk_candidates`, ``cand`` its nonzero rows) and count
-        them.
+    def admit_chunk(
+        self,
+        t0: float,
+        t_last: float,
+        ts: list,
+        durs: list,
+        sizes: list,
+        lanes: list,
+        ttls: list | None,
+        fit_check: bool,
+    ) -> tuple[list, list, list, list, list, list]:
+        """Admit one chunk's candidates and count them: the admission
+        core every chunk runs through.
 
-        One exact loop for every chunk kind, over the candidates in
-        arrival order with the legacy admission arithmetic, ``alloc =
-        min(size, free[L])``.  Before each arrival it applies the
-        chunk's window of pending releases and a lane-tagged heap of the
-        chunk's own releases due at or before it (a zero-hold job's
-        release comes after its own arrival).  A running total of free
-        bytes samples the global peak at every admission, as the legacy
-        loop samples it.  Every candidate on a lane where at least one
-        candidate spilled counts toward ``n_scalar``.
+        The candidates come as parallel lists in arrival order: arrival,
+        duration, size in ledger bytes (:func:`ledger_bytes`, as ints),
+        local lane and (or ``None``) TTL.  Releases
+        pending at or before ``t0`` apply first — the fleet worker's
+        chunk open; a caller that opened the chunk itself passes
+        ``-inf`` — and ``t_last`` is the chunk-end boundary.  A
+        lane-subset worker gets the *fleet-wide* ``t0`` and ``t_last``:
+        they must be the same instants on every worker for the fleet
+        run to reproduce the single-process event order.
+
+        One exact loop for every chunk kind, with the legacy admission
+        arithmetic, ``alloc = min(size, free[L])``.  Before each arrival
+        it applies the chunk's window of pending releases and a
+        lane-tagged heap of the chunk's own releases due at or before
+        it (a zero-hold job's release comes after its own arrival).  A
+        running total of free bytes samples the global peak at every
+        admission, as the legacy loop samples it.  Every candidate on a
+        lane where at least one candidate spilled counts toward
+        ``n_scalar``.  Releases maturing after ``t_last`` are buffered
+        in candidate order and merged into the pending arrays.
 
         In a fit-check chunk a candidate that does not fit whole is
-        turned away instead: no allocation, release or spill, its
-        ``requested`` entry is cleared and none of the outputs is
-        written for it.
+        turned away instead: no allocation, release or spill.
+
+        Returns per-candidate lists ``(allocs, space, fracs,
+        releases)`` — integer bytes, space fraction, SSD fraction
+        (space x time fraction) and scheduled release — plus the
+        positions that spilled and those turned away, whose
+        allocation, space and fraction are 0.  ``fracs`` is ``space``
+        itself when no TTL was given.
         """
         st = self.st
-        fit_check = bd.fit_check
-        idx = first + cand
-        ct = arrivals[idx]
-        cs = ledger_bytes(sizes[idx])
-        ttl_vals = (
-            None if bd.ssd_ttl is None
-            else np.asarray(bd.ssd_ttl, dtype=float)[cand]
-        )
-        release, time_frac = _ttl_release_fracs(ct, durations[idx], ttl_vals)
-        n = cand.size
-        lanes = [0] * n if chunk_lanes is None else chunk_lanes[cand].tolist()
-        sizes_b = cs.tolist()
+        n = len(ts)
+        if ttls is None:
+            releases = list(map(operator.add, ts, durs))
+            time_fracs = None
+        else:
+            releases, time_fracs = _ttl_release(ts, durs, ttls)
 
-        # Pending releases maturing inside this chunk.
-        j2 = st.rel_pos + int(st.rel_t[st.rel_pos :].searchsorted(t_last, "right"))
-        pend_t = st.rel_t[st.rel_pos : j2].tolist()
-        pend_a = st.rel_a[st.rel_pos : j2].tolist()
-        pend_l = st.rel_l[st.rel_pos : j2].tolist()
-        st.rel_pos = j2
-        pend_n = len(pend_t)
-        p = 0
-        heap: list[tuple[float, int, int]] = []  # (time, lane, amount)
+        # Pending releases up to the later boundary: those at or before
+        # t0 apply now, the rest inside the loop.
+        pos = st.rel_pos
+        hi = t_last if t_last >= t0 else t0
+        j2 = pos + int(st.rel_t[pos:].searchsorted(hi, "right"))
         free = st.free.tolist()
+        pend_n = j2 - pos
+        p = 0
+        if pend_n:
+            pend_t = st.rel_t[pos:j2].tolist()
+            pend_a = st.rel_a[pos:j2].tolist()
+            pend_l = st.rel_l[pos:j2].tolist()
+            st.rel_pos = j2
+            while p < pend_n and pend_t[p] <= t0:
+                free[pend_l[p]] += pend_a[p]
+                p += 1
+        heap: list[tuple[float, int, int]] = []  # (time, lane, amount)
         total = sum(free)
         # Lowest free total seen at an admission, i.e. the peak's complement.
         low = st.capacity - st.peak_used
@@ -1129,9 +1187,7 @@ class ChunkKernel:
         spilled: list[int] = []
         turned: list[int] = []
         new_t, new_a, new_l = st.new_t, st.new_a, st.new_l
-        for q, (t, size, L, rt) in enumerate(
-            zip(ct.tolist(), sizes_b, lanes, release.tolist())
-        ):
+        for q, (t, size, L, rt) in enumerate(zip(ts, sizes, lanes, releases)):
             while p < pend_n and pend_t[p] <= t:
                 a = pend_a[p]
                 free[pend_l[p]] += a
@@ -1173,29 +1229,23 @@ class ChunkKernel:
         if st.track_peak:
             st.peak_used = st.capacity - low
 
-        if turned:
-            # Fit-check rows never spill, so only the admitted rows remain.
-            requested[cand[turned]] = False
-            keep = np.ones(n, dtype=bool)
-            keep[turned] = False
-            cand, idx = cand[keep], idx[keep]
-            release, time_frac = release[keep], time_frac[keep]
-            allocs = np.asarray(allocs)[keep]
-        frac = np.ones(cand.size)
+        space = [1.0] * n
         if spilled:
             for q in spilled:
-                size = sizes_b[q]
-                frac[q] = allocs[q] / size if size > 0 else 1.0
-            spill_col[cand[spilled]] = ct[spilled]
+                size = sizes[q]
+                space[q] = allocs[q] / size if size > 0 else 1.0
             bound = {lanes[q] for q in spilled}
             st.n_scalar += sum(1 for L in lanes if L in bound)
-        space[cand] = frac
-        ssd_fraction[idx] = frac * time_frac
-        if alloc_out is not None:
-            alloc_out[cand] = allocs
-            release_out[cand] = release
-        self.n_ssd_requested += cand.size
+        if time_fracs is None:
+            fracs = space
+        else:
+            fracs = [s * f for s, f in zip(space, time_fracs)]
+        for q in turned:
+            space[q] = fracs[q] = 0.0
+        self.n_ssd_requested += n - len(turned)
         self.n_spilled += len(spilled)
+        st.merge_new()
+        return allocs, space, fracs, releases, spilled, turned
 
     def cancel(self, lane: int, alloc: int, release_time: float) -> None:
         """Return an outstanding allocation to its lane now.

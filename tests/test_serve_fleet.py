@@ -54,13 +54,21 @@ def builders(trace):
 
 
 def _feed(svc, trace, lo, hi, step=21):
+    """Submit jobs ``[lo, hi)`` in batches; the decisions they resolved."""
+    decided = []
     for a in range(lo, hi, step):
         b = min(a + step, hi)
-        svc.submit_batch(
+        decided.extend(svc.submit_batch(
             trace.arrivals[a:b], trace.durations[a:b], trace.sizes[a:b],
             trace.read_bytes[a:b], trace.write_bytes[a:b],
             trace.read_ops[a:b], pipelines=trace.pipelines[a:b],
-        )
+        ))
+    return decided
+
+
+def _placed_ids(decided) -> list:
+    """Job ids of the decisions that put some bytes on SSD."""
+    return [d.job_id for d in decided if d.ssd_space_fraction > 0.0]
 
 
 class TestWorkerLanes:
@@ -219,16 +227,35 @@ class TestMergePartitions:
 
 
 class TestFailover:
-    def _drive_with_kill(self, svc, trace, kill_at=None, kill_worker=1):
+    KILL_AT = 115
+
+    @classmethod
+    def _drive_with_kill(cls, svc, trace, kill=None):
+        """23-job batches; from the third on, each is followed by a
+        complete of the newest SSD-placed job not completed yet.
+        ``kill(svc)`` runs once, after the batch at ``KILL_AT``.
+
+        Returns the result and ``(batch start, freed)`` per complete.
+        """
         svc.open(trace)
+        placed: list = []
+        frees = []
         for lo in range(0, 260, 23):
             hi = min(lo + 23, 260)
-            _feed(svc, trace, lo, hi, step=23)
-            if kill_at is not None and lo == kill_at:
-                svc.kill_worker(kill_worker)
-            if lo >= 46:
-                svc.complete(lo - 30)
-        return svc.result()
+            placed += _placed_ids(_feed(svc, trace, lo, hi, step=23))
+            if kill is not None and lo == cls.KILL_AT:
+                kill(svc)
+            if lo >= 46 and placed:
+                frees.append((lo, svc.complete(placed.pop())))
+        return svc.result(), frees
+
+    @classmethod
+    def _check_frees(cls, frees, base_frees):
+        """The fleet's completes free what one process's do, and some
+        free space on each side of the kill."""
+        assert frees == base_frees
+        assert any(f for lo, f in frees if lo < cls.KILL_AT)
+        assert any(f for lo, f in frees if lo > cls.KILL_AT)
 
     @pytest.fixture(scope="class")
     def base(self, trace, builders):
@@ -245,34 +272,32 @@ class TestFailover:
             transport=transport, worker_dir=str(tmp_path),
             worker_checkpoint_every=every,
         )
-        got = self._drive_with_kill(svc, trace, kill_at=115)
+        got, frees = self._drive_with_kill(
+            svc, trace, kill=lambda s: s.kill_worker(1)
+        )
         svc.close()
-        assert_bit_identical(base, got, f"kill/{transport}/every={every}")
+        assert_bit_identical(base[0], got, f"kill/{transport}/every={every}")
+        self._check_frees(frees, base[1])
         names = os.listdir(tmp_path)
         assert any(n.endswith(".wal") for n in names)
 
     def test_complete_to_crashed_worker(self, trace, builders, base, tmp_path):
         """A complete() whose lane owner is dead recovers it in-line."""
+        def kill_all(svc):
+            # kill every worker: whichever lane the next complete
+            # lands on, its owner is down
+            for w in range(3):
+                svc.kill_worker(w)
+                assert not svc.worker_alive(w)
+
         svc = FleetRouter(
             builders["adaptive"](), CAP, 4, mode="batch", n_workers=3,
             worker_dir=str(tmp_path), worker_checkpoint_every=8,
         )
-        svc.open(trace)
-        got = None
-        for lo in range(0, 260, 23):
-            hi = min(lo + 23, 260)
-            _feed(svc, trace, lo, hi, step=23)
-            if lo == 115:
-                # kill every worker: whichever lane the next complete
-                # lands on, its owner is down
-                for w in range(3):
-                    svc.kill_worker(w)
-                    assert not svc.worker_alive(w)
-            if lo >= 46:
-                svc.complete(lo - 30)
-        got = svc.result()
+        got, frees = self._drive_with_kill(svc, trace, kill=kill_all)
         svc.close()
-        assert_bit_identical(base, got, "complete-to-dead")
+        assert_bit_identical(base[0], got, "complete-to-dead")
+        self._check_frees(frees, base[1])
 
     def test_duplicate_completes_racing_restart(self, trace, builders,
                                                 tmp_path):

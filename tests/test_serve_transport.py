@@ -9,23 +9,28 @@ their memory and alias nothing.
 """
 
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import FirstFitPolicy
-from repro.serve import FleetRouter, SnapshotMismatch
+from repro.serve import FleetRouter, PlacementService, SnapshotMismatch
 from repro.serve.transport import (
     RecordingTransport,
+    SubprocessTransport,
     WorkerDied,
     decode,
     encode,
     same_message,
 )
+from repro.serve.worker import PlacementWorker
 from repro.units import GIB
 
 from test_fleet_ties import N_SHARDS, _drive, _policy, _tie_trace
+from test_serve_service import assert_bit_identical
 
 #: Array dtypes a frame carries; ``q`` and ``l`` compare equal but are
 #: distinct scalar types, so both appear.
@@ -136,10 +141,10 @@ class TestFrameRoundTrip:
             decode(b"X")
 
 
-def _run(mode, policy):
+def _tie_run(mode, policy):
     rng = np.random.default_rng(11)
     n = 60
-    run = {
+    return {
         "trace": _tie_trace(
             rng.choice((0, 0, 1, 2), n), rng.choice((0, 1, 3, 8, 13, 21), n),
             rng.uniform(0.05, 2.5, n), rng.integers(0, 6, n),
@@ -148,6 +153,10 @@ def _run(mode, policy):
         "batch": 7, "complete_every": 1, "complete_at_arrival": False,
         "shock_at": 3, "shock_scale": 0.5,
     }
+
+
+def _run(mode, policy):
+    run = _tie_run(mode, policy)
     # FirstFit holds the queue until it is bounded; bounded at two
     # batches, its chunks close during the feed, so the cancels made
     # between them ride a ``fit``.
@@ -268,3 +277,172 @@ class TestWorkerErrors:
             assert tr.request({"op": "ping"})["worker_id"] == 0
         finally:
             svc.close()
+
+
+#: A Linux pipe holds 64 KiB; a message past it takes several reads
+#: and, on the writing side, several partial writes.
+PIPE_BUFFER = 1 << 16
+
+
+def _spec(n_lanes):
+    return {
+        "worker_id": 0, "mode": "batch",
+        "lane_caps": np.full(n_lanes, 5 * GIB),
+        "lanes": np.arange(n_lanes, dtype=np.intp), "track_peak": True,
+    }
+
+
+def _ledger(payload) -> dict:
+    """A worker payload's kernel ledger as a flat message."""
+    k = payload["kernel"]
+    return {
+        "free": k.st.free, "rel_t": k.st.rel_t, "rel_a": k.st.rel_a,
+        "rel_l": k.st.rel_l, "rel_pos": k.st.rel_pos, **k.counters(),
+    }
+
+
+class _KillMidScatter(RecordingTransport):
+    """Stops its child, sends it the ``at``-th chunk op, then SIGKILLs
+    it: the op sits in the pipe and its reply never comes."""
+
+    def __init__(self, inner, log, at):
+        super().__init__(inner, log)
+        self.at = at
+        self.chunks = 0
+        self.fired = False
+
+    def send(self, op):
+        if op.get("op") == "chunk":
+            self.chunks += 1
+        if self.chunks != self.at or self.fired:
+            return super().send(op)
+        self.fired = True
+        pid = self.inner._proc.pid
+        os.kill(pid, signal.SIGSTOP)
+        super().send(op)
+        os.kill(pid, signal.SIGKILL)
+
+
+class TestRawChannel:
+    """The subprocess channel: length-prefixed messages over two pipes."""
+
+    def test_messages_past_the_pipe_buffer_round_trip(self):
+        spec = _spec(64)
+        ref = PlacementWorker(spec)
+        tr = SubprocessTransport(0, spec)
+        fresh = None
+        try:
+            rng = np.random.default_rng(3)
+            n = 12_000
+            t = np.sort(rng.uniform(0.0, 1e3, n))
+            op = {
+                "op": "fit", "t0": float(t[0]), "t_last": float(t[-1]),
+                "t": t, "dur": rng.uniform(0.0, 5e3, n),
+                "size": rng.uniform(0.0, 0.2 * GIB, n),
+                "lane": rng.integers(0, 64, n).astype(np.intp), "ttl": None,
+            }
+            want = ref.handle(op)
+            got = tr.request(op)
+            assert len(encode(op)) > PIPE_BUFFER
+            assert len(encode(got)) > PIPE_BUFFER
+            assert same_message(want, got)
+            assert not got["requested"].all()  # some rows were turned away
+
+            # The ledger now holds ~12k pending releases: the state reply
+            # and the restore op are both past the pipe buffer.
+            payload = tr.request({"op": "state"})["payload"]
+            assert len(encode({"payload": payload})) > PIPE_BUFFER
+            assert same_message(_ledger(ref.payload()), _ledger(payload))
+            fresh = SubprocessTransport(0, _spec(64))
+            fresh.request({"op": "restore", "payload": payload})
+            restored = fresh.request({"op": "state"})["payload"]
+            assert same_message(_ledger(payload), _ledger(restored))
+            nxt = dict(op, t=t + 2e3, t0=float(t[0] + 2e3),
+                       t_last=float(t[-1] + 2e3))
+            assert same_message(ref.handle(nxt), fresh.request(nxt))
+        finally:
+            tr.close()
+            if fresh is not None:
+                fresh.close()
+
+    def test_sigkill_with_a_reply_outstanding_raises_worker_died(self):
+        tr = SubprocessTransport(0, _spec(2))
+        try:
+            pid = tr._proc.pid
+            os.kill(pid, signal.SIGSTOP)
+            tr.send({"op": "ping"})
+            os.kill(pid, signal.SIGKILL)
+            with pytest.raises(WorkerDied, match="worker 0 died"):
+                tr.recv()
+            assert not tr.alive
+            with pytest.raises(WorkerDied, match="not running"):
+                tr.send({"op": "ping"})
+        finally:
+            tr.kill()
+
+    def test_sigkill_mid_scatter_recovers_bit_identically(self, tmp_path):
+        run = _tie_run("batch", "adaptive")
+        trace = run["trace"]
+        base, base_counters = _drive(
+            PlacementService(_policy(run, trace), run["cap"], N_SHARDS,
+                             mode="batch"),
+            run,
+        )
+        svc = FleetRouter(
+            _policy(run, trace), run["cap"], N_SHARDS, mode="batch",
+            n_workers=2, transport="subprocess", worker_dir=tmp_path,
+            worker_checkpoint_every=3,
+        )
+        pool = svc.pool
+        killer = _KillMidScatter(pool.transports[1], [], at=4)
+        pool.transports[1] = killer
+        try:
+            got, counters = _drive(svc, run)
+            assert killer.fired
+            assert pool.n_recoveries == 1
+        finally:
+            svc.close()
+        assert_bit_identical(base, got, "sigkill mid-scatter")
+        assert counters == base_counters
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_close_leaves_no_child_and_no_descriptor(self, tmp_path):
+        def n_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = n_fds()
+        run = _tie_run("batch", "adaptive")
+        svc = FleetRouter(
+            _policy(run, run["trace"]), run["cap"], N_SHARDS, mode="batch",
+            n_workers=3, transport="subprocess", worker_dir=tmp_path,
+        )
+        pids = [tr._proc.pid for tr in svc.pool.transports]
+        svc.kill_worker(1)
+        svc.recover_worker(1)
+        pids.append(svc.pool.transports[1]._proc.pid)
+        _drive(svc, run)
+        svc.close()
+        for pid in pids:
+            # Reaped: not even a zombie is left.
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert n_fds() == before
+
+    def test_child_exits_when_the_router_end_closes(self):
+        tr = SubprocessTransport(0, _spec(2))
+        try:
+            assert tr.request({"op": "ping"})["ok"] == 1
+            # Swap the router's op end for /dev/null: the pipe's last
+            # write end closes, and the child reads end of file.
+            null = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(null, tr._op_fd)
+            finally:
+                os.close(null)
+            tr._proc.join(timeout=10.0)
+            assert tr._proc.exitcode == 0
+            assert not tr.alive
+        finally:
+            tr.close()
