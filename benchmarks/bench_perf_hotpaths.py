@@ -80,16 +80,16 @@ the paths.  It scores ``BENCH_HOTPATH_JOBS / 20`` rows, timed in
 alternating repetitions with GC frozen.
 
 ``test_perf_transport`` times the fleet's router-to-worker wire format.
-It records every op and reply of three reduced in-process
+It records every op and reply of two reduced in-process
 ``fleet-replay`` runs (a fixed two-week cluster trace of about 10,000
 jobs, 8 lanes, 2 workers, a binding 2% quota, 512-job batches and a
-complete on every 8th SSD placement): Adaptive Hash in batch mode,
-Adaptive Hash in scalar mode (one ``admit`` round trip per job) over
-the first ``SCALAR_TRANSPORT_JOBS`` jobs, and FirstFit in batch mode
-with at most 512 queued jobs (``fit`` chunks).  Each message goes through ``ForkingPickler.dumps`` +
+complete on every 8th SSD placement; fleets serve batch mode only):
+Adaptive Hash (``chunk`` ops) and FirstFit with at most 512 queued
+jobs (``fit`` ops).  Each message goes through ``ForkingPickler.dumps`` +
 ``pickle.loads`` (what ``multiprocessing.Connection.send``/``recv`` do)
 and through ``transport.encode`` + ``decode`` (a binary frame for
-column blocks, a plain pickle for scalar-only messages).  Every decode
+column blocks; control ops, which hold only scalars or nested
+payloads, pickle).  Every decode
 must equal its original, and for every kind of message the wire
 codec's median time must be below pickle's.  A second table gives the
 "worker chunk op": the batch run's recorded ops replayed on a fresh
@@ -1110,25 +1110,20 @@ def test_perf_forest_one_row():
     emit("perf_forest_one_row", "\n".join(lines))
 
 
-#: Jobs in ``test_perf_transport``'s scalar-mode run (one ``admit`` each).
-SCALAR_TRANSPORT_JOBS = 2_000
-
-
 def _fleet_messages(
-    trace, policy, mode: str, label: str | None = None, workers: list | None = None,
-    **kwargs,
+    trace, policy, label: str, workers: list | None = None, **kwargs,
 ) -> list:
     """(kind, message) for every op and reply of an in-process
     ``fleet-replay``-shaped run: 8 lanes, 2 workers, a binding 2% quota,
     512-job batches and a complete on every 8th SSD placement.  Kinds
-    start with ``label`` (default: ``mode``); ``kwargs`` go to the
-    router.  ``workers``, when given, receives each worker's spec and
-    its ``(op, reply)`` log."""
+    start with ``label``; ``kwargs`` go to the router.  ``workers``,
+    when given, receives each worker's spec and its ``(op, reply)``
+    log."""
     from repro.serve import FleetRouter
     from repro.serve.transport import RecordingTransport
 
     svc = FleetRouter(
-        policy, 0.02 * trace.peak_ssd_usage(), 8, mode=mode, n_workers=2, **kwargs
+        policy, 0.02 * trace.peak_ssd_usage(), 8, n_workers=2, **kwargs
     )
     pool = svc.pool
     logs = [[] for _ in pool.transports]
@@ -1149,7 +1144,6 @@ def _fleet_messages(
                     svc.complete(d.job_id)
     svc.drain()
     svc.close()
-    label = label or mode
     out = []
     for op, reply in (m for lg in logs for m in lg):
         out.append((f"{label} {op['op']}", op))
@@ -1170,18 +1164,16 @@ def test_perf_transport():
     from repro.workloads import default_cluster_specs, generate_cluster_trace
 
     trace = generate_cluster_trace(default_cluster_specs(10)[0], duration=2 * WEEK, seed=0)
-    scalar_trace = Trace(trace.jobs[:SCALAR_TRANSPORT_JOBS], name="scalar")
-
-    def policy(t):
-        return AdaptiveCategoryPolicy(hash_categories(t, 15), 15, name="Adaptive Hash")
+    policy = AdaptiveCategoryPolicy(
+        hash_categories(trace, 15), 15, name="Adaptive Hash"
+    )
 
     workers: list = []
     messages = (
-        _fleet_messages(trace, policy(trace), "batch", workers=workers)
-        + _fleet_messages(scalar_trace, policy(scalar_trace), "scalar")
+        _fleet_messages(trace, policy, "batch", workers=workers)
         # FirstFit asks for every queued job at once (fit-check chunks),
         # so the queue bound is what closes its chunks.
-        + _fleet_messages(trace, FirstFitPolicy(), "batch", "firstfit", max_pending=512)
+        + _fleet_messages(trace, FirstFitPolicy(), "firstfit", max_pending=512)
     )
 
     def pickled(m):
@@ -1213,10 +1205,9 @@ def test_perf_transport():
 
     lines = [
         f"Fleet wire messages: {len(messages):,} ops and replies of in-process "
-        f"fleet-replay runs (8 lanes, 2 workers, 2% quota): Adaptive Hash in batch "
-        f"mode over {len(trace):,} jobs and in scalar mode over the first "
-        f"{len(scalar_trace):,}, FirstFit (firstfit) in batch mode over "
-        f"{len(trace):,} with at most 512 queued; every decode equals its original",
+        f"fleet-replay runs (8 lanes, 2 workers, 2% quota, batch mode) over "
+        f"{len(trace):,} jobs: Adaptive Hash (batch) and FirstFit (firstfit) with "
+        "at most 512 queued; every decode equals its original",
         f"host: cpu_count={os.cpu_count()}, python {platform.python_version()}, "
         f"numpy {np.__version__}",
         "encode + decode per message (best of 3 rounds of 5 calls), median over the "

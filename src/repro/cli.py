@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="category count for the hash-category adaptive policy")
     serve.add_argument("--mode", choices=("batch", "scalar"), default="batch",
                        help="micro-batch (chunked-engine) or request-at-a-time "
-                            "(legacy-engine) submission")
+                            "(legacy-engine) submission; a fleet "
+                            "(--workers > 1) serves batch mode only")
     serve.add_argument("--batch", type=int, default=512,
                        help="jobs per submitted micro-batch (batch mode)")
     serve.add_argument("--max-pending", type=int, default=None,
@@ -825,7 +826,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve" and args.mode == "scalar" and args.workers > 1:
+        parser.error(
+            "serve --workers N (N > 1) needs --mode batch: a worker fleet "
+            "does not serve request-at-a-time (scalar) mode"
+        )
     return _COMMANDS[args.command](args)
 
 

@@ -202,6 +202,8 @@ class ByomPipeline:
         worker fleet (``transport`` picks in-process or forked
         children; ``worker_dir`` enables per-worker WAL/checkpoint
         failover).  Decisions are bit-identical for any worker count.
+        A fleet serves ``mode="batch"`` only: ``mode="scalar"`` with
+        ``n_workers > 1`` raises ``ValueError``.
         """
         from ..serve import (
             FleetRouter,

@@ -8,21 +8,23 @@ owning the round-robin lane subset ``lane % n_workers == w``.  The
 policy, job log, admission queue, roll-up, service WAL, shock and
 snapshot machinery are all inherited unchanged — the refactor swaps
 only the kernel seam (:meth:`PlacementService._make_kernel`), which is
-what keeps the fleet's decision stream bit-identical to one process:
+what keeps the fleet's decision stream bit-identical to one process.
 
-- **Batch mode** — :class:`FleetChunkKernel` scatters each micro-batch
-  chunk to the owning workers as SoA column blocks (the mask
-  candidates, or every job of a fit-check chunk) and folds their
-  outcome columns back into one
-  :class:`~repro.storage.policy.BatchOutcomes`.  Both chunk kinds share
-  the fold: admission verdicts stay on the workers, and a full-lane
-  *ledger* kernel, overwritten lane-by-lane with each worker's
-  authoritative free vector, only follows the global free state the
-  policy's chunk context reads and the one exact loop over the realized
-  allocations samples for the global peak.
-- **Scalar mode** — :class:`FleetScalarKernel` forwards each admit to
-  the owning worker and mirrors the result into a full-lane
-  :class:`~repro.storage.engine.ScalarKernel` replica.
+:class:`FleetChunkKernel` scatters each micro-batch chunk to the
+owning workers as SoA column blocks (the mask candidates, or every job
+of a fit-check chunk) and folds their outcome columns back into one
+:class:`~repro.storage.policy.BatchOutcomes`.  Both chunk kinds share
+the fold: admission verdicts stay on the workers, and a full-lane
+*ledger* kernel, overwritten lane-by-lane with each worker's
+authoritative free vector, only follows the global free state the
+policy's chunk context reads and the one exact loop over the realized
+allocations samples for the global peak.
+
+Fleets run in batch mode only.  A request-at-a-time (``"scalar"``)
+fleet would pay one blocking worker round trip per submission — about
+the cost of a whole single-process request — so it could never beat
+the single-process scalar service, which stays the request-at-a-time
+path.
 
 Fault tolerance is per worker: every mutating op is appended to that
 worker's write-ahead log *before* dispatch, workers checkpoint
@@ -41,12 +43,7 @@ import pickle
 
 import numpy as np
 
-from ..storage.engine import (
-    ChunkKernel,
-    ScalarKernel,
-    _chunk_candidates,
-    _ttl_release,
-)
+from ..storage.engine import ChunkKernel, _chunk_candidates, _ttl_release
 from ..storage.policy import BatchOutcomes
 from .metrics import merge_states
 from .service import PlacementService
@@ -59,7 +56,7 @@ __all__ = ["FleetRouter", "worker_lanes"]
 
 #: Worker ops that mutate kernel state — exactly these are WAL-logged
 #: (and therefore replayed during worker recovery).
-_MUTATING_OPS = frozenset({"chunk", "fit", "admit", "cancel", "resize"})
+_MUTATING_OPS = frozenset({"chunk", "fit", "cancel", "resize"})
 
 #: Ops that carry their worker's queued cancels (see
 #: :meth:`_WorkerPool.queue_cancel`).  ``spans`` neither carries nor
@@ -122,13 +119,13 @@ def _op_from_record(rec: dict) -> dict:
 class _WorkerPool:
     """The fleet's workers: transports, per-worker WALs, counter cache.
 
-    Owns everything per-worker so the two kernel facades stay pure
+    Owns everything per-worker so the kernel facade stays pure
     arithmetic: spawning (by transport kind), WAL-before-dispatch
     logging, periodic checkpointing, crash detection and recovery, and
     the running counter cache every reply refreshes (so results never
     need an extra round-trip to a worker — or a live worker at all).
 
-    A batch-mode cancel makes no round trip of its own: it waits in its
+    A cancel makes no round trip of its own: it waits in its
     worker's queue (:meth:`queue_cancel`) and rides the next ``chunk``
     or ``fit`` op to that worker as four columns, applied before the
     chunk opens.  Any other op first sends the queue as standalone
@@ -149,7 +146,7 @@ class _WorkerPool:
     )
 
     def __init__(
-        self, *, n_shards, lane_caps, mode,
+        self, *, n_shards, lane_caps,
         n_workers, transport, worker_dir, checkpoint_every,
     ):
         if n_workers < 1:
@@ -168,7 +165,6 @@ class _WorkerPool:
         self.specs = [
             {
                 "worker_id": w,
-                "mode": mode,
                 "lane_caps": caps[lw].copy(),
                 "lanes": lw,
                 # A single-worker fleet is the whole pool and tracks
@@ -462,31 +458,45 @@ class _WorkerPool:
         self.__dict__.update(state)
 
 
-class _FleetKernel:
-    """What both kernel facades share: the counter cache, the global
-    peak and the release cursor out-of-band ops catch workers up to.
+class FleetChunkKernel:
+    """Scatter-gather facade over per-worker :class:`ChunkKernel` s.
 
-    ``local`` is the full-lane kernel a facade keeps beside the
-    workers — the batch ledger or the scalar mirror — whose lane
-    capacities and free vector the service reads.
+    Presents the exact ``ChunkKernel`` surface the service drives
+    (``open_chunk`` / ``run_chunk`` / ``cancel`` / ``resize_lane`` plus
+    the counter properties) while the admission arithmetic runs on the
+    workers.  Both chunk kinds take one path: scatter the candidates the
+    engine's own rule picks (the mask rows, or every job of a fit-check
+    chunk, whose verdicts stay on the workers) to their lanes' owners,
+    then fold the replies.
+    The *ledger* — a full-lane ``ChunkKernel`` that never runs a chunk
+    itself — only follows: each worker's authoritative free vector
+    overwrites its lanes, and the global release schedule and free
+    total feed the policy's chunk context and the global peak, which
+    no single worker holds.  Workers that sat out a chunk catch up on
+    their own at their next op's ``t0`` / ``catch``: integer sums do
+    not depend on how releases are grouped.  The counters come from
+    the pool's reply-refreshed cache, so reading them makes no round
+    trip.
     """
 
-    def __init__(self, pool: _WorkerPool):
+    def __init__(self, lane_caps, pool: _WorkerPool):
         self.pool = pool
+        self.ledger = ChunkKernel(lane_caps, track_peak=False)
         self._peak = 0
+        # The release cursor out-of-band ops catch workers up to.
         self._cursor = -np.inf
 
     @property
     def capacity(self):
-        return self.local.capacity
+        return self.ledger.capacity
 
     @property
     def lane_capacity(self):
-        return self.local.lane_capacity
+        return self.ledger.lane_capacity
 
     @property
     def free(self):
-        return self.local.free
+        return self.ledger.free
 
     @property
     def peak_used(self) -> float:
@@ -524,47 +534,6 @@ class _FleetKernel:
             "scalar_fallback_jobs": int(self.scalar_fallback_jobs),
             "peak_used": int(self.peak_used),
         }
-
-    def _catch(self):
-        # JSON WALs cannot carry -inf portably; None means "no chunk
-        # has run yet, nothing to catch up".
-        return None if self._cursor == -np.inf else float(self._cursor)
-
-    def resize_lane(self, lane: int, new_capacity: float):
-        W = self.pool.n_workers
-        self.pool.request(int(lane) % W, {
-            "op": "resize", "catch": self._catch(),
-            "lane": int(lane) // W, "cap": float(new_capacity),
-        })
-        return self.local.resize_lane(lane, new_capacity)
-
-
-class FleetChunkKernel(_FleetKernel):
-    """Scatter-gather facade over per-worker :class:`ChunkKernel` s.
-
-    Presents the exact ``ChunkKernel`` surface the service drives
-    (``open_chunk`` / ``run_chunk`` / ``cancel`` / ``resize_lane`` plus
-    the counter properties) while the admission arithmetic runs on the
-    workers.  Both chunk kinds take one path: scatter the candidates the
-    engine's own rule picks (the mask rows, or every job of a fit-check
-    chunk, whose verdicts stay on the workers) to their lanes' owners,
-    then fold the replies.
-    The *ledger* — a full-lane ``ChunkKernel`` that never runs a chunk
-    itself — only follows: each worker's authoritative free vector
-    overwrites its lanes, and the global release schedule and free
-    total feed the policy's chunk context and the global peak, which
-    no single worker holds.  Workers that sat out a chunk catch up on
-    their own at their next op's ``t0`` / ``catch``: integer sums do
-    not depend on how releases are grouped.
-    """
-
-    def __init__(self, lane_caps, pool: _WorkerPool):
-        super().__init__(pool)
-        self.ledger = ChunkKernel(lane_caps, track_peak=False)
-
-    @property
-    def local(self):
-        return self.ledger
 
     # -- chunk lifecycle ------------------------------------------------
 
@@ -751,70 +720,16 @@ class FleetChunkKernel(_FleetKernel):
         )
         self.ledger.cancel(lane, alloc, release_time)
 
-
-class FleetScalarKernel(_FleetKernel):
-    """Scatter facade over per-worker :class:`ScalarKernel` s.
-
-    Each admit goes to the lane's owner; the returned free value and
-    release entry are mirrored into a full-lane ``ScalarKernel``
-    replica, whose heap and free vector stay equal to a single-process
-    run — that is what makes cancel/resize (which the mirror executes
-    locally, forwarding to the worker for its copy) and the global peak
-    sample exact.
-    """
-
-    def __init__(self, lane_caps, pool: _WorkerPool):
-        super().__init__(pool)
-        self.mirror = ScalarKernel(lane_caps, track_peak=False)
-
-    @property
-    def local(self):
-        return self.mirror
-
-    def release_until(self, t: float) -> None:
-        self.mirror.release_until(t)
-        if t > self._cursor:
-            self._cursor = t
-
-    def admit(self, i, t, size, duration, lane, want_ssd, ssd_ttl=None):
-        if not want_ssd:
-            # Same early return as ScalarKernel.admit — no counters
-            # move, so no worker round-trip is needed.
-            return 0.0, 0.0, None, 0.0, t
-        pool = self.pool
-        W = pool.n_workers
-        reply = pool.request(int(lane) % W, {
-            "op": "admit", "i": int(i), "t": float(t),
-            "size": float(size), "dur": float(duration),
-            "lane": int(lane) // W,
-            "ttl": None if ssd_ttl is None else float(ssd_ttl),
-        })
-        space_frac, frac, spill_time, alloc, release = reply["res"]
-        mirror = self.mirror
-        f = reply["free"]
-        mirror.free[lane] = f
-        held = release > t
-        if alloc > 0 and held:
-            heapq.heappush(mirror.heap, (release, int(i), int(lane), alloc))
-        if W > 1:
-            used = mirror.capacity - (
-                f if mirror.free.size == 1 else int(mirror.free.sum())
-            )
-            if not held:
-                # Sampled as the single process does: before the worker
-                # handed the zero-hold allocation back.
-                used += alloc
-            if used > self._peak:
-                self._peak = used
-        return space_frac, frac, spill_time, alloc, release
-
-    def cancel(self, i: int, lane: int, alloc: int) -> None:
+    def resize_lane(self, lane: int, new_capacity: float):
         W = self.pool.n_workers
+        # JSON WALs cannot carry -inf portably; None means "no chunk
+        # has run yet, nothing to catch up".
+        catch = None if self._cursor == -np.inf else float(self._cursor)
         self.pool.request(int(lane) % W, {
-            "op": "cancel", "catch": self._catch(), "i": int(i),
-            "lane": int(lane) // W, "alloc": int(alloc),
+            "op": "resize", "catch": catch,
+            "lane": int(lane) // W, "cap": float(new_capacity),
         })
-        self.mirror.cancel(i, lane, alloc)
+        return self.ledger.resize_lane(lane, new_capacity)
 
 
 class FleetRouter(PlacementService):
@@ -844,6 +759,10 @@ class FleetRouter(PlacementService):
     worker_checkpoint_every:
         Checkpoint a worker every this many logged ops (default 64; a
         recovery then replays at most this much WAL suffix).
+
+    ``mode`` must be ``"batch"`` (the default): a fleet refuses
+    ``"scalar"``, whose one worker round trip per submission costs
+    about as much as a whole single-process request.
     """
 
     def __init__(
@@ -852,6 +771,13 @@ class FleetRouter(PlacementService):
         worker_dir=None, worker_checkpoint_every: int | None = 64,
         **kwargs,
     ):
+        if kwargs.get("mode", "batch") != "batch":
+            raise ValueError(
+                f"a worker fleet serves mode='batch' only (got "
+                f"mode={kwargs['mode']!r}); use mode='batch', or a "
+                "single-process PlacementService to serve one request "
+                "at a time"
+            )
         # _make_kernel runs inside super().__init__, so the fleet
         # config must exist first.
         self._fleet_config = {
@@ -868,15 +794,12 @@ class FleetRouter(PlacementService):
         pool = _WorkerPool(
             n_shards=self.n_shards,
             lane_caps=lane_caps,
-            mode=self.mode,
             n_workers=cfg["n_workers"],
             transport=cfg["transport"],
             worker_dir=cfg["worker_dir"],
             checkpoint_every=cfg["checkpoint_every"],
         )
         self.pool = pool
-        if self.mode == "scalar":
-            return FleetScalarKernel(lane_caps, pool)
         return FleetChunkKernel(lane_caps, pool)
 
     # -- fleet surface --------------------------------------------------
@@ -902,9 +825,11 @@ class FleetRouter(PlacementService):
         self.pool.recover(w)
 
     def close(self) -> None:
-        """Shut the fleet down (stop workers, close per-worker WALs)."""
+        """Shut the fleet down: stop the workers and close every WAL,
+        the per-worker ones and the service's."""
         if self.pool is not None:
             self.pool.close()
+        super().close()
 
     # -- metrics --------------------------------------------------------
 

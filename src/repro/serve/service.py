@@ -582,6 +582,18 @@ class PlacementService:
         if not self._opened:
             self.open()
 
+    def close(self) -> None:
+        """Close the service's write-ahead log (from ``wal=`` or
+        :meth:`recover`), if any.  Closing twice is harmless."""
+        if self.wal is not None:
+            self.wal.close()
+
+    def __enter__(self) -> "PlacementService":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # -- submissions ----------------------------------------------------
 
     def submit(
@@ -1453,12 +1465,18 @@ class PlacementService:
                     "library version"
                 )
             checkpoint = loaded
-        if not isinstance(wal, WriteAheadLog):
+        opened = not isinstance(wal, WriteAheadLog)
+        if opened:
             wal = WriteAheadLog(wal)
-        svc = cls.restore(checkpoint)  # no WAL attached: replay logs nothing
-        for seq, rec in wal.records(checkpoint.wal_seq):
-            svc._apply_wal_record(rec)
-            svc._wal_seq = seq + 1
+        try:
+            svc = cls.restore(checkpoint)  # no WAL attached: replay logs nothing
+            for seq, rec in wal.records(checkpoint.wal_seq):
+                svc._apply_wal_record(rec)
+                svc._wal_seq = seq + 1
+        except BaseException:
+            if opened:
+                wal.close()
+            raise
         svc.wal = wal
         return svc
 

@@ -3,7 +3,7 @@
 A :class:`~repro.serve.router.FleetRouter` scatter-gathers micro-batch
 chunks to N :class:`~repro.serve.worker.PlacementWorker` instances.
 The *transport* is the seam between them: an object that carries one
-worker's op dicts (SoA column blocks, admission ops, checkpoint
+worker's op dicts (SoA column blocks, control ops, checkpoint
 requests) to wherever the worker runs and brings its replies back.
 
 Two implementations:
@@ -18,7 +18,9 @@ Two implementations:
   :func:`encode` buffer behind an 8-byte length (see "Wire format"
   below).  A dead child (crash, kill, exit) surfaces as
   :class:`WorkerDied` on the next request, which is the router's
-  signal to run per-worker recovery.
+  signal to run per-worker recovery; by then the channel is closed
+  and ``alive`` is false.  Each child holds only its own channel's
+  ends, so it sees end of file as soon as the router closes them.
 
 Both expose the same tiny surface — ``request`` (send one op, wait for
 its reply), split ``send``/``recv`` halves (the router *scatters* one
@@ -47,7 +49,7 @@ count and its raw bytes).  The ``chunk`` and ``fit`` ops and their
 replies (job column blocks) are frames.  Every other message is the
 tag byte ``P`` followed by its pickle: nested payloads (``restore`` and
 ``state``, metrics state, span rings, ``resize`` evictions), and the
-scalar-only ops and replies (``admit``, ``cancel``, ``resize``,
+control ops and replies that hold only scalars (``cancel``, ``resize``,
 ``ping``), which C pickle handles faster than a Python loop frames
 them.  A decoded message has the same keys in the same order and the
 same types; floats are bit-exact and a frame's arrays are fresh,
@@ -409,19 +411,31 @@ class _Reader:
         return data
 
 
+#: The router's ends of every open subprocess channel in this process.
+#: A child forked later inherits them all and closes them at once; a
+#: child that kept a sibling's ends open would keep that sibling from
+#: seeing end of file.  Process-wide, not per fleet: a fork copies every
+#: open descriptor, whichever router owns it.
+_ROUTER_FDS: set[int] = set()
+
+
 def _child_main(op_fd: int, reply_fd: int, parent_fds: tuple, spec: dict) -> None:
     """Entry point of a forked worker child: serve ops until stop/EOF.
 
-    ``parent_fds`` are the router's ends of this channel, which the
-    fork copied; closing them here is what lets the child see end of
-    file once the router's end closes.
+    ``parent_fds`` are the router's ends of this channel and of every
+    other open one, which the fork copied; closing them here is what
+    lets each child see end of file once the router's end of its own
+    channel closes.
     """
     # Import here: the child only needs the worker, and a top-level
     # import would make transport <-> worker circular.
     from .worker import PlacementWorker
 
     for fd in parent_fds:
-        os.close(fd)
+        try:
+            os.close(fd)
+        except OSError:  # closed under the router's feet already
+            pass
     reader = _Reader(op_fd)
     try:
         worker = PlacementWorker.from_spec(spec)
@@ -467,7 +481,7 @@ class SubprocessTransport(WorkerTransport):
         try:
             self._proc = ctx.Process(
                 target=_child_main,
-                args=(op_r, reply_w, (op_w, reply_r), spec),
+                args=(op_r, reply_w, (op_w, reply_r, *_ROUTER_FDS), spec),
                 daemon=True,
             )
             self._proc.start()
@@ -479,6 +493,7 @@ class SubprocessTransport(WorkerTransport):
         os.close(reply_w)
         self._op_fd = op_w
         self._reader = _Reader(reply_r)
+        _ROUTER_FDS.update((op_w, reply_r))
         self._open = True
 
     def send(self, op: dict) -> None:
@@ -487,7 +502,7 @@ class SubprocessTransport(WorkerTransport):
         try:
             _write_message(self._op_fd, encode(op))
         except OSError as exc:
-            raise WorkerDied(self.worker_id, str(exc)) from None
+            raise self._died(exc) from None
 
     def recv(self) -> dict:
         if not self._open:
@@ -495,18 +510,32 @@ class SubprocessTransport(WorkerTransport):
         try:
             reply = decode(self._reader.read())
         except (EOFError, OSError) as exc:
-            raise WorkerDied(self.worker_id, str(exc)) from None
+            raise self._died(exc) from None
         if "error" in reply:
             raise _worker_error(
                 self.worker_id, reply["error"], reply["message"]
             )
         return reply
 
+    def _died(self, exc: BaseException) -> WorkerDied:
+        """The channel broke: reap the child, close the channel, and
+        return the :class:`WorkerDied` to raise, so ``alive`` is false
+        from the moment it is raised.
+
+        End of file arrives when the child's files close, which is
+        before the child can be reaped; the bounded join waits that
+        moment out, and a child still running after it is killed.
+        """
+        self._proc.join(timeout=5.0)
+        self.kill()
+        return WorkerDied(self.worker_id, str(exc))
+
     def _release(self) -> None:
         """Close the router's ends and the reaped child's handles."""
         if not self._open:
             return
         self._open = False
+        _ROUTER_FDS.difference_update((self._op_fd, self._reader.fd))
         os.close(self._op_fd)
         os.close(self._reader.fd)
         if self._proc.exitcode is not None:

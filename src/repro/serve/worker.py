@@ -1,11 +1,13 @@
 """Fleet worker: one lane subset's admission kernel behind an op protocol.
 
 A :class:`PlacementWorker` owns the kernel state for a subset of the
-fleet's lanes — the same :class:`~repro.storage.engine.ChunkKernel` /
-:class:`~repro.storage.engine.ScalarKernel` the single-process
-:class:`~repro.serve.PlacementService` drives, constructed with the
-global→local lane map.  A lane's admissions depend on its own events
-alone, so each one matches the single-process run.
+fleet's lanes — the same :class:`~repro.storage.engine.ChunkKernel`
+the single-process batch-mode :class:`~repro.serve.PlacementService`
+drives, constructed with the global→local lane map.  A lane's
+admissions depend on its own events alone, so each one matches the
+single-process run.  Fleets serve batch mode only (see
+:mod:`repro.serve.router`), so a worker has no per-job ``admit`` op and
+no :class:`~repro.storage.engine.ScalarKernel`.
 The worker holds no policy, no log, and no queue: those stay at the
 :class:`~repro.serve.router.FleetRouter`, which is what keeps the
 fleet's decision stream bit-identical to one process.
@@ -34,7 +36,7 @@ import tempfile
 import numpy as np
 
 from .. import __version__
-from ..storage.engine import ChunkKernel, ScalarKernel, _ledger_sizes
+from ..storage.engine import ChunkKernel, _ledger_sizes
 from .metrics import SIZE_BUCKETS_JOBS, MetricsRegistry
 from .types import WORKER_SNAPSHOT_SCHEMA, SnapshotMismatch
 
@@ -51,9 +53,9 @@ def _col(x, dtype=float) -> list:
 
 
 #: The spec keys a worker reads.  Any other key — a retired knob such as
-#: ``compiled`` or ``path_lanes`` in an older checkpoint — is dropped, so
-#: it never rides into the worker's later checkpoints.
-_SPEC_KEYS = ("worker_id", "mode", "lane_caps", "lanes", "track_peak")
+#: ``compiled``, ``path_lanes`` or ``mode`` in an older checkpoint — is
+#: dropped, so it never rides into the worker's later checkpoints.
+_SPEC_KEYS = ("worker_id", "lane_caps", "lanes", "track_peak")
 
 
 def _spec(raw: dict) -> dict:
@@ -71,7 +73,6 @@ class PlacementWorker:
     checkpoint payload during recovery:
 
     - ``worker_id`` — fleet position, for error attribution;
-    - ``mode`` — ``"scalar"`` or ``"batch"`` (which kernel class);
     - ``lane_caps`` / ``lanes`` — the owned lanes' capacities and
       global ids;
     - ``track_peak`` — only a single-worker fleet tracks the global
@@ -81,16 +82,16 @@ class PlacementWorker:
     def __init__(self, spec: dict):
         spec = self.spec = _spec(spec)
         self.worker_id = int(spec.get("worker_id", 0))
-        self.mode = spec["mode"]
-        if self.mode not in ("scalar", "batch"):
-            raise ValueError(f"unknown worker mode {self.mode!r}")
-        self.kernel = self._build_kernel(spec)
+        self.kernel = ChunkKernel(
+            spec["lane_caps"], lanes=spec["lanes"],
+            track_peak=bool(spec.get("track_peak", False)),
+        )
         self._init_metrics()
 
     #: Ops recorded in the worker's span ring — the data-plane ops that
     #: advance kernel state.  Control ops (metrics/spans/ping/state...)
     #: are excluded so observing a worker never grows its trace.
-    _SPAN_OPS = frozenset({"chunk", "fit", "admit", "cancel", "resize"})
+    _SPAN_OPS = frozenset({"chunk", "fit", "cancel", "resize"})
 
     #: Bounded op-span ring length (see ``_op_spans``).
     SPAN_CAPACITY = 1024
@@ -124,15 +125,6 @@ class PlacementWorker:
             )
             self._m_ops[kind] = c
         c.inc()
-
-    @staticmethod
-    def _build_kernel(spec: dict):
-        lane_caps = spec["lane_caps"]
-        lanes = spec["lanes"]
-        track_peak = bool(spec.get("track_peak", False))
-        if spec["mode"] == "scalar":
-            return ScalarKernel(lane_caps, lanes=lanes, track_peak=track_peak)
-        return ChunkKernel(lane_caps, lanes=lanes, track_peak=track_peak)
 
     @classmethod
     def from_spec(cls, spec: dict) -> "PlacementWorker":
@@ -178,7 +170,7 @@ class PlacementWorker:
         at a few dozen bytes per data-plane op.
         """
         t = op.get("t0", op.get("t", op.get("catch")))
-        n = 1 if kind == "admit" else None
+        n = None
         for key in ("t", "size", "dur"):
             v = op.get(key)
             if hasattr(v, "size"):
@@ -220,7 +212,7 @@ class PlacementWorker:
             dtype=np.int64,
         )
 
-    # -- batch-mode ops -------------------------------------------------
+    # -- mutating ops ---------------------------------------------------
 
     def _op_chunk(self, op: dict) -> dict:
         """One chunk over this worker's rows: mask (``chunk``) or
@@ -276,61 +268,28 @@ class PlacementWorker:
     # ``fit`` keeps its op name so logged worker WALs still replay.
     _op_fit = _op_chunk
 
-    # -- scalar-mode ops ------------------------------------------------
-
-    def _op_admit(self, op: dict) -> dict:
-        kern = self.kernel
-        t = float(op["t"])
-        lane = int(op["lane"])
-        self._m_batch_jobs.observe(1)
-        kern.release_until(t)
-        ttl = op.get("ttl")
-        space_frac, frac, spill_time, alloc, release = kern.admit(
-            int(op["i"]), t, float(op["size"]), float(op["dur"]), lane,
-            True, None if ttl is None else float(ttl),
-        )
-        return {
-            "res": (space_frac, frac, spill_time, alloc, release),
-            "free": int(kern.free[lane]),
-            **self._counters(),
-        }
-
-    # -- shared mutating ops --------------------------------------------
-
     def _catch_up(self, catch) -> None:
         """Advance the release cursor to the router's (``catch``).
 
         Cancel/resize ops apply relative to how far the single-process
         kernel's cursor had advanced — entries at or before it are
-        popped (the single-process run popped them at earlier global
-        admissions, chunk opens or chunk windows), entries after it
-        must stay pending (a scalar resize deliberately evicts
-        matured-but-unpopped residents, warts reproduced faithfully).
+        popped (the single-process run popped them at earlier chunk
+        opens or chunk windows), entries after it must stay pending.
         """
-        if catch is None:
-            return
-        t = float(catch)
-        if self.mode == "scalar":
-            self.kernel.release_until(t)
-        else:
-            self.kernel.st.release_until(t)
+        if catch is not None:
+            self.kernel.st.release_until(float(catch))
 
     def _cancel(self, lane: int, alloc, release: float, catch) -> None:
-        """One batch-mode cancel after catching up to ``catch``."""
+        """One cancel after catching up to ``catch``."""
         self._catch_up(catch)
         self.kernel.cancel(lane, alloc, release)
 
     def _op_cancel(self, op: dict) -> dict:
-        kern = self.kernel
         lane = int(op["lane"])
         # The kernel floors ``alloc``: logs written before the integer
         # ledger carry float bytes.
-        if self.mode == "scalar":
-            self._catch_up(op.get("catch"))
-            kern.cancel(int(op["i"]), lane, op["alloc"])
-        else:
-            self._cancel(lane, op["alloc"], float(op["release"]), op.get("catch"))
-        return {"free": int(kern.free[lane]), **self._counters()}
+        self._cancel(lane, op["alloc"], float(op["release"]), op.get("catch"))
+        return {"free": int(self.kernel.free[lane]), **self._counters()}
 
     def _op_resize(self, op: dict) -> dict:
         kern = self.kernel
@@ -384,7 +343,12 @@ class PlacementWorker:
         return {"ok": 1, "anchor": int(op.get("anchor", 0)), **self._counters()}
 
     def install(self, payload: dict) -> None:
-        """Adopt a checkpoint payload's kernel state (schema-checked)."""
+        """Adopt a checkpoint payload's kernel state (schema-checked).
+
+        A payload whose kernel is not a :class:`ChunkKernel` (a
+        scalar-mode fleet worker's ``ScalarKernel``) is refused: no op
+        here can advance it.
+        """
         schema = payload.get("__schema__") if isinstance(payload, dict) else None
         if schema != WORKER_SNAPSHOT_SCHEMA:
             raise SnapshotMismatch(
@@ -393,10 +357,16 @@ class PlacementWorker:
                 f"(written by version {payload.get('__version__', '?') if isinstance(payload, dict) else '?'}, "
                 f"this is {__version__})"
             )
+        kernel = payload["kernel"]
+        if not isinstance(kernel, ChunkKernel):
+            raise SnapshotMismatch(
+                f"worker checkpoint holds a {type(kernel).__name__}, not a "
+                "ChunkKernel: it was written by a scalar-mode fleet, and "
+                "fleets serve mode='batch' only"
+            )
         spec = self.spec = _spec(payload["spec"])
         self.worker_id = int(spec.get("worker_id", 0))
-        self.mode = spec["mode"]
-        self.kernel = payload["kernel"]
+        self.kernel = kernel
         # Op telemetry is not checkpointed; a restored worker starts over.
         self._init_metrics()
 

@@ -118,14 +118,6 @@ class SimResult:
     keeps only the constant-size aggregates above and drops every
     per-job array, so holding many results (quota sweeps, long-running
     services) costs O(1) memory per result instead of O(n_jobs).
-
-    A result may also describe a **partial** run — one worker's share
-    of a fleet run, covering only a subset of the trace's jobs and
-    lanes.  ``job_indices`` (global indices of the jobs this part
-    decided, parallel to its ``ssd_fraction``) and ``lane_indices``
-    (global ids of the lanes behind its ``lane_capacities``) mark such
-    parts; :meth:`merge` folds a complete partition of parts back into
-    one whole-trace result.
     """
 
     policy_name: str
@@ -142,147 +134,11 @@ class SimResult:
     n_shards: int = 1
     scalar_fallback_jobs: int = 0
     lane_capacities: np.ndarray | None = field(default=None, repr=False)
-    job_indices: np.ndarray | None = field(default=None, repr=False)
-    lane_indices: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def aggregate_only(self) -> bool:
         """True when per-job arrays were dropped at finalize time."""
         return self.ssd_fraction is None
-
-    @classmethod
-    def merge(
-        cls,
-        parts: "list[SimResult]",
-        *,
-        trace: TraceBase | None = None,
-        rates: CostRates = DEFAULT_RATES,
-        policy_name: str | None = None,
-        capacity: float | None = None,
-        n_shards: int | None = None,
-        lane_capacities: np.ndarray | None = None,
-        peak_ssd_used: float | None = None,
-        n_jobs: int | None = None,
-        aggregate_only: bool = False,
-    ) -> "SimResult":
-        """Fold per-worker partial results into one whole-run result.
-
-        Integer counters (``n_ssd_requested``, ``n_spilled``,
-        ``scalar_fallback_jobs``) sum exactly; ``peak_ssd_used`` takes
-        the max unless the caller supplies the globally-sampled value
-        (per-part peaks are lane-local and under-estimate a global
-        pool's peak, which is why the fleet router tracks it itself).
-
-        When every part carries ``job_indices`` + ``ssd_fraction``
-        (a complete, disjoint partition of ``[0, n_jobs)``) the per-job
-        fraction array is reassembled by scatter — pure element copies
-        — and, given ``trace``, the cost roll-up is recomputed over the
-        full array with the exact arithmetic of a single-process run,
-        so the merged aggregates are bit-identical to the unpartitioned
-        result.  Without per-job arrays the cost fields fall back to
-        per-part sums, which are subject to float summation order.
-        """
-        if not parts:
-            raise ValueError("nothing to merge")
-        n_requested = sum(p.n_ssd_requested for p in parts)
-        n_spilled = sum(p.n_spilled for p in parts)
-        n_scalar = sum(p.scalar_fallback_jobs for p in parts)
-        if peak_ssd_used is None:
-            peak_ssd_used = max(p.peak_ssd_used for p in parts)
-
-        indexed = all(
-            p.job_indices is not None and p.ssd_fraction is not None
-            for p in parts
-        )
-        if n_jobs is None:
-            if indexed:
-                n_jobs = int(sum(p.job_indices.size for p in parts))
-            else:
-                n_jobs = sum(p.n_jobs for p in parts)
-
-        laned = all(
-            p.lane_indices is not None and p.lane_capacities is not None
-            for p in parts
-        )
-        if n_shards is None:
-            n_shards = (
-                int(sum(p.lane_indices.size for p in parts))
-                if laned else sum(p.n_shards for p in parts)
-            )
-        if lane_capacities is None and laned:
-            lane_capacities = np.zeros(n_shards)
-            seen_l = np.zeros(n_shards, dtype=bool)
-            for p in parts:
-                li = p.lane_indices
-                if li.size and (li.min() < 0 or li.max() >= n_shards):
-                    raise ValueError("part lane_indices out of range")
-                if seen_l[li].any():
-                    raise ValueError("parts overlap in lane_indices")
-                seen_l[li] = True
-                lane_capacities[li] = p.lane_capacities
-        if capacity is None:
-            capacity = (
-                float(lane_capacities.sum()) if lane_capacities is not None
-                else sum(p.capacity for p in parts)
-            )
-
-        fraction: np.ndarray | None = None
-        if indexed:
-            fraction = np.zeros(n_jobs)
-            seen = np.zeros(n_jobs, dtype=bool)
-            for p in parts:
-                ji = p.job_indices
-                if ji.size != p.ssd_fraction.size:
-                    raise ValueError(
-                        "part job_indices and ssd_fraction lengths differ"
-                    )
-                if ji.size and (ji.min() < 0 or ji.max() >= n_jobs):
-                    raise ValueError("part job_indices out of range")
-                if seen[ji].any():
-                    raise ValueError("parts overlap in job_indices")
-                seen[ji] = True
-                fraction[ji] = p.ssd_fraction
-            if not seen.all():
-                raise ValueError(
-                    f"parts cover {int(seen.sum())} of {n_jobs} jobs; "
-                    "merge needs a complete partition"
-                )
-
-        if trace is not None:
-            if fraction is None:
-                raise ValueError(
-                    "cost roll-up over a trace needs every part to carry "
-                    "job_indices + ssd_fraction"
-                )
-            if len(trace) != n_jobs:
-                raise ValueError(
-                    f"trace has {len(trace)} jobs, parts cover {n_jobs}"
-                )
-            b_tco, r_tco, b_tcio, r_tcio = _cost_rollup(trace, rates, fraction)
-        else:
-            b_tco = sum(p.baseline_tco for p in parts)
-            r_tco = sum(p.realized_tco for p in parts)
-            b_tcio = sum(p.baseline_tcio for p in parts)
-            r_tcio = sum(p.realized_hdd_tcio for p in parts)
-
-        return cls(
-            policy_name=(
-                policy_name if policy_name is not None else parts[0].policy_name
-            ),
-            capacity=float(capacity),
-            n_jobs=n_jobs,
-            baseline_tco=b_tco,
-            realized_tco=r_tco,
-            baseline_tcio=b_tcio,
-            realized_hdd_tcio=r_tcio,
-            n_ssd_requested=n_requested,
-            n_spilled=n_spilled,
-            peak_ssd_used=peak_ssd_used,
-            ssd_fraction=None if aggregate_only else fraction,
-            n_shards=n_shards,
-            scalar_fallback_jobs=n_scalar,
-            lane_capacities=lane_capacities,
-        )
 
     @property
     def tco_savings_pct(self) -> float:
@@ -467,28 +323,6 @@ def run_placement(
     )
 
 
-def _cost_rollup(
-    trace: TraceBase, rates: CostRates, ssd_fraction: np.ndarray
-) -> tuple[float, float, float, float]:
-    """The run-level cost aggregates over a realized fraction array.
-
-    Returns ``(baseline_tco, realized_tco, baseline_tcio,
-    realized_hdd_tcio)``.  Factored out of :func:`_finalize` so
-    :meth:`SimResult.merge` reproduces the exact same float operation
-    sequence over a reassembled fraction array.
-    """
-    costs = trace.costs(rates)
-    tcio_integral = trace.tcio(rates) * np.maximum(trace.durations, 1.0)
-    return (
-        float(costs.c_hdd.sum()),
-        float(
-            (ssd_fraction * costs.c_ssd + (1.0 - ssd_fraction) * costs.c_hdd).sum()
-        ),
-        float(tcio_integral.sum()),
-        float(((1.0 - ssd_fraction) * tcio_integral).sum()),
-    )
-
-
 def _finalize(
     trace: TraceBase,
     policy: PlacementPolicy,
@@ -504,15 +338,18 @@ def _finalize(
     aggregate_only: bool = False,
 ) -> SimResult:
     """Common cost roll-up shared by both engines (and the service)."""
-    b_tco, r_tco, b_tcio, r_tcio = _cost_rollup(trace, rates, ssd_fraction)
+    costs = trace.costs(rates)
+    tcio_integral = trace.tcio(rates) * np.maximum(trace.durations, 1.0)
     return SimResult(
         policy_name=policy.name,
         capacity=capacity,
         n_jobs=len(trace),
-        baseline_tco=b_tco,
-        realized_tco=r_tco,
-        baseline_tcio=b_tcio,
-        realized_hdd_tcio=r_tcio,
+        baseline_tco=float(costs.c_hdd.sum()),
+        realized_tco=float(
+            (ssd_fraction * costs.c_ssd + (1.0 - ssd_fraction) * costs.c_hdd).sum()
+        ),
+        baseline_tcio=float(tcio_integral.sum()),
+        realized_hdd_tcio=float(((1.0 - ssd_fraction) * tcio_integral).sum()),
         n_ssd_requested=n_ssd_requested,
         n_spilled=n_spilled,
         peak_ssd_used=float(peak_used),
@@ -551,44 +388,24 @@ class ScalarKernel:
     latest-scheduled-release first — with each eviction counted as a
     spill (the job's remaining I/O falls back to HDD).  The offline
     path never calls them either.
-
-    A kernel may cover a **lane subset** of a larger fleet: ``lanes``
-    records the global id of each local lane and ``lane_index`` maps
-    global id back to local position (identity over the full lane set
-    by default).  Lane arguments to every method are *local* indices.
-    A subset kernel usually runs with ``track_peak=False``: the peak
-    metric is global across the fleet, and a worker's local sample
-    would under-count it — the fleet router samples it instead.
     """
 
     __slots__ = (
         "capacity", "lane_capacity", "free", "peak_used", "heap",
         "n_ssd_requested", "n_spilled", "n_evicted", "evicted_bytes",
-        "_cancelled", "lanes", "lane_index", "track_peak",
+        "_cancelled",
     )
 
-    def __init__(
-        self,
-        lane_caps: np.ndarray,
-        *,
-        lanes: np.ndarray | None = None,
-        track_peak: bool = True,
-    ):
+    #: Lane-subset slots, which only scalar-mode fleet workers used;
+    #: single-process checkpoints written while they existed carry
+    #: them, and restore without them.
+    _RETIRED_SLOTS = frozenset({"lanes", "lane_index", "track_peak"})
+
+    def __init__(self, lane_caps: np.ndarray):
         self.lane_capacity = ledger_bytes(lane_caps, round_up=False)
         self.capacity = int(self.lane_capacity.sum())
         self.free = self.lane_capacity.copy()
         self.peak_used = 0
-        self.track_peak = track_peak
-        if lanes is None:
-            lanes = np.arange(len(lane_caps), dtype=np.intp)
-        else:
-            lanes = np.asarray(lanes, dtype=np.intp)
-            if lanes.size != len(lane_caps):
-                raise ValueError(
-                    f"{lanes.size} global lane ids for {len(lane_caps)} lanes"
-                )
-        self.lanes = lanes
-        self.lane_index = {int(g): k for k, g in enumerate(lanes)}
         #: (release_time, job_index, lane, bytes) min-heap.
         self.heap: list[tuple[float, int, int, int]] = []
         self.n_ssd_requested = 0
@@ -600,7 +417,8 @@ class ScalarKernel:
     def __setstate__(self, state):
         _, slots = state
         for name, value in slots.items():
-            setattr(self, name, value)
+            if name not in self._RETIRED_SLOTS:
+                setattr(self, name, value)
         if self.free.dtype != np.int64:
             _int_ledger(self)
             self.heap = [
@@ -613,7 +431,7 @@ class ScalarKernel:
         """The kernel's monotonic admission counters, uniformly keyed.
 
         The same schema :meth:`ChunkKernel.counters` returns (and the
-        fleet facades aggregate), so the serving metrics layer reads
+        fleet facade aggregates), so the serving metrics layer reads
         one shape regardless of engine or fleet width.
         """
         return {
@@ -661,10 +479,9 @@ class ScalarKernel:
             spill_time = t
         f -= alloc
         free[lane] = f
-        if self.track_peak:
-            used = self.capacity - (f if free.size == 1 else int(free.sum()))
-            if used > self.peak_used:
-                self.peak_used = used
+        used = self.capacity - (f if free.size == 1 else int(free.sum()))
+        if used > self.peak_used:
+            self.peak_used = used
         if ssd_ttl is not None and ssd_ttl < duration:
             release = t + max(ssd_ttl, 0.0)
             time_frac = (release - t) / duration if duration > 0 else 1.0
@@ -931,8 +748,8 @@ class ChunkKernel:
     long as indices ``[first, stop)`` are populated.  A fleet worker
     calls :meth:`admit_chunk` on its op's columns directly.
 
-    Like :class:`ScalarKernel`, the ledger is integer bytes, and a
-    chunk kernel may cover a **lane subset** of a larger fleet
+    Like :class:`ScalarKernel`, the ledger is integer bytes.  A chunk
+    kernel may also cover a **lane subset** of a larger fleet
     (``lanes`` / ``lane_index`` give the global↔local mapping; lane
     arguments and the chunk's lane column are local); it then admits
     exactly as the single-process run does (see :class:`_LaneState`),

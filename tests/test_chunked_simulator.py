@@ -297,7 +297,7 @@ class TestMaskChunkKernel:
         lanes, want, ttl = run["lanes"], run["want"].copy(), run["ttl"]
         n = t.size
         kern = ChunkKernel(run["caps"], lanes=run["global_lanes"])
-        ref = ScalarKernel(run["caps"], lanes=run["global_lanes"])
+        ref = ScalarKernel(run["caps"])
         frac = np.zeros(n)
         fallback = 0
         first = 0

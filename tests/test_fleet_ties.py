@@ -10,6 +10,7 @@ process exactly (``assert_bit_identical``, no tolerance) and report
 the same kernel counters.
 """
 
+import multiprocessing
 import tempfile
 from collections import Counter
 
@@ -92,14 +93,14 @@ def _drive(svc, run, kill=None):
 def _check(run, transport="inprocess"):
     trace = run["trace"]
     base, base_counters = _drive(
-        PlacementService(_policy(run, trace), run["cap"], N_SHARDS, mode=run["mode"]),
+        PlacementService(_policy(run, trace), run["cap"], N_SHARDS),
         run,
     )
     for w in (1, 2, 3):
         for kill in (None, run["seed"]):
             with tempfile.TemporaryDirectory() as d:
                 svc = FleetRouter(
-                    _policy(run, trace), run["cap"], N_SHARDS, mode=run["mode"],
+                    _policy(run, trace), run["cap"], N_SHARDS,
                     n_workers=w, transport=transport, worker_dir=d,
                     worker_checkpoint_every=run["checkpoint_every"],
                 )
@@ -107,7 +108,7 @@ def _check(run, transport="inprocess"):
                     got, counters = _drive(svc, run, kill)
                 finally:
                     svc.close()
-            label = f"{run['policy']}/{run['mode']}/W{w}/kill={kill is not None}"
+            label = f"{run['policy']}/W{w}/kill={kill is not None}"
             assert_bit_identical(base, got, label)
             assert counters == base_counters, label
     return base
@@ -131,7 +132,6 @@ def tie_runs(draw):
     return {
         "trace": trace,
         "cap": draw(st.floats(1.0, 6.0)) * GIB,
-        "mode": draw(st.sampled_from(("batch", "scalar"))),
         "policy": draw(st.sampled_from(("adaptive", "fixed", "firstfit"))),
         "seed": draw(st.integers(0, 2**16)),
         "batch": batch,
@@ -158,6 +158,14 @@ class TestTieHeavyFleet:
         pytest.param("scalar", "firstfit", id="scalar-firstfit"),
     ])
     def test_subprocess_fleet_matches_single_process(self, mode, policy):
+        if mode == "scalar":
+            # Refused before any worker is forked.
+            children = multiprocessing.active_children()
+            with pytest.raises(ValueError, match="mode='batch'"):
+                FleetRouter(FirstFitPolicy(), GIB, N_SHARDS, mode=mode,
+                            n_workers=2, transport="subprocess")
+            assert multiprocessing.active_children() == children
+            return
         rng = np.random.default_rng(5)
         n = 40
         run = {
@@ -165,7 +173,7 @@ class TestTieHeavyFleet:
                 rng.choice((0, 0, 1, 2), n), rng.choice((0, 1, 2, 3, 5, 8), n),
                 rng.uniform(0.05, 2.5, n), rng.integers(0, 6, n),
             ),
-            "cap": 3.3 * GIB, "mode": mode, "policy": policy, "seed": 5,
+            "cap": 3.3 * GIB, "policy": policy, "seed": 5,
             "batch": 7, "complete_every": 2, "complete_at_arrival": True,
             "shock_at": 3, "shock_scale": 0.5, "kill_at": 2,
             "checkpoint_every": 3,
@@ -179,7 +187,8 @@ class TestTieHeavyFleet:
 
 class TestZeroHoldThenShock:
     """A job held for no time (duration 0) is never resident: a shock
-    right after it evicts nothing, in one process and in the fleet."""
+    right after it evicts nothing, in one process (either mode) and in
+    the fleet (batch mode)."""
 
     @pytest.mark.parametrize("mode", ("batch", "scalar"))
     def test_not_evicted(self, mode):
@@ -193,13 +202,14 @@ class TestZeroHoldThenShock:
         base, base_counters = drive(
             PlacementService(FirstFitPolicy(), 4 * GIB, 1, mode=mode)
         )
-        svc = FleetRouter(FirstFitPolicy(), 4 * GIB, 1, mode=mode, n_workers=1)
-        got, counters = drive(svc)
-        svc.close()
         assert base.peak_ssd_used == GIB
         assert base_counters["n_evicted"] == 0
-        assert_bit_identical(base, got, mode)
-        assert counters == base_counters
+        if mode == "batch":
+            svc = FleetRouter(FirstFitPolicy(), 4 * GIB, 1, n_workers=1)
+            got, counters = drive(svc)
+            svc.close()
+            assert_bit_identical(base, got, mode)
+            assert counters == base_counters
 
 
 def _pipeline_on(lane: int, n_shards: int) -> str:

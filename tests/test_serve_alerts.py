@@ -453,7 +453,6 @@ class TestEventStreamDeterminism:
             ("batch", (1, "inprocess")),
             ("batch", (3, "inprocess")),
             ("batch", (3, "subprocess")),
-            ("scalar", (3, "inprocess")),
         ):
             events, status, fired = self._run(
                 trace, builders, pname, mode, fleet

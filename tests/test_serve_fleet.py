@@ -2,17 +2,17 @@
 
 The contract under test is the tentpole claim of the router refactor:
 scatter-gathering the placement computation over N workers is a pure
-refactor of the arithmetic — for any policy, engine mode, shard count,
-worker count, and transport, the fleet roll-up is **bit-identical** to
+refactor of the arithmetic — for any policy, shard count, worker count,
+and transport, the batch-mode fleet roll-up is **bit-identical** to
 the single-process :class:`~repro.serve.PlacementService`, including
 across worker kills recovered from per-worker WAL/checkpoint state.
+Fleets serve batch mode only; every scalar-mode entry point refuses.
 
-Also covers the :meth:`SimResult.merge` partition algebra directly
-(random lane partitions reassemble the exact whole-run result), the
-fleet edge cases (zero-lane workers, completes racing a worker
-restart, duplicate submissions around recovery), snapshot/restore of a
-live fleet, worker snapshot schema checks, and the CLI ``--workers``
-surface including the Ctrl-C partial-roll-up exit contract.
+Also covers the fleet edge cases (zero-lane workers, completes racing
+a worker restart, duplicate submissions around recovery),
+snapshot/restore of a live fleet, worker snapshot schema checks, and
+the CLI ``--workers`` surface including the Ctrl-C partial-roll-up
+exit contract.
 """
 
 import os
@@ -30,7 +30,8 @@ from repro.serve import (
     worker_lanes,
 )
 from repro.serve.transport import RecordingTransport
-from repro.storage.engine import SimResult
+from repro.serve.worker import PlacementWorker
+from repro.storage.engine import ScalarKernel
 from repro.workloads import save_trace
 from repro.workloads.streaming import materialize_trace
 
@@ -94,6 +95,13 @@ class TestBitIdentity:
     @pytest.mark.parametrize("mode", ("batch", "scalar"))
     @pytest.mark.parametrize("shards", (1, 4))
     def test_matches_single_process(self, trace, builders, pname, mode, shards):
+        if mode == "scalar":
+            for w in (1, 3):
+                with pytest.raises(ValueError, match="mode='batch'"):
+                    FleetRouter(
+                        builders[pname](), CAP, shards, mode=mode, n_workers=w
+                    )
+            return
         base = PlacementService(
             builders[pname](), CAP, shards, mode=mode
         ).replay(trace, batch_jobs=29)
@@ -143,87 +151,11 @@ class TestBitIdentity:
                         svc.complete(jid)
             return svc.result()
 
-        for mode in ("batch", "scalar"):
-            base = drive(PlacementService(builders["fixed"](), CAP, 4, mode=mode))
-            svc = FleetRouter(builders["fixed"](), CAP, 4, mode=mode, n_workers=2)
-            got = drive(svc)
-            svc.close()
-            assert_bit_identical(base, got, f"shock+complete/{mode}")
-
-
-class TestMergePartitions:
-    """SimResult.merge over random lane partitions of a real run."""
-
-    @pytest.fixture(scope="class")
-    def whole(self, trace, builders):
-        svc = PlacementService(builders["adaptive"](), CAP, 6, mode="batch")
-        svc.open(trace)
-        _feed(svc, trace, 0, 260)
-        res = svc.result()
-        lanes_col = svc.log.lanes.copy()
-        return res, lanes_col, svc.rates
-
-    def _parts(self, res, lanes_col, groups):
-        parts = []
-        for gi, lanes in enumerate(groups):
-            ji = np.flatnonzero(np.isin(lanes_col, lanes))
-            parts.append(SimResult(
-                policy_name=res.policy_name,
-                capacity=float(res.lane_capacities[lanes].sum()),
-                n_jobs=ji.size,
-                baseline_tco=0.0, realized_tco=0.0,
-                baseline_tcio=0.0, realized_hdd_tcio=0.0,
-                # counters sum exactly in merge; park the totals on one part
-                n_ssd_requested=res.n_ssd_requested if gi == 0 else 0,
-                n_spilled=res.n_spilled if gi == 0 else 0,
-                peak_ssd_used=0.0,
-                ssd_fraction=res.ssd_fraction[ji].copy(),
-                n_shards=max(lanes.size, 1),
-                lane_capacities=res.lane_capacities[lanes].copy(),
-                job_indices=ji,
-                lane_indices=lanes,
-            ))
-        return parts
-
-    def test_random_partitions_reassemble(self, trace, whole):
-        res, lanes_col, rates = whole
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            k = int(rng.integers(1, 7))
-            owner = rng.integers(0, k, size=6)
-            groups = [np.flatnonzero(owner == g) for g in range(k)]
-            merged = SimResult.merge(
-                self._parts(res, lanes_col, groups),
-                trace=trace, rates=rates,
-                # the router passes capacity through rather than
-                # re-summing lane slices, whose total is not float-exact
-                capacity=res.capacity,
-                peak_ssd_used=res.peak_ssd_used,
-                n_jobs=res.n_jobs, n_shards=res.n_shards,
-            )
-            assert_bit_identical(res, merged, f"merge k={k}")
-            assert np.array_equal(merged.lane_capacities, res.lane_capacities)
-            assert merged.capacity == res.capacity
-
-    def test_overlapping_jobs_rejected(self, trace, whole):
-        res, lanes_col, rates = whole
-        groups = [np.array([0, 1, 2]), np.array([3, 4, 5])]
-        parts = self._parts(res, lanes_col, groups)
-        dup = parts[0].job_indices[:1]
-        parts[1].job_indices = np.concatenate([parts[1].job_indices, dup])
-        parts[1].ssd_fraction = np.concatenate(
-            [parts[1].ssd_fraction, res.ssd_fraction[dup]]
-        )
-        with pytest.raises(ValueError, match="overlap"):
-            SimResult.merge(parts, trace=trace, rates=rates, n_jobs=res.n_jobs)
-
-    def test_incomplete_coverage_rejected(self, trace, whole):
-        res, lanes_col, rates = whole
-        groups = [np.array([0, 1, 2]), np.array([3, 4, 5])]
-        parts = self._parts(res, lanes_col, groups)[:1]
-        with pytest.raises(ValueError, match="complete partition|lane"):
-            SimResult.merge(parts, trace=trace, rates=rates,
-                            n_jobs=res.n_jobs, n_shards=res.n_shards)
+        base = drive(PlacementService(builders["fixed"](), CAP, 4, mode="batch"))
+        svc = FleetRouter(builders["fixed"](), CAP, 4, mode="batch", n_workers=2)
+        got = drive(svc)
+        svc.close()
+        assert_bit_identical(base, got, "shock+complete")
 
 
 class TestFailover:
@@ -617,6 +549,32 @@ class TestSnapshots:
                                             "payload": payload})
         svc.close()
 
+    def test_worker_refuses_a_scalar_kernel(self, trace, builders):
+        """A checkpoint of a scalar-mode fleet worker (a
+        :class:`ScalarKernel` payload) is refused; the retired ``mode``
+        spec key alone is dropped."""
+        svc = FleetRouter(builders["fixed"](), CAP, 2, n_workers=2)
+        try:
+            tr = svc.pool.transports[0]
+            payload = tr.request({"op": "state"})["payload"]
+            payload["spec"] = {**payload["spec"], "mode": "batch"}
+            worker = PlacementWorker.from_payload(payload)
+            assert "mode" not in worker.spec
+            payload["kernel"] = ScalarKernel(payload["spec"]["lane_caps"])
+            with pytest.raises(SnapshotMismatch, match="ScalarKernel"):
+                PlacementWorker.from_payload(payload)
+            with pytest.raises(SnapshotMismatch, match="ScalarKernel"):
+                tr.request({"op": "restore", "payload": payload})
+            assert tr.request({"op": "ping"})["worker_id"] == 0
+        finally:
+            svc.close()
+
+    def test_rejects_scalar_mode(self, builders):
+        for transport in ("inprocess", "subprocess"):
+            with pytest.raises(ValueError, match="mode='batch'"):
+                FleetRouter(builders["fixed"](), CAP, 2, mode="scalar",
+                            n_workers=2, transport=transport)
+
     def test_rejects_bad_config(self, builders):
         with pytest.raises(ValueError):
             FleetRouter(builders["fixed"](), CAP, 2, n_workers=0)
@@ -650,6 +608,13 @@ class TestFleetCli:
         assert pick and pick == [
             ln for ln in fleet.splitlines() if "final roll-up" in ln
         ]
+
+    def test_serve_scalar_workers_is_a_usage_error(self, trace_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", "--trace", trace_path, "--mode", "scalar",
+                  "--workers", "2"])
+        assert exit_.value.code == 2
+        assert "--mode batch" in capsys.readouterr().err
 
     def test_loadgen_workers_flag(self, trace_path, capsys):
         assert main(["loadgen", "--trace", trace_path, "--quota", "0.1",

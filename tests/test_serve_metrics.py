@@ -30,6 +30,7 @@ from repro.serve import (
     MetricsServer,
     PlacementService,
     SloSpec,
+    SnapshotMismatch,
     default_alert_rules,
     merge_states,
 )
@@ -402,8 +403,14 @@ class TestSnapshotEqualsRollup:
         (1, "inprocess"), (3, "inprocess"), (3, "subprocess"),
     ])
     def test_fleet(self, trace, builders, pname, mode, workers, transport):
-        if transport == "subprocess" and mode == "scalar":
-            pytest.skip("scalar-over-subprocess sweep covered in-process")
+        if mode == "scalar":
+            # Fleets serve batch mode only.
+            with pytest.raises(ValueError, match="mode='batch'"):
+                FleetRouter(
+                    builders[pname](), CAP, 4, mode=mode,
+                    n_workers=workers, transport=transport,
+                )
+            return
         svc = FleetRouter(
             builders[pname](), CAP, 4, mode=mode,
             n_workers=workers, transport=transport,
@@ -932,17 +939,68 @@ class TestOldCheckpoints:
         assert_bit_identical(ref.result(), rec.result())
         assert rec.kernel.counters() == ref.kernel.counters()
 
+    def test_scalar_kernel_lane_subset_slots_are_dropped(self, trace, builders):
+        """A scalar service checkpoint whose kernel still carries the
+        lane-subset slots (``lanes``, ``lane_index``, ``track_peak``)
+        restores without them and continues bit-identically."""
+        from dataclasses import replace
+
+        from repro.storage.engine import ScalarKernel
+
+        def build():
+            svc = PlacementService(
+                builders["adaptive"](), CAP, 4, mode="scalar"
+            )
+            svc.open(trace)
+            return svc
+
+        jobs = list(trace.jobs)
+        mid = len(jobs) // 2
+        ref, svc = build(), build()
+        for s in (ref, svc):
+            s.submit_jobs(jobs[:mid])
+            s.complete(jobs[3].job_id)
+        snap = svc.snapshot()
+        kernel = snap.payload["kernel"]
+        slots = {name: getattr(kernel, name) for name in ScalarKernel.__slots__}
+        slots.update(
+            lanes=np.arange(4, dtype=np.intp),
+            lane_index={g: g for g in range(4)}, track_peak=True,
+        )
+        payload = {**snap.payload, "kernel": _Pickled(ScalarKernel, (None, slots))}
+        old = pickle.loads(pickle.dumps(replace(snap, payload=payload)))
+        rec = PlacementService.restore(old)
+        assert not hasattr(rec.kernel, "lanes")
+        for s in (ref, rec):
+            s.submit_jobs(jobs[mid:])
+        assert_bit_identical(ref.result(), rec.result())
+        assert rec.kernel.counters() == ref.kernel.counters()
+
     @pytest.mark.parametrize("mode", ("batch", "scalar"))
     def test_worker_float_byte_ledger_restores(self, trace, builders, mode):
         """The same for worker checkpoints, and for the float ``alloc``
-        that worker-log ``cancel`` records written then carry."""
+        that worker-log ``cancel`` records written then carry.  A
+        scalar-mode fleet worker's checkpoint holds a ``ScalarKernel``,
+        which workers no longer run: it is refused."""
         from repro.serve.transport import InProcessTransport
         from repro.serve.worker import PlacementWorker
+        from repro.storage.engine import ScalarKernel
+
+        if mode == "scalar":
+            svc = FleetRouter(builders["adaptive"](), CAP, 4, n_workers=2)
+            payload = dict(svc.pool.request(0, {"op": "state"})["payload"])
+            svc.close()
+            kernel = ScalarKernel(payload["spec"]["lane_caps"])
+            payload["kernel"] = _float_ledger(kernel)
+            payload["spec"] = {**payload["spec"], "mode": "scalar"}
+            with pytest.raises(SnapshotMismatch, match="ScalarKernel"):
+                PlacementWorker.from_payload(
+                    pickle.loads(pickle.dumps(payload))
+                )
+            return
 
         def build():
-            svc = FleetRouter(
-                builders["adaptive"](), CAP, 4, mode=mode, n_workers=2
-            )
+            svc = FleetRouter(builders["adaptive"](), CAP, 4, n_workers=2)
             svc.open(trace)
             return svc
 

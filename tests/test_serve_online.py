@@ -574,6 +574,10 @@ class TestPipelineServe:
         assert res.realized_tco == base.realized_tco
         assert res.n_spilled == base.n_spilled
 
+    def test_serve_refuses_a_scalar_fleet(self, cluster, pipe):
+        with pytest.raises(ValueError, match="mode='batch'"):
+            pipe.serve(0.05, cluster.peak_ssd_usage, mode="scalar", n_workers=2)
+
     def test_serve_shard_weights(self, cluster, pipe):
         svc = pipe.serve(
             0.05, cluster.peak_ssd_usage, n_shards=4,

@@ -173,6 +173,7 @@ class TestRecoveryBitIdentity:
         _drive(rec, trace, crash_at, len(trace), batch=17,
                complete_every=13, shock_at=shock_at)
         res = rec.result()
+        rec.close()
         return res, rec
 
     @pytest.mark.parametrize("mode", ("scalar", "batch"))
@@ -244,6 +245,7 @@ class TestRecoveryBitIdentity:
         r2 = PlacementService.recover(ckpt, wal)
         _drive(r2, trace, 120, 160, batch=17, complete_every=13, shock_at=None)
         got = r2.result()
+        r2.close()
 
         ref = PlacementService(build(), self.CAP, 4, mode="batch")
         ref.open(trace)
@@ -255,13 +257,14 @@ class TestRecoveryBitIdentity:
 
     def test_snapshot_excludes_wal_handle(self, tmp_path):
         trace = random_trace(13, n=40)
-        svc = PlacementService(
+        with PlacementService(
             make_policy_builders(trace, 13)["firstfit"](), self.CAP, 1,
             mode="batch", wal=str(tmp_path / "x.wal"),
-        )
-        svc.open(trace)
-        svc.submit_jobs(list(trace.jobs[:20]))
-        snap = svc.snapshot()
+        ) as svc:
+            svc.open(trace)
+            svc.submit_jobs(list(trace.jobs[:20]))
+            snap = svc.snapshot()
+        assert svc.wal._fh.closed
         # The snapshot pickles without the live file handle and restores
         # with wal=None (recover() reattaches the log explicitly).
         clone = PlacementService.restore(pickle.loads(pickle.dumps(snap)))

@@ -38,9 +38,10 @@ FRAME_DTYPES = ("?", "b", "B", "h", "H", "i", "I", "l", "L", "q", "Q",
                 "e", "f", "d", "g")
 
 #: Data-plane ops whose messages (op and reply) carry job column blocks
-#: and must take the frame path, and the scalar-only ones, which pickle.
+#: and must take the frame path, and the standalone cancel, which holds
+#: only scalars and pickles.
 FRAMED_OPS = ("chunk", "fit")
-PICKLED_OPS = ("admit", "cancel")
+PICKLED_OPS = ("cancel",)
 
 
 def _flat_value():
@@ -104,7 +105,8 @@ class TestFrameRoundTrip:
         assert got["n"] is True and type(got["i"]) is int
 
     @pytest.mark.parametrize("msg", [
-        {"op": "admit", "i": 3, "t": 1.5, "dur": -0.0, "ttl": None},
+        {"op": "cancel", "catch": None, "lane": 3, "alloc": 7,
+         "release": -0.0},
         {"free": 7, "n_spilled": 2, "ok": True, "why": "scalars only"},
         {},
     ])
@@ -178,13 +180,11 @@ class TestFleetMessages:
     @pytest.mark.parametrize("mode,policy,kinds", [
         ("batch", "adaptive", {"chunk", "carried cancel"}),
         ("batch", "firstfit", {"fit", "carried cancel"}),
-        ("scalar", "adaptive", {"admit", "cancel"}),
     ])
     def test_data_plane_messages_take_their_path(self, mode, policy, kinds):
         res, log = _run(mode, policy)
         assert res.n_spilled > 0  # spill columns and spill times are live
         seen = set()
-        spill_types = set()  # of admit replies: a time, or None
         for op, reply in log:
             kind = op["op"]
             if kind not in FRAMED_OPS + PICKLED_OPS:
@@ -193,8 +193,6 @@ class TestFleetMessages:
             if "cancel_lane" in op:
                 # Batch cancels ride a chunk op's frame as columns.
                 seen.add("carried cancel")
-            if kind == "admit":
-                spill_types.add(type(reply["res"][2]))
             tag = b"F" if kind in FRAMED_OPS else b"P"
             for msg in (op, reply):
                 wire = encode(msg)
@@ -202,8 +200,6 @@ class TestFleetMessages:
                 assert same_message(msg, decode(wire))
         assert kinds <= seen
         assert "resize" in {op["op"] for op, _ in log}  # the shock ran
-        if mode == "scalar":
-            assert spill_types == {float, type(None)}
 
 
 class TestScatterErrors:
@@ -286,7 +282,7 @@ PIPE_BUFFER = 1 << 16
 
 def _spec(n_lanes):
     return {
-        "worker_id": 0, "mode": "batch",
+        "worker_id": 0,
         "lane_caps": np.full(n_lanes, 5 * GIB),
         "lanes": np.arange(n_lanes, dtype=np.intp), "track_peak": True,
     }
@@ -446,3 +442,24 @@ class TestRawChannel:
             assert not tr.alive
         finally:
             tr.close()
+
+    def test_a_sibling_holds_no_earlier_channel_open(self):
+        svc = FleetRouter(
+            FirstFitPolicy(), 4 * GIB, 3, n_workers=3, transport="subprocess"
+        )
+        try:
+            first, *rest = svc.pool.transports
+            null = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(null, first._op_fd)
+            finally:
+                os.close(null)
+            # Workers 1 and 2 were forked after worker 0's channel was
+            # open; worker 0 still sees end of file at once.
+            first._proc.join(timeout=10.0)
+            assert first._proc.exitcode == 0
+            for w, tr in enumerate(rest, 1):
+                assert tr.request({"op": "ping"})["worker_id"] == w
+        finally:
+            first.kill()  # a stop op would go to /dev/null
+            svc.close()
