@@ -87,10 +87,10 @@ complete on every 8th SSD placement; fleets serve batch mode only):
 Adaptive Hash (``chunk`` ops) and FirstFit with at most 512 queued
 jobs (``fit`` ops).  Each message goes through ``ForkingPickler.dumps`` +
 ``pickle.loads`` (what ``multiprocessing.Connection.send``/``recv`` do)
-and through ``transport.encode`` + ``decode`` (a binary frame for
-column blocks; control ops, which hold only scalars or nested
-payloads, pickle).  Every decode
-must equal its original, and for every kind of message the wire
+and through ``transport.encode`` + ``decode`` (the fixed chunk layout
+for ``chunk``/``fit`` ops and their replies; control ops, which hold
+only scalars or nested payloads, pickle).  Every decode
+must equal its original (chunk columns compared in their wire dtypes), and for every kind of message the wire
 codec's median time must be below pickle's.  A second table gives the
 "worker chunk op": the batch run's recorded ops replayed on a fresh
 worker, in process (``PlacementWorker.handle``) and as real round trips
@@ -1159,7 +1159,7 @@ def test_perf_transport():
 
     from repro.baselines import FirstFitPolicy
     from repro.core import hash_categories
-    from repro.serve.transport import decode, encode, same_message
+    from repro.serve.transport import column_arrays, decode, encode, same_message
     from repro.units import WEEK
     from repro.workloads import default_cluster_specs, generate_cluster_trace
 
@@ -1186,8 +1186,8 @@ def test_perf_transport():
 
     codecs = (("pickle", pickled), ("wire", wired))
     for _, m in messages:
-        for _, codec in codecs:
-            assert same_message(m, codec(m)[1])
+        assert same_message(m, pickled(m)[1])
+        assert same_message(column_arrays(m), column_arrays(wired(m)[1]))
     # Per message and codec: the best of three interleaved rounds of
     # five back-to-back calls (one call of a few microseconds is below
     # the timer's resolution and noise).
@@ -1213,7 +1213,8 @@ def test_perf_transport():
         "encode + decode per message (best of 3 rounds of 5 calls), median over the "
         "messages of a kind; "
         "pickle = ForkingPickler.dumps + pickle.loads, "
-        "wire = transport.encode + decode (path F = frame, P = pickle)",
+        "wire = transport.encode + decode (path C = chunk op, R = chunk reply, "
+        "P = pickle)",
         f"{'kind':<20} {'messages':>9} {'path':>4} {'pickle us':>10} {'wire us':>8} "
         f"{'pickle B':>9} {'wire B':>7}",
     ]
@@ -1237,7 +1238,7 @@ def _worker_chunk_op_lines(workers: list) -> list[str]:
     """Time the batch run's recorded worker ops: replayed in order on a
     fresh in-process worker, and as real round trips to a fresh
     subprocess worker.  Every reply must equal the recorded one."""
-    from repro.serve.transport import SubprocessTransport, same_message
+    from repro.serve.transport import SubprocessTransport, column_arrays, same_message
     from repro.serve.worker import PlacementWorker
 
     n_ops = sum(len(log) for _, log in workers)
@@ -1271,7 +1272,9 @@ def _worker_chunk_op_lines(workers: list) -> list[str]:
                     elapsed += time.perf_counter() - t0
                 finally:
                     tr.close()
-                assert all(same_message(r, g) for (_, r), g in zip(log, got))
+                assert all(
+                same_message(column_arrays(r), g) for (_, r), g in zip(log, got)
+            )
             round_trip_s = min(round_trip_s, elapsed)
     finally:
         if pinned:

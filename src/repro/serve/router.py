@@ -47,7 +47,12 @@ from ..storage.engine import ChunkKernel, _chunk_candidates, _ttl_release
 from ..storage.policy import BatchOutcomes
 from .metrics import merge_states
 from .service import PlacementService
-from .transport import InProcessTransport, SubprocessTransport, WorkerDied
+from .transport import (
+    CARRIED_KEYS,
+    InProcessTransport,
+    SubprocessTransport,
+    WorkerDied,
+)
 from .types import WORKER_SNAPSHOT_SCHEMA, SnapshotMismatch
 from .wal import WriteAheadLog
 from .worker import PlacementWorker
@@ -63,11 +68,6 @@ _MUTATING_OPS = frozenset({"chunk", "fit", "cancel", "resize"})
 #: flushes them: gathering telemetry never writes a worker's WAL.  Any
 #: other op sends the queue ahead as standalone ``cancel`` ops.
 _CARRIERS = frozenset({"chunk", "fit"})
-
-#: The columns a carrier op holds its queued cancels in, in the order of
-#: a queue entry.
-_CARRIED_KEYS = ("cancel_lane", "cancel_alloc", "cancel_release", "cancel_catch")
-_CARRIED_DTYPES = (np.intp, np.int64, float, float)
 
 #: Op-dict keys that carry arrays, and the dtype each restores to when
 #: a WAL record (JSON lists) is replayed.
@@ -257,16 +257,19 @@ class _WorkerPool:
             wal.append(_op_to_record(op))
         if queue:
             op = dict(op)
-            for key, dtype, col in zip(_CARRIED_KEYS, _CARRIED_DTYPES, zip(*queue)):
-                op[key] = np.array(col, dtype=dtype)
+            for key, col in zip(CARRIED_KEYS, zip(*queue)):
+                op[key] = list(col)
             self.queued[w] = []
         return op, before
 
     def _update(self, w: int, reply: dict) -> None:
         col = reply.get("counters")
         if col is not None:
-            # Chunk and fit replies pack the six counters in one column.
-            self.counters[w] = dict(zip(self._COUNTER_KEYS, col.tolist()))
+            # Chunk and fit replies pack the six counters in one column:
+            # a list in process, an array off the wire.
+            if type(col) is not list:
+                col = col.tolist()
+            self.counters[w] = dict(zip(self._COUNTER_KEYS, col))
             return
         c = self.counters[w]
         for k in self._COUNTER_KEYS:
@@ -570,7 +573,6 @@ class FleetChunkKernel:
             spill_time=spill_col,
             shards=chunk_lanes,
         )
-        self.ledger.st.merge_new()
         return outcomes
 
     def _scatter_fold(
@@ -627,11 +629,11 @@ class FleetChunkKernel:
         # free vector (which also holds the chunk's allocations and
         # in-chunk releases).  The window — entries past t0, since
         # open_chunk consumed everything at or before it, and at or
-        # before t_last — stays readable as ``[start, rel_pos)`` for the
-        # global peak pass below.
-        start = st.rel_pos
+        # before t_last — feeds the global peak pass below.  Reply
+        # columns are lists in process and read-only arrays off the
+        # wire; the fold reads either.
         total = sum(st.free.tolist()) if W > 1 else 0
-        st.release_until(t_last)
+        window = st.release_until(t_last)
         parts = list(replies.values())  # in worker order, as ``ops``
         for w, reply in replies.items():
             st.free[pool.lanes_by_worker[w]] = reply["free"]
@@ -653,17 +655,18 @@ class FleetChunkKernel:
                 release_out[cand[held]] = release[held]
             else:
                 release_out[cand] = release
-        # Releases maturing past the chunk, buffered in owner order:
-        # each lane's entries keep arrival order, and the ledger's sums
-        # do not depend on the order across lanes.
+        # Releases maturing past the chunk, pushed in owner order: each
+        # lane's entries keep arrival order, and the ledger's sums do
+        # not depend on the order across lanes.
         allocs = alloc.tolist()
         releases = release.tolist()
-        new_t, new_a, new_l = st.new_t, st.new_a, st.new_l
-        for a, rt, L in zip(allocs, releases, lane.tolist()):
-            if a > 0 and rt > t_last:
-                new_t.append(rt)
-                new_a.append(a)
-                new_l.append(L)
+        later = [
+            (rt, L, a)
+            for a, rt, L in zip(allocs, releases, lane.tolist())
+            if a > 0 and rt > t_last
+        ]
+        if later:
+            st.push_all(*zip(*later))
         # Global peak.  Between samples free bytes only fall by this
         # chunk's allocations (window releases net to >= 0, as a cancel's
         # compensating entry shares its release's timestamp), so when
@@ -671,29 +674,28 @@ class FleetChunkKernel:
         # seen, no sample can set a new low and the replay is skipped.
         if W > 1 and total - sum(allocs) < st.capacity - self._peak:
             rows = sorted(zip(order.tolist(), ct.tolist(), allocs, releases))
-            self._replay_peak(rows, start, total, t_last)
+            self._replay_peak(rows, window, total, t_last)
         if t_last > self._cursor:
             self._cursor = t_last
 
-    def _replay_peak(self, rows, start, total, t_last) -> None:
+    def _replay_peak(self, rows, window, total, t_last) -> None:
         """Sample the fleet-wide free total at every candidate arrival.
 
-        Replays the window releases ``[start, rel_pos)`` and the
-        chunk's own releases due in it over the realized allocations
-        (``rows``: ``(position, time, alloc, release)`` in candidate
-        order), in the single process's order — releases due at or
-        before an arrival first.  A row that allocates nothing cannot
-        raise the peak: between admissions, used bytes only fall.
+        Replays the ``window`` of pending releases the chunk consumed
+        (``(time, seq, lane, bytes)`` in heap order) and the chunk's
+        own releases due in it over the realized allocations (``rows``:
+        ``(position, time, alloc, release)`` in candidate order), in the
+        single process's order — releases due at or before an arrival
+        first.  A row that allocates nothing cannot raise the peak:
+        between admissions, used bytes only fall.
         """
         st = self.ledger.st
-        pend_t = st.rel_t[start:st.rel_pos].tolist()
-        pend_a = st.rel_a[start:st.rel_pos].tolist()
-        p, pend_n = 0, len(pend_t)
+        p, pend_n = 0, len(window)
         heap: list[tuple[float, int]] = []  # (time, amount)
         low = st.capacity - self._peak
         for _, t, a, rt in rows:
-            while p < pend_n and pend_t[p] <= t:
-                total += pend_a[p]
+            while p < pend_n and window[p][0] <= t:
+                total += window[p][3]
                 p += 1
             while heap and heap[0][0] <= t:
                 total += heapq.heappop(heap)[1]

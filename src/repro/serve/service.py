@@ -938,11 +938,12 @@ class PlacementService:
         replay shape) the sampling hash depends only on the integer id,
         so it runs *ahead* of the log in ``_TRACE_SCAN_BLOCK`` strides
         — a handful of vector passes per million decisions instead of
-        one per submission.  Custom ids fall back to a scalar scan of
-        the appended suffix; ``_trace_confirmed`` tracks how much of
-        the log is known to carry auto ids, so if a custom-id append
-        ever lands after the hash ran ahead, the speculative tail is
-        dropped and rescanned from the real ids.
+        one per submission.  Custom ids scan the appended suffix once
+        (:meth:`~repro.serve.tracing.Tracer.sampled_positions`, one
+        vector pass when they are all ints); ``_trace_confirmed``
+        tracks how much of the log is known to carry auto ids, so if a
+        custom-id append ever lands after the hash ran ahead, the
+        speculative tail is dropped and rescanned from the real ids.
 
         Runs once per pump (the log cannot grow mid-pump); the sampled
         indices are then consumed chunk by chunk through a monotone
@@ -977,11 +978,10 @@ class PlacementService:
                 while sel and sel[-1] >= conf:
                     sel.pop()
                 self._trace_scanned = conf
-            if self._trace_scanned < n:
-                ids_all = log.job_ids
+            lo = self._trace_scanned
+            if lo < n:
                 sel.extend(
-                    k for k in range(self._trace_scanned, n)
-                    if tr.sampled(ids_all[k])
+                    lo + k for k in tr.sampled_positions(log.job_ids[lo:n])
                 )
                 self._trace_scanned = n
         self._trace_confirmed = n

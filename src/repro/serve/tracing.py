@@ -106,6 +106,19 @@ class Tracer:
     def sampled(self, job_id) -> bool:
         return sample_hash(job_id) < self.threshold
 
+    def sampled_positions(self, ids: list) -> list[int]:
+        """The positions in ``ids`` whose job :meth:`sampled` picks: one
+        :func:`sample_mask` pass when every id is a plain ``int`` within
+        ``int64``, else one :meth:`sampled` call per id."""
+        if set(map(type, ids)) == {int}:
+            try:
+                arr = np.array(ids, dtype=np.int64)
+            except OverflowError:
+                pass
+            else:
+                return np.flatnonzero(sample_mask(arr, self.threshold)).tolist()
+        return [k for k, job_id in enumerate(ids) if self.sampled(job_id)]
+
     # -- recording -------------------------------------------------------
 
     def begin(self, job_id, t: float, **attrs) -> dict:

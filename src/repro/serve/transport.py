@@ -37,23 +37,43 @@ worker refused a checkpoint payload.
 Wire format
 -----------
 :func:`encode` turns one message dict into bytes and :func:`decode`
-turns them back; nothing else knows the layout.  A *flat* message that
-carries at least one array — string keys, every value ``None``,
-``bool``, ``int`` (64-bit), ``float``, ``str`` or a 1-D native-order
-bool/integer/float ``ndarray`` — is a frame: the tag byte ``F``, then
-per key a one-byte key length, the UTF-8 key, a one-byte type code and
-the payload (nothing for ``None``/``True``/``False``, 8 little-endian
-bytes for an ``int`` or ``float``, a ``u32`` length and UTF-8 bytes for
-a ``str``, and for an array its dtype character, a ``u64`` element
-count and its raw bytes).  The ``chunk`` and ``fit`` ops and their
-replies (job column blocks) are frames.  Every other message is the
-tag byte ``P`` followed by its pickle: nested payloads (``restore`` and
-``state``, metrics state, span rings, ``resize`` evictions), and the
-control ops and replies that hold only scalars (``cancel``, ``resize``,
-``ping``), which C pickle handles faster than a Python loop frames
-them.  A decoded message has the same keys in the same order and the
-same types; floats are bit-exact and a frame's arrays are fresh,
-writable copies.  :func:`same_message` is that equality.
+turns them back; nothing else knows the layout.  The ``chunk`` and
+``fit`` ops and their replies, which carry the job columns, have a
+fixed layout: one header, then raw little-endian columns grouped by
+dtype, with no key names on the wire.
+
+- An op is the tag byte ``C`` and the header ``(flags, t0, t_last,
+  rows, carried cancels)`` (flag 1: a ``fit`` op, flag 2: a TTL
+  column, flag 4: cancel columns), then ``t``, ``dur``, ``size``,
+  ``ttl`` (``f8``, ``ttl`` with flag 2 only) and ``lane`` (``i8``),
+  then with flag 4 ``cancel_lane``, ``cancel_alloc`` (``i8``),
+  ``cancel_release`` and ``cancel_catch`` (``f8``).
+- A reply is the tag byte ``R`` and the header ``(flags, rows,
+  lanes)`` (flag 1: a ``fit`` reply), then ``frac`` and, for a chunk
+  reply, ``space`` and ``spill`` (``f8``), then ``alloc``, ``free``
+  (one per lane) and ``counters`` (six values; ``i8``), then for a fit
+  reply ``requested`` (``bool``).  The worker's reply lists are packed
+  with one ``struct.pack``.
+
+Decoding either gives numpy arrays of those dtypes that are
+**read-only views** over the message bytes (:data:`OP_COLUMNS`,
+:data:`CARRIED_COLUMNS`, :data:`REPLY_COLUMNS`): one ``frombuffer``
+per dtype group, so a large ``fit`` op costs no per-value work until
+the worker takes its columns as the lists
+:meth:`~repro.storage.engine.ChunkKernel.admit_chunk` runs on.
+
+A message takes the layout only when its keys are exactly the
+layout's, in its order (``ttl`` may be ``None``; the cancel columns
+come all four or not at all), and its columns have consistent lengths
+and pack exactly: an op column is a list or a 1-D array of its dtype,
+and a reply is packed by value.  Every other message — the control ops
+and their replies, nested payloads (``restore`` and ``state``, metrics
+state, span rings, ``resize`` evictions), and a chunk message that
+does not fit the layout — is the tag byte ``P`` followed by its
+pickle.  Decoding gives the same keys in the same order and bit-exact
+values (NaN and ``-0.0`` included); a chunk message's columns may be
+sent as lists or arrays, so it equals its decoded copy, by
+:func:`same_message`, once both pass through :func:`column_arrays`.
 
 On a subprocess channel each message is its length as a little-endian
 ``u64`` followed by its :func:`encode` bytes, written with one
@@ -63,11 +83,14 @@ one ``os.readv`` into the channel's kept buffer.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
+import select
 import signal
 import struct
+import time
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -78,6 +101,7 @@ __all__ = [
     "encode",
     "decode",
     "same_message",
+    "column_arrays",
     "RecordingTransport",
     "WorkerDied",
     "WorkerTransport",
@@ -86,73 +110,193 @@ __all__ = [
 ]
 
 
-_FRAME = ord("F")
+_OP = ord("C")
+_REPLY = ord("R")
 _PICKLE = ord("P")
-_INT = struct.Struct("<cq")
-_FLOAT = struct.Struct("<cd")
-_STR_HEAD = struct.Struct("<cI")  # "s", UTF-8 length
-_ARRAY_HEAD = struct.Struct("<ccQ")  # "a", dtype char, element count
 
-#: Array dtypes a frame carries (bool, the integers and the floats, in
-#: native byte order), keyed by type character rather than by dtype:
-#: ``l`` and ``q`` compare equal but are distinct scalar types.
-_DTYPES = {ord(c): np.dtype(c) for c in "?bBhHiIlLqQefdg"}
-_DTYPE_CHARS = {chr(c): bytes((c,)) for c in _DTYPES}
+#: Chunk op header: tag, flags, ``t0``, ``t_last``, rows, carried cancels.
+_OP_HEAD = struct.Struct("<cBddII")
+#: Chunk reply header: tag, flags, rows, lanes.
+_REPLY_HEAD = struct.Struct("<cBII")
+_FIT = 1
+_TTL = 2
+_CARRIED = 4
 
-#: The one-byte length prefix of a key, by length.
-_KEY_LENGTHS = tuple(bytes((n,)) for n in range(256))
+_F8, _I8, _BOOL = np.dtype("<f8"), np.dtype("<i8"), np.dtype("?")
+
+#: The columns of a chunk op, in wire order, and the dtype of each
+#: (``ttl`` may be ``None`` instead).
+OP_COLUMNS = {"t": _F8, "dur": _F8, "size": _F8, "lane": _I8, "ttl": _F8}
+#: The columns an op carries its worker's queued cancels in, in the
+#: order of a queue entry, and their dtypes.
+CARRIED_COLUMNS = {
+    "cancel_lane": _I8, "cancel_alloc": _I8,
+    "cancel_release": _F8, "cancel_catch": _F8,
+}
+#: A chunk reply's columns by kind, in wire order, and their dtypes;
+#: ``counters`` holds :meth:`PlacementWorker._counters`' six values in
+#: its order.
+REPLY_COLUMNS = {
+    "chunk": {
+        "frac": _F8, "alloc": _I8, "free": _I8, "counters": _I8,
+        "space": _F8, "spill": _F8,
+    },
+    "fit": {
+        "frac": _F8, "alloc": _I8, "free": _I8, "counters": _I8,
+        "requested": _BOOL,
+    },
+}
+
+CARRIED_KEYS = tuple(CARRIED_COLUMNS)
+_OP_KEYS = ("op", "t0", "t_last", *OP_COLUMNS)
+_CARRIED_OP_KEYS = _OP_KEYS + CARRIED_KEYS
+_CHUNK_REPLY_KEYS = tuple(REPLY_COLUMNS["chunk"])
+_FIT_REPLY_KEYS = tuple(REPLY_COLUMNS["fit"])
+_ALL_OP_COLUMNS = {**OP_COLUMNS, **CARRIED_COLUMNS}
 
 
-class _NotFlat(Exception):
-    """The message holds a value a frame cannot carry."""
+def column_arrays(msg: dict) -> dict:
+    """``msg`` with each chunk-layout column, list or array, as an array
+    of its wire dtype, and any other message as it is: the form in which
+    a message and its decoded copy, or an in-process reply and the same
+    reply off the wire, compare bit for bit with :func:`same_message`."""
+    if msg.get("op") in ("chunk", "fit"):
+        dtypes = _ALL_OP_COLUMNS
+    elif "frac" in msg:
+        dtypes = REPLY_COLUMNS["fit" if "requested" in msg else "chunk"]
+    else:
+        return msg
+    return {
+        k: v if v is None or k not in dtypes else np.asarray(v, dtypes[k])
+        for k, v in msg.items()
+    }
 
 
-def _frame(msg: dict) -> bytes:
-    parts = [b"F"]
-    add = parts.append
-    for key, v in msg.items():
-        if type(key) is not str:
-            raise _NotFlat
-        kb = key.encode()
-        if len(kb) > 255:
-            raise _NotFlat
-        add(_KEY_LENGTHS[len(kb)])
-        add(kb)
-        t = type(v)
-        if t is np.ndarray:
-            dt = v.dtype
-            char = _DTYPE_CHARS.get(dt.char)
-            if char is None or v.ndim != 1 or not dt.isnative:
-                raise _NotFlat
-            add(_ARRAY_HEAD.pack(b"a", char, v.size))
-            add(v.tobytes())
-        elif t is bool:
-            add(b"T" if v else b"F")
-        elif isinstance(v, float):
-            add(_FLOAT.pack(b"d", v))
-        elif isinstance(v, int):
-            add(_INT.pack(b"i", v))  # struct.error past 64 bits
-        elif v is None:
-            add(b"N")
-        elif isinstance(v, str):
-            sb = v.encode()
-            add(_STR_HEAD.pack(b"s", len(sb)))
-            add(sb)
-        else:
-            raise _NotFlat
+class _NotFixed(Exception):
+    """The message does not fit the fixed chunk layout."""
+
+
+def _column(col, code: str, dtype: np.dtype) -> bytes:
+    """One op column as raw bytes: ``tobytes`` for an array of its dtype
+    (the router's columns), one ``struct.pack`` for a list (carried
+    cancels, replayed ops)."""
+    if type(col) is np.ndarray:
+        if col.dtype != dtype or col.ndim != 1:
+            raise _NotFixed
+        return col.tobytes()
+    if type(col) is not list:
+        raise _NotFixed
+    return struct.pack(f"<{len(col)}{code}", *col)
+
+
+def _encode_op(msg: dict, fit: bool) -> bytes:
+    keys = tuple(msg)
+    carried = keys == _CARRIED_OP_KEYS
+    if not carried and keys != _OP_KEYS:
+        raise _NotFixed
+    _, t0, t_last, t, dur, size, lane, ttl, *cancels = msg.values()
+    n = len(t)
+    floats = [t, dur, size] if ttl is None else [t, dur, size, ttl]
+    m = len(cancels[0]) if carried else 0
+    if (
+        len(lane) != n or any(len(c) != n for c in floats)
+        or any(len(c) != m for c in cancels)
+    ):
+        raise _NotFixed
+    flags = (
+        (_FIT if fit else 0) | (0 if ttl is None else _TTL)
+        | (_CARRIED if carried else 0)
+    )
+    parts = [_OP_HEAD.pack(b"C", flags, t0, t_last, n, m)]
+    parts += [_column(c, "d", _F8) for c in floats]
+    parts.append(_column(lane, "q", _I8))
+    if carried:
+        c_lane, c_alloc, c_release, c_catch = cancels
+        parts += (
+            _column(c_lane, "q", _I8), _column(c_alloc, "q", _I8),
+            _column(c_release, "d", _F8), _column(c_catch, "d", _F8),
+        )
     return b"".join(parts)
 
 
+def _encode_reply(msg: dict) -> bytes:
+    """A chunk reply, header and columns packed by value in one
+    ``struct.pack`` (the worker's lists)."""
+    keys = tuple(msg)
+    fit = keys == _FIT_REPLY_KEYS
+    if not fit and keys != _CHUNK_REPLY_KEYS:
+        raise _NotFixed
+    frac, alloc, free, counters, *rest = msg.values()
+    n = len(frac)
+    lanes = len(free)
+    if len(alloc) != n or len(counters) != 6 or any(len(c) != n for c in rest):
+        raise _NotFixed
+    if fit:
+        (requested,) = rest
+        return struct.pack(
+            f"<cBII{n}d{n + lanes + 6}q{n}?", b"R", _FIT, n, lanes,
+            *frac, *alloc, *free, *counters, *requested,
+        )
+    space, spill = rest
+    return struct.pack(
+        f"<cBII{3 * n}d{n + lanes + 6}q", b"R", 0, n, lanes,
+        *frac, *space, *spill, *alloc, *free, *counters,
+    )
+
+
 def encode(msg: dict) -> bytes:
-    """One message dict as wire bytes: a frame if it is flat and carries
-    an array, else a pickle (see "Wire format" in the module
-    docstring)."""
-    if np.ndarray in map(type, msg.values()):
-        try:
-            return _frame(msg)
-        except (_NotFlat, struct.error, UnicodeEncodeError):
-            pass
+    """One message dict as wire bytes: the fixed chunk layout for a
+    chunk op or reply that fits it, else a pickle (see "Wire format" in
+    the module docstring)."""
+    try:
+        kind = msg.get("op")
+        if kind == "chunk" or kind == "fit":
+            return _encode_op(msg, kind == "fit")
+        if kind is None and "frac" in msg:
+            return _encode_reply(msg)
+    except (_NotFixed, struct.error, TypeError, OverflowError):
+        pass
     return b"P" + pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+
+
+def _decode_op(data: bytes) -> dict:
+    _, flags, t0, t_last, n, m = _OP_HEAD.unpack_from(data)
+    pos = _OP_HEAD.size
+    k = 4 if flags & _TTL else 3
+    f = np.frombuffer(data, _F8, k * n, pos)
+    pos += 8 * k * n
+    msg = {
+        "op": "fit" if flags & _FIT else "chunk", "t0": t0, "t_last": t_last,
+        "t": f[:n], "dur": f[n:2 * n], "size": f[2 * n:3 * n],
+        "lane": np.frombuffer(data, _I8, n, pos),
+        "ttl": f[3 * n:] if k == 4 else None,
+    }
+    if flags & _CARRIED:
+        pos += 8 * n
+        i = np.frombuffer(data, _I8, 2 * m, pos)
+        f = np.frombuffer(data, _F8, 2 * m, pos + 16 * m)
+        msg["cancel_lane"], msg["cancel_alloc"] = i[:m], i[m:]
+        msg["cancel_release"], msg["cancel_catch"] = f[:m], f[m:]
+    return msg
+
+
+def _decode_reply(data: bytes) -> dict:
+    _, flags, n, lanes = _REPLY_HEAD.unpack_from(data)
+    pos = _REPLY_HEAD.size
+    fit = flags & _FIT
+    k = 1 if fit else 3
+    f = np.frombuffer(data, _F8, k * n, pos)
+    pos += 8 * k * n
+    i = np.frombuffer(data, _I8, n + lanes + 6, pos)
+    msg = {
+        "frac": f[:n], "alloc": i[:n], "free": i[n:n + lanes],
+        "counters": i[n + lanes:],
+    }
+    if fit:
+        msg["requested"] = np.frombuffer(data, _BOOL, n, pos + 8 * (n + lanes + 6))
+    else:
+        msg["space"], msg["spill"] = f[n:2 * n], f[2 * n:]
+    return msg
 
 
 def decode(data: bytes) -> dict:
@@ -160,41 +304,11 @@ def decode(data: bytes) -> dict:
     tag = data[0]
     if tag == _PICKLE:
         return pickle.loads(memoryview(data)[1:])
-    if tag != _FRAME:
-        raise ValueError(f"not a worker message (tag byte {tag!r})")
-    msg = {}
-    pos, end = 1, len(data)
-    while pos < end:
-        k = pos + 1 + data[pos]
-        key = data[pos + 1:k].decode()
-        code = data[k]
-        pos = k + 1
-        if code == 0x61:  # "a": dtype char, u64 count, raw bytes
-            _, char, n = _ARRAY_HEAD.unpack_from(data, k)
-            pos += 9
-            v = np.frombuffer(data, _DTYPES[char[0]], n, pos).copy()
-            pos += v.nbytes
-        elif code == 0x69:  # "i"
-            _, v = _INT.unpack_from(data, k)
-            pos += 8
-        elif code == 0x64:  # "d"
-            _, v = _FLOAT.unpack_from(data, k)
-            pos += 8
-        elif code == 0x4E:  # "N"
-            v = None
-        elif code == 0x54:  # "T"
-            v = True
-        elif code == 0x46:  # "F"
-            v = False
-        elif code == 0x73:  # "s": u32 length, UTF-8
-            _, n = _STR_HEAD.unpack_from(data, k)
-            pos += 4
-            v = data[pos:pos + n].decode()
-            pos += n
-        else:
-            raise ValueError(f"unknown type code {code!r} for key {key!r}")
-        msg[key] = v
-    return msg
+    if tag == _OP:
+        return _decode_op(data)
+    if tag == _REPLY:
+        return _decode_reply(data)
+    raise ValueError(f"not a worker message (tag byte {tag!r})")
 
 
 def _same_value(a, b) -> bool:
@@ -343,6 +457,9 @@ class InProcessTransport(WorkerTransport):
 #: The length prefix of every message on a subprocess channel.
 _LENGTH = struct.Struct("<Q")
 
+#: Seconds an orderly shutdown waits for a worker, at each step.
+_CLOSE_TIMEOUT = 5.0
+
 #: Size of a channel's kept read buffer; a longer message grows it for
 #: as long as it takes to read.
 _READ_BUFFER = 1 << 16
@@ -358,6 +475,16 @@ def _write_message(fd: int, data: bytes) -> None:
     view = memoryview(_LENGTH.pack(len(data)) + data)
     while view:
         view = view[os.write(fd, view):]
+
+
+def _wait(fd: int, event: int, deadline: float) -> bool:
+    """Whether ``fd`` is ready for ``event`` (``select.POLLIN`` or
+    ``POLLOUT``; a closed other end counts as ready) before the
+    ``time.monotonic()`` ``deadline``."""
+    poller = select.poll()
+    poller.register(fd, event)
+    left = max(0.0, deadline - time.monotonic())
+    return bool(poller.poll(math.ceil(left * 1000)))
 
 
 class _Reader:
@@ -376,7 +503,7 @@ class _Reader:
         self.start = 0  # first unconsumed byte
         self.end = 0  # one past the last byte read
 
-    def _fill(self, need: int) -> None:
+    def _fill(self, need: int, deadline: float | None) -> None:
         """Read until at least ``need`` unconsumed bytes are buffered."""
         if self.start + need > len(self.buf):
             # Move the unconsumed bytes to the front, growing the
@@ -388,18 +515,21 @@ class _Reader:
             self.start, self.end = 0, len(rest)
         view = memoryview(self.buf)
         while self.end - self.start < need:
+            if deadline is not None and not _wait(self.fd, select.POLLIN, deadline):
+                raise TimeoutError("no reply in time")
             got = os.readv(self.fd, [view[self.end:]])
             if not got:
                 raise EOFError("channel closed")
             self.end += got
 
-    def read(self) -> bytes:
-        """The next message's bytes."""
+    def read(self, deadline: float | None = None) -> bytes:
+        """The next message's bytes; ``TimeoutError`` when they have not
+        all arrived by the ``time.monotonic()`` ``deadline``, if given."""
         if self.end - self.start < 8:
-            self._fill(8)
+            self._fill(8, deadline)
         (n,) = _LENGTH.unpack_from(self.buf, self.start)
         if self.end - self.start < 8 + n:
-            self._fill(8 + n)
+            self._fill(8 + n, deadline)
         a = self.start + 8
         self.start = a + n
         data = bytes(memoryview(self.buf)[a:self.start])
@@ -549,17 +679,24 @@ class SubprocessTransport(WorkerTransport):
         self._release()
 
     def close(self) -> None:
+        """Send a ``stop`` op and reap the child.  Every wait is bounded
+        by :data:`_CLOSE_TIMEOUT`: a child that cannot take the op, or
+        does not answer it in time, is killed instead."""
         if self._open and self._proc.is_alive():
+            deadline = time.monotonic() + _CLOSE_TIMEOUT
+            answered = False
             try:
-                _write_message(self._op_fd, encode({"op": "stop"}))
-                self._reader.read()
-            except (EOFError, OSError):
+                if _wait(self._op_fd, select.POLLOUT, deadline):
+                    _write_message(self._op_fd, encode({"op": "stop"}))
+                    self._reader.read(deadline)
+                    answered = True
+            except EOFError:  # the child closed its end: it is exiting
+                answered = True
+            except OSError:  # including TimeoutError
                 pass
-            self._proc.join(timeout=5.0)
-            if self._proc.is_alive():
-                self._proc.terminate()
-                self._proc.join(timeout=5.0)
-        self._release()
+            if answered:
+                self._proc.join(timeout=_CLOSE_TIMEOUT)
+        self.kill()
 
     @property
     def alive(self) -> bool:

@@ -3,7 +3,7 @@
 A :class:`PlacementWorker` owns the kernel state for a subset of the
 fleet's lanes — the same :class:`~repro.storage.engine.ChunkKernel`
 the single-process batch-mode :class:`~repro.serve.PlacementService`
-drives, constructed with the global→local lane map.  A lane's
+drives, over the owned lanes' capacities.  A lane's
 admissions depend on its own events alone, so each one matches the
 single-process run.  Fleets serve batch mode only (see
 :mod:`repro.serve.router`), so a worker has no per-job ``admit`` op and
@@ -14,11 +14,13 @@ fleet's decision stream bit-identical to one process.
 
 The protocol is op dicts in, reply dicts out (see :meth:`handle`), the
 shape a :class:`~repro.serve.transport.WorkerTransport` carries.  Ops
-that ship job columns carry plain numpy arrays (one binary frame over
-a pipe, see :func:`~repro.serve.transport.encode`) or lists
-(round-tripped through a JSON write-ahead log); the worker normalizes
-either.  Lane ids on the wire are *local* indices — the router
-translates from global ids when routing.
+that ship job columns carry numpy arrays (read-only views decoded from
+the fixed chunk layout over a pipe, see
+:func:`~repro.serve.transport.decode`; the router's own arrays in
+process; rebuilt from a JSON write-ahead log) or lists (carried
+cancels); the worker takes either, and its chunk replies are lists.  Lane ids on the
+wire are *local* indices — the router translates from global ids when
+routing.
 
 Every mutating op is deterministic given the worker's state, which is
 what makes crash recovery a replay: the router logs each op to the
@@ -29,6 +31,7 @@ and rebuilds a crashed worker as checkpoint + WAL suffix.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import tempfile
@@ -48,7 +51,10 @@ def _arr(x, dtype=float) -> np.ndarray:
 
 
 def _col(x, dtype=float) -> list:
-    """An op column (array or list) as a list of Python scalars."""
+    """An op column as a list of Python scalars: a list as it is, an
+    array via one ``tolist``."""
+    if type(x) is list:
+        return x
     return np.asarray(x, dtype=dtype).tolist()
 
 
@@ -83,8 +89,7 @@ class PlacementWorker:
         spec = self.spec = _spec(spec)
         self.worker_id = int(spec.get("worker_id", 0))
         self.kernel = ChunkKernel(
-            spec["lane_caps"], lanes=spec["lanes"],
-            track_peak=bool(spec.get("track_peak", False)),
+            spec["lane_caps"], track_peak=bool(spec.get("track_peak", False)),
         )
         self._init_metrics()
 
@@ -150,8 +155,8 @@ class PlacementWorker:
         if lanes is not None:
             # Each exactly as the standalone ``cancel`` op it stands for.
             for cancel in zip(
-                lanes.tolist(), op["cancel_alloc"].tolist(),
-                op["cancel_release"].tolist(), op["cancel_catch"].tolist(),
+                _col(lanes, np.intp), _col(op["cancel_alloc"], np.int64),
+                _col(op["cancel_release"]), _col(op["cancel_catch"]),
             ):
                 self._count_op("cancel")
                 self._record_op_span("cancel", {"catch": cancel[3]})
@@ -170,12 +175,8 @@ class PlacementWorker:
         at a few dozen bytes per data-plane op.
         """
         t = op.get("t0", op.get("t", op.get("catch")))
-        n = None
-        for key in ("t", "size", "dur"):
-            v = op.get(key)
-            if hasattr(v, "size"):
-                n = int(v.size)
-                break
+        v = op.get("t")
+        n = len(v) if isinstance(v, (list, np.ndarray)) else None
         span = {
             "worker": self.worker_id,
             "op": kind,
@@ -201,16 +202,15 @@ class PlacementWorker:
             "peak": c["peak_used"],
         }
 
-    def _counter_column(self) -> np.ndarray:
-        """:meth:`_counters`' values, in its order, as one int64 column
-        (a chunk reply's ``counters``)."""
+    def _counter_list(self) -> list[int]:
+        """:meth:`_counters`' values, in its order (a chunk reply's
+        ``counters``)."""
         k = self.kernel
         st = k.st
-        return np.array(
-            (k.n_ssd_requested, k.n_spilled, k.n_evicted, k.evicted_bytes,
-             st.n_scalar, st.peak_used),
-            dtype=np.int64,
-        )
+        return [
+            k.n_ssd_requested, k.n_spilled, k.n_evicted, k.evicted_bytes,
+            st.n_scalar, st.peak_used,
+        ]
 
     # -- mutating ops ---------------------------------------------------
 
@@ -228,12 +228,13 @@ class PlacementWorker:
         are consumed in-chunk, so the worker's ledger is the
         single-process one restricted to its lanes.
 
-        The op's columns (arrays off the wire, or lists from a replayed
-        worker WAL) go to :meth:`~repro.storage.engine.ChunkKernel.admit_chunk`
-        as lists, and each reply column is built once from its result.
-        Both kinds reply with only what the router folds: the outcome
-        columns, the free vector and the counters as one column.
-        Cancels the op carries were applied before (see :meth:`handle`).
+        The op's columns (arrays, or lists) go to
+        :meth:`~repro.storage.engine.ChunkKernel.admit_chunk` as lists,
+        and the reply holds its result lists as they are.  Both kinds
+        reply with only what the router folds: the outcome columns, the
+        free vector and the counters as one list (see "Wire format" in
+        :mod:`repro.serve.transport` for the dtypes).  Cancels the op
+        carries were applied before (see :meth:`handle`).
         """
         kern = self.kernel
         fit = op["op"] == "fit"
@@ -247,22 +248,23 @@ class PlacementWorker:
             None if ttl is None else _col(ttl), fit,
         )
         reply = {
-            "frac": np.array(fracs, dtype=float),
-            "alloc": np.array(allocs, dtype=np.int64),
-            "free": kern.free.copy(),
-            "counters": self._counter_column(),
+            "frac": fracs,
+            "alloc": allocs,
+            "free": kern.free.tolist(),
+            "counters": self._counter_list(),
         }
         if fit:
             # The router derives the rest: a fit chunk's space is the
             # verdict as 0/1, and nothing spills.
-            requested = np.ones(n, dtype=bool)
-            requested[turned] = False
+            requested = [True] * n
+            for q in turned:
+                requested[q] = False
             reply["requested"] = requested
         else:
-            spill = np.full(n, np.nan)
-            if spilled:
-                spill[spilled] = [ts[q] for q in spilled]
-            reply["space"], reply["spill"] = np.array(space, dtype=float), spill
+            spill = [math.nan] * n
+            for q in spilled:
+                spill[q] = ts[q]
+            reply["space"], reply["spill"] = space, spill
         return reply
 
     # ``fit`` keeps its op name so logged worker WALs still replay.

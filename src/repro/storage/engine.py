@@ -616,22 +616,29 @@ class _LaneState:
     One lane per caching server; ``free`` is the per-lane free-space
     vector and ``lane_capacity`` the per-lane capacity vector (lanes
     may be unequal), both in integer bytes.  Pending releases live in
-    time-sorted arrays with a lane column, consumed by a moving cursor;
-    each chunk's freshly created releases are buffered and merged back
-    with one vectorized stable sort, replacing the legacy per-job heap
-    pushes.
+    one ``(release time, seq, lane, bytes)`` min-heap, the structure
+    :class:`ScalarKernel` uses; ``seq`` counts insertions, so entries
+    with equal times pop, and are evicted, in the order they were made.
 
     Lanes are independent in capacity space and a lane's admissions
     depend on its own events alone, so a worker covering a lane subset
     of a fleet admits — and counts the same scalar-fallback jobs — as
-    the single-process run it is a slice of.
+    the single-process run it is a slice of; a lane's entries keep the
+    same relative order in both.
     """
 
     __slots__ = (
         "capacity", "lane_capacity", "n_lanes", "free", "peak_used",
-        "rel_t", "rel_a", "rel_l", "rel_pos", "new_t", "new_a", "new_l",
-        "n_scalar", "track_peak",
+        "heap", "seq", "n_scalar", "track_peak",
     )
+
+    #: Slots of older checkpoints: the admission-path selector, and the
+    #: time-sorted release arrays with their cursor and merge buffers,
+    #: whose entries ``__setstate__`` turns into heap entries.
+    _RETIRED_SLOTS = frozenset({
+        "path_lanes", "rel_t", "rel_a", "rel_l", "rel_pos",
+        "new_t", "new_a", "new_l",
+    })
 
     def __init__(self, lane_caps: np.ndarray, track_peak: bool = True):
         self.capacity = int(lane_caps.sum())
@@ -640,50 +647,65 @@ class _LaneState:
         self.lane_capacity = lane_caps
         self.free = lane_caps.copy()
         self.peak_used = 0
-        self.rel_t = np.empty(0, dtype=float)
-        self.rel_a = np.empty(0, dtype=np.int64)
-        self.rel_l = np.empty(0, dtype=np.intp)
-        self.rel_pos = 0
-        self.new_t: list[float] = []
-        self.new_a: list[int] = []
-        self.new_l: list[int] = []
+        self.heap: list[tuple[float, int, int, int]] = []
+        self.seq = 0
         self.n_scalar = 0
 
     def __setstate__(self, state):
-        # Checkpoints written while the run's total lane count still
-        # selected the admission path carry a ``path_lanes`` slot; drop
-        # it so they restore.
         _, slots = state
         for name, value in slots.items():
-            if name != "path_lanes":
+            if name not in self._RETIRED_SLOTS:
                 setattr(self, name, value)
+        if "rel_t" in slots:
+            # The pending arrays past the cursor, then the buffered
+            # entries the next merge would have sorted in after them:
+            # in that order they take their ``seq``.  Float bytes
+            # floor, as :func:`_int_ledger` floors the lanes.
+            pos = slots["rel_pos"]
+            amounts = slots["rel_a"][pos:]
+            if amounts.dtype != np.int64:
+                amounts = ledger_bytes(amounts, round_up=False)
+            ts = slots["rel_t"][pos:].tolist() + list(slots.get("new_t", ()))
+            lanes = slots["rel_l"][pos:].tolist() + list(slots.get("new_l", ()))
+            amounts = amounts.tolist() + [
+                ledger_bytes(a, round_up=False) for a in slots.get("new_a", ())
+            ]
+            self.heap = list(zip(ts, range(len(ts)), lanes, amounts))
+            heapq.heapify(self.heap)
+            self.seq = len(ts)
 
-    def release_until(self, t: float) -> None:
-        """Apply every pending release with time <= ``t`` to its lane."""
-        j = self.rel_pos + int(self.rel_t[self.rel_pos :].searchsorted(t, "right"))
-        if j > self.rel_pos:
-            np.add.at(
-                self.free,
-                self.rel_l[self.rel_pos : j],
-                self.rel_a[self.rel_pos : j],
-            )
-            self.rel_pos = j
+    def push_all(self, times: list, lanes: list, amounts: list) -> None:
+        """Schedule ``amounts[k]`` bytes back to ``lanes[k]`` at
+        ``times[k]``, in order: pushed one by one onto a larger heap,
+        else appended and re-heapified in one pass (heapify compares
+        every entry, which costs more than the pushes once the heap
+        holds more entries than arrive)."""
+        heap = self.heap
+        seq = self.seq
+        k = len(times)
+        self.seq = seq + k
+        entries = zip(times, range(seq, seq + k), lanes, amounts)
+        if k < len(heap):
+            push = heapq.heappush
+            for e in entries:
+                push(heap, e)
+        else:
+            heap.extend(entries)
+            heapq.heapify(heap)
 
-    def merge_new(self) -> None:
-        """Fold this chunk's buffered releases into the sorted arrays."""
-        if not self.new_t:
-            return
-        all_t = np.concatenate((self.rel_t[self.rel_pos :], self.new_t))
-        all_a = np.concatenate((self.rel_a[self.rel_pos :], self.new_a))
-        all_l = np.concatenate((self.rel_l[self.rel_pos :], self.new_l))
-        order = np.argsort(all_t, kind="stable")
-        self.rel_t = all_t[order]
-        self.rel_a = all_a[order]
-        self.rel_l = all_l[order]
-        self.rel_pos = 0
-        self.new_t.clear()
-        self.new_a.clear()
-        self.new_l.clear()
+    def release_until(self, t: float) -> list[tuple[float, int, int, int]]:
+        """Pop every pending release with time <= ``t`` and apply it to
+        its lane; returns the popped entries in ``(time, seq)`` order."""
+        heap = self.heap
+        done = []
+        while heap and heap[0][0] <= t:
+            done.append(heapq.heappop(heap))
+        if done:
+            free = self.free.tolist()
+            for _, _, lane, a in done:
+                free[lane] += a
+            self.free[:] = free
+        return done
 
 
 def _ttl_release(ts: list, durs: list, ttls: list) -> tuple[list, list]:
@@ -749,55 +771,39 @@ class ChunkKernel:
     calls :meth:`admit_chunk` on its op's columns directly.
 
     Like :class:`ScalarKernel`, the ledger is integer bytes.  A chunk
-    kernel may also cover a **lane subset** of a larger fleet
-    (``lanes`` / ``lane_index`` give the global↔local mapping; lane
-    arguments and the chunk's lane column are local); it then admits
-    exactly as the single-process run does (see :class:`_LaneState`),
-    and ``track_peak=False`` leaves the global peak metric to the fleet
-    router.
+    kernel may also cover a **lane subset** of a larger fleet (lane
+    arguments and the chunk's lane column are then local indices); it
+    admits exactly as the single-process run does (see
+    :class:`_LaneState`), and ``track_peak=False`` leaves the global
+    peak metric to the fleet router.
     """
 
     __slots__ = (
-        "st", "n_ssd_requested", "n_spilled", "n_evicted",
-        "evicted_bytes", "lanes", "lane_index",
+        "st", "n_ssd_requested", "n_spilled", "n_evicted", "evicted_bytes",
     )
 
-    def __init__(
-        self,
-        lane_caps: np.ndarray,
-        *,
-        lanes: np.ndarray | None = None,
-        track_peak: bool = True,
-    ):
+    #: Slots of older checkpoints: the compiled-path flag and the
+    #: global lane ids a lane-subset kernel carried, which nothing read.
+    _RETIRED_SLOTS = frozenset({"compiled", "lanes", "lane_index"})
+
+    def __init__(self, lane_caps: np.ndarray, *, track_peak: bool = True):
         self.st = _LaneState(
             ledger_bytes(lane_caps, round_up=False), track_peak=track_peak
         )
-        if lanes is None:
-            lanes = np.arange(len(lane_caps), dtype=np.intp)
-        else:
-            lanes = np.asarray(lanes, dtype=np.intp)
-            if lanes.size != len(lane_caps):
-                raise ValueError(
-                    f"{lanes.size} global lane ids for {len(lane_caps)} lanes"
-                )
-        self.lanes = lanes
-        self.lane_index = {int(g): k for k, g in enumerate(lanes)}
         self.n_ssd_requested = 0
         self.n_spilled = 0
         self.n_evicted = 0
         self.evicted_bytes = 0
 
     def __setstate__(self, state):
-        # Checkpoints written while the kernel still had a ``compiled``
-        # slot carry its value; drop it so they restore.
         _, slots = state
         for name, value in slots.items():
-            if name != "compiled":
+            if name not in self._RETIRED_SLOTS:
                 setattr(self, name, value)
         st = self.st
         if st.free.dtype != np.int64:
+            # The pending entries were floored as the ledger unpickled.
             _int_ledger(st)
-            st.rel_a = ledger_bytes(st.rel_a, round_up=False)
             self.evicted_bytes = ledger_bytes(self.evicted_bytes, round_up=False)
 
     @property
@@ -959,8 +965,8 @@ class ChunkKernel:
         running total of free bytes samples the global peak at every
         admission, as the legacy loop samples it.  Every candidate on a
         lane where at least one candidate spilled counts toward
-        ``n_scalar``.  Releases maturing after ``t_last`` are buffered
-        in candidate order and merged into the pending arrays.
+        ``n_scalar``.  Releases maturing after ``t_last`` join the
+        pending heap, in candidate order.
 
         In a fit-check chunk a candidate that does not fit whole is
         turned away instead: no allocation, release or spill.
@@ -980,22 +986,24 @@ class ChunkKernel:
         else:
             releases, time_fracs = _ttl_release(ts, durs, ttls)
 
-        # Pending releases up to the later boundary: those at or before
-        # t0 apply now, the rest inside the loop.
-        pos = st.rel_pos
+        # Pending releases up to the later boundary pop in (time, seq)
+        # order: those at or before t0 apply now, the rest inside the
+        # loop and after it.  ``nxt`` is the next one's time, or inf
+        # past the boundary.
         hi = t_last if t_last >= t0 else t0
-        j2 = pos + int(st.rel_t[pos:].searchsorted(hi, "right"))
+        pending = st.heap
+        pop, push = heapq.heappop, heapq.heappush
+        inf = math.inf
         free = st.free.tolist()
-        pend_n = j2 - pos
-        p = 0
-        if pend_n:
-            pend_t = st.rel_t[pos:j2].tolist()
-            pend_a = st.rel_a[pos:j2].tolist()
-            pend_l = st.rel_l[pos:j2].tolist()
-            st.rel_pos = j2
-            while p < pend_n and pend_t[p] <= t0:
-                free[pend_l[p]] += pend_a[p]
-                p += 1
+        nxt = pending[0][0] if pending else inf
+        if nxt > hi:
+            nxt = inf
+        while nxt <= t0:
+            _, _, pl, a = pop(pending)
+            free[pl] += a
+            nxt = pending[0][0] if pending else inf
+            if nxt > hi:
+                nxt = inf
         heap: list[tuple[float, int, int]] = []  # (time, lane, amount)
         total = sum(free)
         # Lowest free total seen at an admission, i.e. the peak's complement.
@@ -1003,15 +1011,20 @@ class ChunkKernel:
         allocs = [0] * n
         spilled: list[int] = []
         turned: list[int] = []
-        new_t, new_a, new_l = st.new_t, st.new_a, st.new_l
+        # Releases maturing past the chunk, in candidate order.
+        later_t: list[float] = []
+        later_l: list[int] = []
+        later_a: list[int] = []
         for q, (t, size, L, rt) in enumerate(zip(ts, sizes, lanes, releases)):
-            while p < pend_n and pend_t[p] <= t:
-                a = pend_a[p]
-                free[pend_l[p]] += a
+            while nxt <= t:
+                _, _, pl, a = pop(pending)
+                free[pl] += a
                 total += a
-                p += 1
+                nxt = pending[0][0] if pending else inf
+                if nxt > hi:
+                    nxt = inf
             while heap and heap[0][0] <= t:
-                _, hl, a = heapq.heappop(heap)
+                _, hl, a = pop(heap)
                 free[hl] += a
                 total += a
             f = free[L]
@@ -1029,22 +1042,26 @@ class ChunkKernel:
                 low = total
             if alloc > 0:
                 if rt <= t_last:
-                    heapq.heappush(heap, (rt, L, alloc))
+                    push(heap, (rt, L, alloc))
                 else:
-                    new_t.append(rt)
-                    new_a.append(alloc)
-                    new_l.append(L)
+                    later_t.append(rt)
+                    later_l.append(L)
+                    later_a.append(alloc)
             allocs[q] = alloc
         # Chunk epilogue: apply the remaining in-chunk releases now (the
         # next chunk starts at t >= t_last, so this is indistinguishable
         # from draining them at its first arrival).
-        for k in range(p, pend_n):
-            free[pend_l[k]] += pend_a[k]
+        while nxt <= hi:
+            _, _, pl, a = pop(pending)
+            free[pl] += a
+            nxt = pending[0][0] if pending else inf
         for _, hl, a in heap:
             free[hl] += a
         st.free[:] = free
         if st.track_peak:
             st.peak_used = st.capacity - low
+        if later_t:
+            st.push_all(later_t, later_l, later_a)
 
         space = [1.0] * n
         if spilled:
@@ -1061,27 +1078,19 @@ class ChunkKernel:
             space[q] = fracs[q] = 0.0
         self.n_ssd_requested += n - len(turned)
         self.n_spilled += len(spilled)
-        st.merge_new()
         return allocs, space, fracs, releases, spilled, turned
 
     def cancel(self, lane: int, alloc: int, release_time: float) -> None:
         """Return an outstanding allocation to its lane now.
 
         The job's scheduled release is neutralized by a compensating
-        negative entry at the same timestamp, so the pair nets to zero
-        when the release pass reaches it.  The compensation is merged
-        into the sorted release arrays immediately — left buffered, the
-        next chunk's ``release_until`` could apply the original
-        positive release without its offset and double-count the freed
-        space for one chunk.
+        negative entry at the same timestamp, pushed after it, so the
+        pair nets to zero when the release pass reaches it.
         """
         st = self.st
         alloc = ledger_bytes(alloc, round_up=False)
         st.free[lane] += alloc
-        st.new_t.append(release_time)
-        st.new_a.append(-alloc)
-        st.new_l.append(lane)
-        st.merge_new()
+        st.push_all([release_time], [lane], [-alloc])
 
     def resize_lane(self, lane: int, new_capacity: float) -> list[tuple[float, int]]:
         """Set ``lane``'s capacity, evicting residents that no longer fit.
@@ -1100,7 +1109,6 @@ class ChunkKernel:
             raise ValueError(f"lane {lane} out of range")
         if new_capacity < 0:
             raise ValueError("capacity must be >= 0")
-        st.merge_new()
         new_capacity = ledger_bytes(new_capacity, round_up=False)
         delta = new_capacity - int(st.lane_capacity[lane])
         st.lane_capacity[lane] = new_capacity
@@ -1118,44 +1126,35 @@ class ChunkKernel:
         """Evict the lane's live entries, latest release first, until
         free space is non-negative again."""
         st = self.st
-        pend = range(st.rel_pos, st.rel_t.size)
-        idxs = [k for k in pend if st.rel_l[k] == lane]
-        # Net out cancel pairs: each negative entry neutralizes one
-        # positive entry with the same (time, amount) on the lane.
+        entries = sorted(e for e in st.heap if e[2] == lane)
+        # Net out cancel pairs: each negative entry neutralizes the
+        # earliest positive entry with the same (time, amount) on the lane.
         negs: dict[tuple[float, int], int] = {}
-        for k in idxs:
-            a = int(st.rel_a[k])
+        for t, _, _, a in entries:
             if a < 0:
-                key = (float(st.rel_t[k]), -a)
-                negs[key] = negs.get(key, 0) + 1
-        live: list[int] = []
-        for k in idxs:
-            a = int(st.rel_a[k])
+                negs[t, -a] = negs.get((t, -a), 0) + 1
+        live = []
+        for e in entries:
+            t, _, _, a = e
             if a <= 0:
                 continue
-            key = (float(st.rel_t[k]), a)
-            if negs.get(key, 0) > 0:
-                negs[key] -= 1
+            if negs.get((t, a), 0) > 0:
+                negs[t, a] -= 1
                 continue
-            live.append(k)
-        live.sort(key=lambda k: (float(st.rel_t[k]), k), reverse=True)
+            live.append(e)
         evicted: list[tuple[float, int]] = []
-        drop: list[int] = []
-        for k in live:
-            if st.free[lane] >= 0:
+        drop: set[int] = set()
+        free = int(st.free[lane])
+        for t, seq, _, a in reversed(live):
+            if free >= 0:
                 break
-            a = int(st.rel_a[k])
-            st.free[lane] += a
-            drop.append(k)
-            evicted.append((float(st.rel_t[k]), a))
+            free += a
+            drop.add(seq)
+            evicted.append((t, a))
+        st.free[lane] = free
         if drop:
-            keep = np.ones(st.rel_t.size, dtype=bool)
-            keep[drop] = False
-            # Dropped entries all sit at >= rel_pos, so the consumed
-            # prefix (and the cursor) stay intact.
-            st.rel_t = st.rel_t[keep]
-            st.rel_a = st.rel_a[keep]
-            st.rel_l = st.rel_l[keep]
+            st.heap[:] = [e for e in st.heap if e[1] not in drop]
+            heapq.heapify(st.heap)
         self.n_spilled += len(evicted)
         self.n_evicted += len(evicted)
         self.evicted_bytes += sum(a for _, a in evicted)

@@ -204,40 +204,79 @@ class TestChunkProtocolEdges:
 
 _release = st.tuples(
     st.sampled_from((0.0, 5.0, 5.0, 10.0, 30.0)),  # few times: ties
-    st.sampled_from((1, 7, 250, -7, -250)),  # negatives: cancel entries
     st.integers(0, 2),
+    st.sampled_from((1, 7, 250, -7, -250)),  # negatives: cancel entries
 )
 
 
-class TestReleaseWindowMerge:
+class TestPendingReleaseHeap:
     @settings(max_examples=200, deadline=None)
     @given(
         batches=st.lists(st.lists(_release, max_size=8), min_size=1, max_size=5),
-        cuts=st.lists(st.sampled_from((-1.0, 0.0, 5.0, 12.0)), min_size=5, max_size=5),
+        cuts=st.lists(st.sampled_from((-1.0, 0.0, 5.0, 12.0, 40.0)), min_size=5, max_size=5),
     )
-    def test_merge_is_a_stable_sort_of_window_then_new(self, batches, cuts):
-        """Pending entries stay ahead of new ones at equal times, new
-        ones keep their buffered order, and the consumed prefix goes."""
+    def test_pops_in_time_then_insertion_order(self, batches, cuts):
+        """Entries at or before a cut pop in (time, insertion) order and
+        apply to their lanes; the rest stay pending."""
         state = _LaneState(np.full(3, 10**6, dtype=np.int64))
+        pending = []  # (time, insertion index, lane, bytes)
+        made = 0
         for batch, cut in zip(batches, cuts):
-            state.release_until(cut)
-            p = state.rel_pos
-            window = [state.rel_t[p:], state.rel_a[p:], state.rel_l[p:]]
-            for t, a, lane in batch:
-                state.new_t.append(t)
-                state.new_a.append(a)
-                state.new_l.append(lane)
-            new = [np.array(c, dtype=w.dtype) for c, w in zip(zip(*batch), window)]
-            state.merge_new()
-            if not batch:
-                assert state.rel_pos == p
-                continue
-            cols = [np.concatenate([w, c]) for w, c in zip(window, new)]
-            order = np.argsort(cols[0], kind="stable")
-            assert state.rel_pos == 0 and not state.new_t
-            for got, col in zip((state.rel_t, state.rel_a, state.rel_l), cols):
-                assert got.dtype == col.dtype
-                assert np.array_equal(got, col[order])
+            if batch:
+                state.push_all(*zip(*batch))
+            pending += [(t, made + k, lane, a) for k, (t, lane, a) in enumerate(batch)]
+            made += len(batch)
+            free = state.free.tolist()
+            got = state.release_until(cut)
+            due = sorted(e for e in pending if e[0] <= cut)
+            pending = [e for e in pending if e[0] > cut]
+            assert got == due
+            for _, _, lane, a in due:
+                free[lane] += a
+            assert state.free.tolist() == free
+            assert sorted(state.heap) == sorted(pending)
+        assert state.seq == made
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.sampled_from((5.0, 5.0, 10.0, 30.0)), st.integers(0, 1),
+                      st.sampled_from((1, 7, 250))),
+            max_size=12,
+        ),
+        cancels=st.lists(st.integers(0, 11), max_size=4),
+        cap=st.sampled_from((0.0, 100.0, 300.0)),
+    )
+    def test_eviction_takes_the_latest_time_then_insertion_first(
+        self, entries, cancels, cap
+    ):
+        """A shrink evicts the lane's live entries (a cancel nets out the
+        earliest equal entry) from the latest ``(time, seq)`` down."""
+        kern = ChunkKernel(np.full(2, 10**4, dtype=float))
+        st_ = kern.st
+        if entries:
+            st_.push_all(*zip(*entries))
+        st_.free -= np.bincount(
+            [lane for _, lane, _ in entries],
+            weights=[a for _, _, a in entries], minlength=2,
+        ).astype(np.int64)
+        live = [(t, k, lane, a) for k, (t, lane, a) in enumerate(entries)]
+        for k in dict.fromkeys(cancels):
+            if k < len(entries):
+                t, lane, a = entries[k]
+                kern.cancel(lane, a, t)
+                # The earliest equal entry on the lane is the one netted.
+                live.remove(next(e for e in live if e[0::2] == (t, lane) and e[3] == a))
+        free = int(kern.free[0]) + int(cap) - 10**4
+        want = []
+        for t, _, _, a in sorted((e for e in live if e[2] == 0), reverse=True):
+            if free >= 0:
+                break
+            free += a
+            want.append((t, a))
+        assert kern.resize_lane(0, cap) == want
+        assert int(kern.free[0]) == free
+        assert kern.n_evicted == len(want)
 
 
 @st.composite
@@ -270,12 +309,6 @@ def mask_runs(draw):
                 min_size=n_lanes, max_size=n_lanes,
             ))
         ),
-        "global_lanes": (
-            np.array(sorted(draw(st.sets(
-                st.integers(0, 7), min_size=n_lanes, max_size=n_lanes
-            ))), dtype=np.intp)
-            if draw(st.booleans()) else None
-        ),
         "chunks": chunks,
         # Per chunk: a fit-check chunk (every row a candidate, admitted
         # only whole) instead of a mask chunk.
@@ -296,7 +329,7 @@ class TestMaskChunkKernel:
         t, dur, size = run["arrivals"], run["durations"], run["sizes"]
         lanes, want, ttl = run["lanes"], run["want"].copy(), run["ttl"]
         n = t.size
-        kern = ChunkKernel(run["caps"], lanes=run["global_lanes"])
+        kern = ChunkKernel(run["caps"])
         ref = ScalarKernel(run["caps"])
         frac = np.zeros(n)
         fallback = 0

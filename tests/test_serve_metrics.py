@@ -713,7 +713,9 @@ class _WithStaleSlots:
 def _float_ledger(kernel, lane_capacities=None):
     """``kernel`` with every ledger byte value cast to float64, the way
     a checkpoint written before the integer ledger carries it (the
-    service's ``lane_capacities`` was then the kernel's own array)."""
+    service's ``lane_capacities`` was then the kernel's own array); a
+    chunk kernel's pending releases take that library's layout too
+    (see :func:`_sorted_array_releases`)."""
     led = getattr(kernel, "st", kernel)
     led.lane_capacity = (
         led.lane_capacity.astype(float) if lane_capacities is None
@@ -726,8 +728,29 @@ def _float_ledger(kernel, lane_capacities=None):
     if led is kernel:
         kernel.heap = [(r, i, lane, float(a)) for (r, i, lane, a) in kernel.heap]
     else:
-        led.rel_a = led.rel_a.astype(float)
+        kernel.st = _sorted_array_releases(led)
     return kernel
+
+
+def _sorted_array_releases(led):
+    """Lane state ``led`` as checkpoints from before the release heap
+    hold it: time-sorted ``rel_t``/``rel_a``/``rel_l`` arrays (bytes in
+    ``led.free``'s dtype) behind a ``rel_pos`` cursor, here one already
+    consumed entry that must not apply again, and empty merge buffers."""
+    from repro.storage.engine import _LaneState
+
+    entries = sorted(led.heap)
+    slots = {
+        name: getattr(led, name) for name in _LaneState.__slots__
+        if name not in ("heap", "seq")
+    }
+    slots.update(
+        rel_t=np.array([-1.0] + [e[0] for e in entries]),
+        rel_a=np.array([12345] + [e[3] for e in entries], dtype=led.free.dtype),
+        rel_l=np.array([0] + [e[2] for e in entries], dtype=np.intp),
+        rel_pos=1, new_t=[], new_a=[], new_l=[],
+    )
+    return _Pickled(_LaneState, (None, slots))
 
 
 class _Pickled:
@@ -1113,6 +1136,60 @@ class TestOldCheckpoints:
             for b in range(mid, n, 17):
                 s.submit_jobs(jobs[b:b + 17])
         got, want = svc.result(), ref.result()
+        svc.close()
+        ref.close()
+        assert_bit_identical(want, got)
+
+    def test_worker_payload_with_global_lane_slots_restores(
+        self, trace, builders
+    ):
+        """A worker checkpoint whose kernel carries the global lane ids
+        it no longer keeps (``lanes``, ``lane_index``) and whose lane
+        state holds the sorted release arrays restores without the
+        slots and continues bit-identically, with the same kernel
+        counters, as the uninterrupted fleet."""
+        import copy
+
+        from repro.serve.transport import InProcessTransport
+        from repro.serve.worker import PlacementWorker
+
+        def build():
+            svc = FleetRouter(
+                builders["adaptive"](), CAP, 4, mode="batch", n_workers=2
+            )
+            svc.open(trace)
+            return svc
+
+        jobs = list(trace.jobs)
+        n, mid = len(jobs), 17 * 7
+        ref, svc = build(), build()
+        for s in (ref, svc):
+            for b in range(0, mid, 17):
+                s.submit_jobs(jobs[b:b + 17])
+                s.complete(max(b - 20, 0))
+        pool = svc.pool
+        for w in range(pool.n_workers):
+            payload = dict(pool.request(w, {"op": "state"})["payload"])
+            kernel = copy.copy(payload["kernel"])
+            assert kernel.st.heap  # releases are pending across the restore
+            kernel.st = _sorted_array_releases(kernel.st)
+            lanes = payload["spec"]["lanes"]
+            payload["kernel"] = _WithStaleSlots(
+                kernel, lanes=lanes,
+                lane_index={int(g): k for k, g in enumerate(lanes)},
+            )
+            worker = PlacementWorker.from_payload(
+                pickle.loads(pickle.dumps(payload))
+            )
+            assert not hasattr(worker.kernel, "lanes")
+            assert not hasattr(worker.kernel, "lane_index")
+            pool.transports[w] = InProcessTransport(w, worker)
+        for s in (ref, svc):
+            for b in range(mid, n, 17):
+                s.submit_jobs(jobs[b:b + 17])
+                s.complete(b - 20)
+        got, want = svc.result(), ref.result()
+        assert svc.kernel.counters() == ref.kernel.counters()
         svc.close()
         ref.close()
         assert_bit_identical(want, got)

@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serve import (
     SAMPLE_MODULUS,
@@ -65,6 +66,29 @@ class TestSampling:
             [sample_hash(int(j)) < threshold for j in ids]
         )
         np.testing.assert_array_equal(mask, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ids=st.one_of(
+            st.lists(st.integers(-2**63, 2**63 - 1), max_size=40),
+            st.lists(
+                st.one_of(
+                    st.integers(-2**63, 2**63 - 1),
+                    st.integers(2**63, 2**70),  # past int64: per-id path
+                    st.integers(-2**70, -2**63 - 1),
+                    st.booleans(),
+                    st.text(max_size=4),
+                    st.sampled_from(("17", "-3", " 4 ", "x")),
+                ),
+                max_size=40,
+            ),
+        ),
+        sample=st.sampled_from((0.0, 1 / 256, 0.3, 1.0)),
+    )
+    def test_sampled_positions_equal_the_per_id_loop(self, ids, sample):
+        tr = Tracer(sample=sample)
+        want = [k for k, job_id in enumerate(ids) if tr.sampled(job_id)]
+        assert tr.sampled_positions(ids) == want
 
     def test_sample_bounds(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -1,16 +1,17 @@
 """The worker wire format and the transports' error semantics.
 
 ``encode``/``decode`` carry every router-to-worker message over the
-subprocess pipe: flat messages that carry an array as binary frames
-(tag ``F``), anything else as a pickle (tag ``P``).  A decoded message
-must have the original keys in order, the original types and exact
-dtypes, bit-exact floats, and a frame's arrays must be writable, own
-their memory and alias nothing.
+subprocess pipe: ``chunk``/``fit`` ops (tag ``C``) and their replies
+(tag ``R``) in a fixed layout, anything else as a pickle (tag ``P``).
+A decoded chunk message's columns must be read-only arrays of the wire
+dtypes, and it must equal its original, keys in order and values bit
+for bit, once both are converted to the wire dtypes (``column_arrays``).
 """
 
 import math
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -19,9 +20,14 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import FirstFitPolicy
 from repro.serve import FleetRouter, PlacementService, SnapshotMismatch
 from repro.serve.transport import (
+    _CLOSE_TIMEOUT,
+    CARRIED_COLUMNS,
+    OP_COLUMNS,
+    REPLY_COLUMNS,
     RecordingTransport,
     SubprocessTransport,
     WorkerDied,
+    column_arrays,
     decode,
     encode,
     same_message,
@@ -32,77 +38,111 @@ from repro.units import GIB
 from test_fleet_ties import N_SHARDS, _drive, _policy, _tie_trace
 from test_serve_service import assert_bit_identical
 
-#: Array dtypes a frame carries; ``q`` and ``l`` compare equal but are
-#: distinct scalar types, so both appear.
-FRAME_DTYPES = ("?", "b", "B", "h", "H", "i", "I", "l", "L", "q", "Q",
-                "e", "f", "d", "g")
-
 #: Data-plane ops whose messages (op and reply) carry job column blocks
-#: and must take the frame path, and the standalone cancel, which holds
+#: and take the fixed layout, and the standalone cancel, which holds
 #: only scalars and pickles.
-FRAMED_OPS = ("chunk", "fit")
+FIXED_OPS = ("chunk", "fit")
 PICKLED_OPS = ("cancel",)
 
+#: Float values every float column mixes in.
+SPECIAL = np.array([math.nan, -0.0, 0.0, math.inf, -math.inf, 5e-324, 1.5])
 
-def _flat_value():
-    arrays = st.tuples(
-        st.sampled_from(FRAME_DTYPES),
-        st.integers(0, 24),
-        st.integers(1, 3),
-        st.integers(0, 2**32 - 1),
-    ).map(_array)
-    return st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(-2**63, 2**63 - 1),
-        st.sampled_from((-2**63, 2**63 - 1, 0, -1)),
-        st.floats(allow_nan=True, allow_infinity=True),
-        st.sampled_from((-0.0, math.inf, -math.inf, math.nan)),
-        st.text(),
-        arrays,
-    )
+#: Row counts; 3,000 rows put an op or a reply past 64 KiB.
+ROWS = (0, 1, 3, 40, 3000)
 
 
-def _array(spec) -> np.ndarray:
-    """A 1-D array of any frame dtype; ``step > 1`` makes it a
-    non-contiguous view of a larger array."""
-    char, n, step, seed = spec
-    raw = np.random.default_rng(seed).bytes(n * step * np.dtype(char).itemsize)
-    base = np.frombuffer(raw, dtype=char).copy()
-    if base.dtype.kind == "f" and base.size:
-        base[0] = np.nan
-        base[-1] = -0.0
-    return base[::step]
+def _column(rng, dtype, n, as_list):
+    """``n`` random values of a wire dtype: floats mixed with the
+    special values, integers over the whole ``int64`` range."""
+    if dtype.kind == "f":
+        col = np.where(
+            rng.random(n) < 0.4, rng.choice(SPECIAL, n),
+            rng.uniform(-1e15, 1e15, n),
+        )
+    elif dtype.kind == "i":
+        col = rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64, endpoint=True)
+    else:
+        col = rng.random(n) < 0.5
+    return col.tolist() if as_list else col
 
 
-flat_messages = st.dictionaries(st.text(max_size=12), _flat_value(), max_size=10)
+@st.composite
+def chunk_ops(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from(ROWS))
+    as_list = draw(st.booleans())
+    msg = {
+        "op": draw(st.sampled_from(FIXED_OPS)),
+        "t0": draw(st.floats()), "t_last": draw(st.floats()),
+    }
+    for key, dtype in OP_COLUMNS.items():
+        msg[key] = _column(rng, dtype, n, as_list)
+    if draw(st.booleans()):
+        msg["ttl"] = None
+    m = draw(st.sampled_from((None, 0, 1, 3)))
+    if m is not None:
+        for key, dtype in CARRIED_COLUMNS.items():
+            msg[key] = _column(rng, dtype, m, as_list)
+    return msg
+
+
+@st.composite
+def chunk_replies(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(FIXED_OPS))
+    n = draw(st.sampled_from(ROWS))
+    lanes = draw(st.sampled_from((1, 4, 9000)))  # 9,000 lanes: 72 KB
+    as_list = draw(st.booleans())
+    sizes = {"free": lanes, "counters": 6}
+    return {
+        key: _column(rng, dtype, sizes.get(key, n), as_list)
+        for key, dtype in REPLY_COLUMNS[kind].items()
+    }
 
 
 class TestFrameRoundTrip:
-    @settings(max_examples=300, deadline=None)
-    @given(msg=flat_messages)
-    def test_flat_messages_round_trip(self, msg):
-        has_array = any(isinstance(v, np.ndarray) for v in msg.values())
-        wire = encode(msg)
-        assert wire[:1] == (b"F" if has_array else b"P")
-        got = decode(wire)
-        assert same_message(msg, got)
-        arrays = [v for v in got.values() if isinstance(v, np.ndarray)]
-        for i, a in enumerate(arrays):
-            assert a.flags.writeable and a.flags.owndata
-            for b in arrays[i + 1:]:
-                assert not np.shares_memory(a, b)
-        for k, v in msg.items():
-            if isinstance(v, np.ndarray):
-                assert not np.shares_memory(got[k], v)
+    """Messages through ``encode``/``decode``: chunk ops and replies in
+    the fixed layout, everything else as a pickle."""
 
-    def test_numpy_scalar_subclasses_encode_as_python(self):
-        msg = {"x": np.float64(-0.0), "n": True, "i": 1, "a": np.zeros(1)}
+    @settings(max_examples=200, deadline=None)
+    @given(msg=chunk_ops())
+    def test_chunk_ops_round_trip_to_read_only_arrays(self, msg):
         wire = encode(msg)
-        assert wire[:1] == b"F"
+        assert wire[:1] == b"C"
         got = decode(wire)
-        assert type(got["x"]) is float and math.copysign(1.0, got["x"]) < 0
-        assert got["n"] is True and type(got["i"]) is int
+        assert list(got) == list(msg)
+        for key, dtype in {**OP_COLUMNS, **CARRIED_COLUMNS}.items():
+            if key not in got or got[key] is None:
+                assert key not in msg or msg[key] is None
+                continue
+            assert type(got[key]) is np.ndarray and got[key].dtype == dtype
+            assert not got[key].flags.writeable
+        assert same_message(column_arrays(msg), got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(msg=chunk_replies())
+    def test_chunk_replies_round_trip_to_read_only_arrays(self, msg):
+        wire = encode(msg)
+        assert wire[:1] == b"R"
+        got = decode(wire)
+        kind = "fit" if "requested" in msg else "chunk"
+        assert list(got) == list(REPLY_COLUMNS[kind])
+        for key, dtype in REPLY_COLUMNS[kind].items():
+            assert type(got[key]) is np.ndarray and got[key].dtype == dtype
+            assert not got[key].flags.writeable
+        assert same_message(column_arrays(msg), got)
+
+    def test_large_messages_are_past_the_pipe_buffer(self):
+        rng = np.random.default_rng(0)
+        op = {"op": "chunk", "t0": 0.0, "t_last": 1.0}
+        op.update({k: _column(rng, d, 3000, True) for k, d in OP_COLUMNS.items()})
+        reply = {
+            k: _column(rng, d, 6 if k == "counters" else 3000, True)
+            for k, d in REPLY_COLUMNS["chunk"].items()
+        }
+        for msg in (op, reply):
+            assert len(encode(msg)) > PIPE_BUFFER
+            assert same_message(column_arrays(msg), column_arrays(decode(encode(msg))))
 
     @pytest.mark.parametrize("msg", [
         {"op": "cancel", "catch": None, "lane": 3, "alloc": 7,
@@ -115,32 +155,56 @@ class TestFrameRoundTrip:
         assert wire[:1] == b"P"
         assert same_message(msg, decode(wire))
 
+    _OP = {
+        "op": "chunk", "t0": 0.0, "t_last": 1.0, "t": [0.5], "dur": [2.0],
+        "size": [3.0], "lane": [0], "ttl": None,
+    }
+    _REPLY = {
+        "frac": [1.0], "alloc": [3], "free": [4, 5], "counters": [0] * 6,
+        "space": [1.0], "spill": [math.nan],
+    }
+
     @pytest.mark.parametrize("msg", [
-        {"payload": {"kernel": [1, 2]}},
-        {"evicted": [(1.0, 2, 3)], "free": 4},
-        {"spans": [{"op": "chunk"}], "seq": 1},
-        {"x": np.zeros((2, 2))},
-        {"x": np.zeros(3, dtype=">f8")},
-        {"x": np.array(["a", "b"])},
-        {"x": np.zeros(2, dtype="datetime64[s]")},
-        {"x": np.int64(3)},
-        {"x": 2**63},
-        {"x": b"bytes"},
-        {1: "not a str key"},
-        {"k" * 256: 1},
-        {"s": "lone \ud800 surrogate"},
+        {**_OP, "extra": 1},
+        {k: v for k, v in _OP.items() if k != "ttl"},
+        dict(reversed(_OP.items())),
+        {**_OP, "cancel_lane": [1]},
+        {**_OP, "lane": [0.5]},
+        {**_OP, "lane": np.array([0.5])},
+        {**_OP, "lane": np.array([0], dtype=np.int32)},
+        {**_OP, "t": np.array([0.5], dtype=np.float32)},
+        {**_OP, "t": np.zeros((1, 1))},
+        {**_OP, "t": (0.5,)},
+        {**_OP, "dur": [1.0, 2.0]},
+        {**_OP, "lane": [2**63]},
+        {**_OP, "size": [10**400]},
+        {**_OP, "t0": "0"},
+        {**_REPLY, "extra": 1},
+        {**_REPLY, "counters": [0] * 5},
+        {**_REPLY, "alloc": [1.5]},
+        {**_REPLY, "space": [1.0, 2.0]},
+        {**_REPLY, "requested": [True]},
     ])
     def test_array_messages_a_frame_cannot_carry_take_the_pickle_tag(
         self, msg
     ):
-        msg = {**msg, "a": np.arange(3.0)}
         wire = encode(msg)
         assert wire[:1] == b"P"
         assert same_message(msg, decode(wire))
 
+    def test_numpy_scalar_subclasses_encode_as_python(self):
+        msg = {**self._OP, "t0": np.float64(-0.0), "t_last": np.float64(2.0)}
+        wire = encode(msg)
+        assert wire[:1] == b"C"
+        got = decode(wire)
+        assert type(got["t0"]) is float and math.copysign(1.0, got["t0"]) < 0
+        assert type(got["t_last"]) is float and got["t_last"] == 2.0
+
     def test_rejects_unknown_tags(self):
-        with pytest.raises(ValueError, match="tag"):
-            decode(b"X")
+        # ``F`` was the self-describing frame this layout replaced.
+        for data in (b"X", b"F"):
+            with pytest.raises(ValueError, match="tag"):
+                decode(data)
 
 
 def _tie_run(mode, policy):
@@ -187,17 +251,20 @@ class TestFleetMessages:
         seen = set()
         for op, reply in log:
             kind = op["op"]
-            if kind not in FRAMED_OPS + PICKLED_OPS:
+            if kind not in FIXED_OPS + PICKLED_OPS:
                 continue
             seen.add(kind)
             if "cancel_lane" in op:
-                # Batch cancels ride a chunk op's frame as columns.
+                # Batch cancels ride a chunk op as columns.
                 seen.add("carried cancel")
-            tag = b"F" if kind in FRAMED_OPS else b"P"
-            for msg in (op, reply):
+            for msg, tag in ((op, b"C"), (reply, b"R")):
                 wire = encode(msg)
+                if kind in PICKLED_OPS:
+                    tag = b"P"
                 assert wire[:1] == tag, (kind, sorted(msg))
-                assert same_message(msg, decode(wire))
+                assert same_message(
+                    column_arrays(msg), column_arrays(decode(wire))
+                )
         assert kinds <= seen
         assert "resize" in {op["op"] for op, _ in log}  # the shock ran
 
@@ -292,8 +359,8 @@ def _ledger(payload) -> dict:
     """A worker payload's kernel ledger as a flat message."""
     k = payload["kernel"]
     return {
-        "free": k.st.free, "rel_t": k.st.rel_t, "rel_a": k.st.rel_a,
-        "rel_l": k.st.rel_l, "rel_pos": k.st.rel_pos, **k.counters(),
+        "free": k.st.free, "heap": k.st.heap, "seq": k.st.seq,
+        **k.counters(),
     }
 
 
@@ -341,7 +408,7 @@ class TestRawChannel:
             got = tr.request(op)
             assert len(encode(op)) > PIPE_BUFFER
             assert len(encode(got)) > PIPE_BUFFER
-            assert same_message(want, got)
+            assert same_message(column_arrays(want), got)
             assert not got["requested"].all()  # some rows were turned away
 
             # The ledger now holds ~12k pending releases: the state reply
@@ -355,7 +422,9 @@ class TestRawChannel:
             assert same_message(_ledger(payload), _ledger(restored))
             nxt = dict(op, t=t + 2e3, t0=float(t[0] + 2e3),
                        t_last=float(t[-1] + 2e3))
-            assert same_message(ref.handle(nxt), fresh.request(nxt))
+            assert same_message(
+                column_arrays(ref.handle(nxt)), fresh.request(nxt)
+            )
         finally:
             tr.close()
             if fresh is not None:
@@ -463,3 +532,38 @@ class TestRawChannel:
         finally:
             first.kill()  # a stop op would go to /dev/null
             svc.close()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    @pytest.mark.parametrize("how", ("devnull", "stopped"))
+    def test_close_is_bounded_when_a_worker_never_answers_its_stop(
+        self, how
+    ):
+        """Worker 0 never answers ``stop``: its op end goes to /dev/null,
+        or it is stopped with its channel open.  Closing the fleet still
+        returns within the bound, with no child and no descriptor left."""
+        def n_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = n_fds()
+        svc = FleetRouter(
+            FirstFitPolicy(), 4 * GIB, 2, n_workers=2, transport="subprocess"
+        )
+        pids = [tr._proc.pid for tr in svc.pool.transports]
+        first = svc.pool.transports[0]
+        if how == "devnull":
+            null = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(null, first._op_fd)
+            finally:
+                os.close(null)
+        else:
+            os.kill(pids[0], signal.SIGSTOP)
+        t0 = time.monotonic()
+        svc.close()
+        assert time.monotonic() - t0 < 2 * _CLOSE_TIMEOUT
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert n_fds() == before

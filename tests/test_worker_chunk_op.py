@@ -8,8 +8,8 @@ while a single process opens the chunk and runs it through
 on a binding lane subset — TTLs that are NaN, negative or shorter than
 the duration, zero-size and zero-duration jobs, cancels carried on the
 op, columns as arrays or as the lists a replayed worker WAL holds — the
-worker's reply and its whole ledger must equal the single process's,
-bit for bit.
+worker's reply, converted to its wire dtypes, and its whole ledger
+must equal the single process's, bit for bit.
 """
 
 import math
@@ -17,7 +17,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.serve.transport import same_message
+from repro.serve.transport import column_arrays, same_message
 from repro.serve.worker import PlacementWorker
 from repro.storage.engine import ChunkKernel
 from repro.storage.policy import BatchDecision
@@ -99,12 +99,10 @@ def _single_process_reply(kern, kind, op):
 def _same_ledger(a: ChunkKernel, b: ChunkKernel) -> bool:
     sa, sb = a.st, b.st
     return (
-        sa.rel_pos == sb.rel_pos
-        and all(
+        all(
             same_message({"x": getattr(sa, k)}, {"x": getattr(sb, k)})
-            for k in ("free", "lane_capacity", "rel_t", "rel_a", "rel_l")
+            for k in ("free", "lane_capacity", "heap", "seq")
         )
-        and (sa.new_t, sa.new_a, sa.new_l) == (sb.new_t, sb.new_a, sb.new_l)
         and sa.peak_used == sb.peak_used
         and a.counters() == b.counters()
     )
@@ -120,7 +118,7 @@ class TestWorkerChunkOp:
             "worker_id": 0, "mode": "batch", "lane_caps": caps,
             "lanes": lanes, "track_peak": track_peak,
         })
-        ref = ChunkKernel(np.asarray(caps), lanes=lanes, track_peak=track_peak)
+        ref = ChunkKernel(np.asarray(caps), track_peak=track_peak)
         live = []  # (lane, alloc, release) of allocations still held
         cursor = -math.inf
         for spec in ops:
@@ -140,14 +138,18 @@ class TestWorkerChunkOp:
                 ref.cancel(lane, alloc, release)
             if cancels:
                 cols = list(zip(*cancels))
-                op["cancel_lane"] = np.array(cols[0], dtype=np.intp)
-                op["cancel_alloc"] = np.array(cols[1], dtype=np.int64)
-                op["cancel_release"] = np.array(cols[2], dtype=float)
-                op["cancel_catch"] = np.full(len(cancels), cursor)
+                carried = {
+                    "cancel_lane": np.array(cols[0], dtype=np.intp),
+                    "cancel_alloc": np.array(cols[1], dtype=np.int64),
+                    "cancel_release": np.array(cols[2], dtype=float),
+                    "cancel_catch": np.full(len(cancels), cursor),
+                }
+                for key, col in carried.items():
+                    op[key] = col.tolist() if spec["lists"] else col
 
             want, alloc, release = _single_process_reply(ref, spec["kind"], spec)
             got = worker.handle(op)
-            assert same_message(want, got), (spec, want, got)
+            assert same_message(want, column_arrays(got)), (spec, want, got)
             assert _same_ledger(worker.kernel, ref)
             for L, a, r in zip(spec["lane"], alloc.tolist(), release.tolist()):
                 if a > 0 and r > spec["t_last"]:
