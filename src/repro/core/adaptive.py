@@ -34,6 +34,7 @@ ACT+1)`` (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,15 @@ from ..workloads.job import Trace
 from .spillover import SpilloverWindow
 
 __all__ = ["ThresholdEvent", "AdaptiveCategoryPolicy"]
+
+
+@lru_cache(maxsize=256)
+def _global_table(n_categories: int, act: int) -> np.ndarray:
+    """The read-only ``category >= act`` admission table; one per ACT
+    value, shared by every threshold update that lands on it."""
+    table = np.arange(n_categories) >= act
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -188,7 +198,7 @@ class AdaptiveCategoryPolicy(PlacementPolicy):
 
     @property
     def history(self):
-        """The live observation window as ``ObservedJob`` objects."""
+        """The window's SSD-scheduled jobs as ``ObservedJob`` objects."""
         return self._window.to_jobs()
 
     def _update_threshold(self, t: float) -> None:
@@ -256,13 +266,14 @@ class AdaptiveCategoryPolicy(PlacementPolicy):
         :meth:`_admit_table_current` re-checks the table's sources
         (threshold value, lane-vector identity) before every use, so
         even an out-of-band threshold mutation cannot serve a stale
-        table.
+        table.  A global table is read-only and shared per ACT value
+        (:func:`_global_table`), so a threshold update builds nothing.
         """
-        cat_range = np.arange(self.n_categories)
         if self.act_lanes is not None:
+            cat_range = np.arange(self.n_categories)
             self._admit_table = cat_range[None, :] >= self.act_lanes[:, None]
         else:
-            self._admit_table = cat_range >= self.act
+            self._admit_table = _global_table(self.n_categories, self.act)
         self._table_act = self.act
         self._table_lanes = self.act_lanes
 
@@ -319,7 +330,7 @@ class AdaptiveCategoryPolicy(PlacementPolicy):
             self._update_threshold(t)
         arrivals = self._trace.arrivals
         deadline = self._td + self.params.decision_interval
-        stop = int(np.searchsorted(arrivals, deadline, side="left"))
+        stop = int(arrivals.searchsorted(deadline))
         stop = min(max(stop, first + 1), len(arrivals))
         cats = self.categories[first:stop]
         table = self._admit_table_current()
@@ -339,21 +350,9 @@ class AdaptiveCategoryPolicy(PlacementPolicy):
             self.shard_spills = np.pad(self.shard_spills, (0, pad))
 
     def observe(self, outcome: PlacementOutcome) -> None:
-        i = outcome.job_index
-        self._grow_shard_counters(outcome.shard + 1)
-        if outcome.requested_ssd:
-            self.shard_ssd_requested[outcome.shard] += 1
-            if outcome.spill_time is not None:
-                self.shard_spills[outcome.shard] += 1
-        self._window.append(
-            arrival=float(self._trace.arrivals[i]),
-            end=float(self._trace.ends[i]),
-            tcio_rate=float(self._tcio[i]),
-            scheduled_ssd=outcome.requested_ssd,
-            spill_time=outcome.spill_time,
-            spilled_fraction=1.0 - outcome.ssd_space_fraction
-            if outcome.requested_ssd
-            else 0.0,
+        self._observe_row(
+            outcome.job_index, outcome.requested_ssd,
+            outcome.ssd_space_fraction, outcome.spill_time, outcome.shard,
         )
 
     def observe_one(
@@ -373,27 +372,49 @@ class AdaptiveCategoryPolicy(PlacementPolicy):
                 spill_time, shard,
             )
             return
+        self._observe_row(
+            job_index, requested_ssd, ssd_space_fraction, spill_time, shard
+        )
+
+    def _observe_row(
+        self,
+        i: int,
+        requested_ssd: bool,
+        ssd_space_fraction: float,
+        spill_time: float | None,
+        shard: int,
+    ) -> None:
+        """One job's feedback: only a job scheduled to SSD is counted
+        and enters the window."""
+        if not requested_ssd:
+            return
         self._grow_shard_counters(shard + 1)
-        if requested_ssd:
-            self.shard_ssd_requested[shard] += 1
-            if spill_time is not None:
-                self.shard_spills[shard] += 1
+        self.shard_ssd_requested[shard] += 1
+        if spill_time is not None:
+            self.shard_spills[shard] += 1
         # ``ends`` is elementwise ``arrivals + durations`` on every
         # trace type, so the scalar sum is bit-identical and avoids
         # materializing the whole ends column per request (a live
         # JobLog does not cache it).
-        arrival = float(self._trace.arrivals[job_index])
+        arrival = float(self._trace.arrivals[i])
         self._window.append(
             arrival,
-            arrival + float(self._trace.durations[job_index]),
-            float(self._tcio[job_index]),
-            requested_ssd,
+            arrival + float(self._trace.durations[i]),
+            float(self._tcio[i]),
+            True,
             spill_time,
-            1.0 - ssd_space_fraction if requested_ssd else 0.0,
+            1.0 - ssd_space_fraction,
         )
 
     def observe_batch(self, outcomes: BatchOutcomes) -> None:
-        """Vectorized ingest of one chunk into the ring buffer.
+        """Ingest one chunk: its SSD candidates only.
+
+        Only a job the chunk scheduled to SSD moves a counter or enters
+        the spillover window, so the cost scales with the candidates
+        (a few per chunk), not the chunk.  Their columns are gathered
+        from the trace's own arrival and duration columns — ``ends`` of
+        a live :class:`~repro.serve.log.JobLog` rebuilds the whole
+        column on every read.
 
         Sharded runs additionally maintain per-caching-server admission
         and spill counters (``shard_ssd_requested`` / ``shard_spills``)
@@ -403,26 +424,26 @@ class AdaptiveCategoryPolicy(PlacementPolicy):
         the paper's spillover-TCIO percentage aggregates behaviour
         across the whole fleet.
         """
-        first = outcomes.first
-        k = len(outcomes)
-        sched = np.asarray(outcomes.requested_ssd, dtype=bool)
-        shards = (
-            np.zeros(k, dtype=np.intp) if outcomes.shards is None else outcomes.shards
+        cand = outcomes.requested_ssd.nonzero()[0]
+        if not cand.size:
+            return
+        spill = outcomes.spill_time[cand].tolist()
+        lanes = (
+            [0] * cand.size if outcomes.shards is None
+            else outcomes.shards[cand].tolist()
         )
-        if k:
-            self._grow_shard_counters(int(shards.max()) + 1)
-            self.shard_ssd_requested += np.bincount(
-                shards[sched], minlength=self.shard_ssd_requested.size
-            )
-            spilled = sched & ~np.isnan(outcomes.spill_time)
-            self.shard_spills += np.bincount(
-                shards[spilled], minlength=self.shard_spills.size
-            )
+        self._grow_shard_counters(max(lanes) + 1)
+        requested, spills = self.shard_ssd_requested, self.shard_spills
+        for lane, ts in zip(lanes, spill):
+            requested[lane] += 1
+            if ts == ts:  # not NaN: the job spilled
+                spills[lane] += 1
+        idx = cand + outcomes.first
+        arrival = self._trace.arrivals[idx].tolist()
         self._window.extend(
-            arrival=self._trace.arrivals[first : first + k],
-            end=self._trace.ends[first : first + k],
-            tcio_rate=self._tcio[first : first + k],
-            scheduled_ssd=sched,
-            spill_time=outcomes.spill_time,
-            spilled_fraction=np.where(sched, 1.0 - outcomes.ssd_space_fraction, 0.0),
+            arrival,
+            [a + d for a, d in zip(arrival, self._trace.durations[idx].tolist())],
+            self._tcio[idx].tolist(),
+            spill,
+            [1.0 - f for f in outcomes.ssd_space_fraction[cand].tolist()],
         )

@@ -12,13 +12,19 @@ ended up on HDD because the SSD was full::
 where ``SPILLOVER_TCIO(x, t) = frac_spilled * (t - ts)/(t - ta) *
 TCIO_HDD(t)`` once spillover started at ``ts``.  A large value means
 many jobs failed to land on SSD, i.e. the SSDs are nearly full.
+
+:func:`spillover_percentage` evaluates the formula over a list of
+:class:`ObservedJob`; :class:`SpilloverWindow` is the adaptive policy's
+look-back window, which holds only the SSD-scheduled jobs the formula
+reads and equals :func:`spillover_percentage` over them.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from operator import itemgetter
 
 __all__ = [
     "ObservedJob",
@@ -75,71 +81,53 @@ def spillover_tcio(job: ObservedJob, t: float) -> float:
 
 
 class SpilloverWindow:
-    """Structure-of-arrays ring buffer over the observation history.
+    """The look-back window of SSD-scheduled jobs, in Python floats.
 
-    The adaptive policy appends one entry per placed job (in arrival
-    order) and periodically drops everything older than the look-back
-    window.  A ``list[ObservedJob]`` makes that O(window) per update
-    (the list is rebuilt) and O(window) Python-loop work per
-    :func:`spillover_percentage` call.  This buffer keeps the live
-    window as contiguous slices of preallocated NumPy arrays:
+    Both sums of the paper's formula read only jobs the placement
+    algorithm sent to SSD (``x.DEV``), so the window keeps only those:
+    :meth:`append` drops a job that was not scheduled, and
+    :meth:`extend` takes scheduled jobs only.  Each kept job is one row
+    ``(arrival, end, tcio_rate, spill_time, spilled_fraction)`` of
+    Python floats, ``spill_time`` NaN when nothing spilled.
 
-    - *append* writes one slot at the tail (amortized O(1); the backing
-      store doubles when full, and eviction slack is recycled by
-      compaction before each growth decision);
-    - *evict* advances the head pointer with one ``searchsorted`` over
-      the sorted arrival column;
-    - *percentage* is a vectorized evaluation of the paper's
-      ``P_SPILLOVER_TCIO`` formula over the live slice.
+    - *append* / *extend* add rows at the tail (arrivals must be
+      non-decreasing);
+    - *evict* bisects the arrival order and deletes the prefix;
+    - *percentage* walks the rows with sequential float sums, in the
+      same order and with the same operations as
+      :func:`spillover_percentage`, so it equals
+      ``spillover_percentage(window.to_jobs(), t)`` bit for bit.
 
-    Spill times are NaN-encoded (NaN = never spilled) so the whole
-    structure stays numeric.
+    A window holds a few scheduled jobs per decision interval, so one
+    pass over Python floats costs less than a vectorized evaluation's
+    fixed per-call overhead.
     """
 
-    #: The six parallel column buffers grown/compacted together.
-    _ARRAY_FIELDS = (
-        "_arrival",
-        "_end",
-        "_tcio_rate",
-        "_scheduled",
-        "_spill_time",
-        "_spilled_fraction",
-    )
+    __slots__ = ("_rows",)
 
-    __slots__ = _ARRAY_FIELDS + ("_head", "_tail")
-
-    def __init__(self, capacity: int = 1024):
-        capacity = max(int(capacity), 16)
-        self._arrival = np.empty(capacity, dtype=float)
-        self._end = np.empty(capacity, dtype=float)
-        self._tcio_rate = np.empty(capacity, dtype=float)
-        self._scheduled = np.empty(capacity, dtype=bool)
-        self._spill_time = np.empty(capacity, dtype=float)
-        self._spilled_fraction = np.empty(capacity, dtype=float)
-        self._head = 0
-        self._tail = 0
+    def __init__(self):
+        self._rows: list[tuple[float, float, float, float, float]] = []
 
     def __len__(self) -> int:
-        return self._tail - self._head
+        return len(self._rows)
 
-    def _ensure_room(self, extra: int) -> None:
-        cap = self._arrival.shape[0]
-        if self._tail + extra <= cap:
+    def __setstate__(self, state) -> None:
+        """Restore a pickled window, including the structure-of-arrays
+        layout older checkpoints hold (``_arrival`` ... ``_spilled_fraction``
+        buffers live between ``_head`` and ``_tail``, every observed job
+        with its ``_scheduled`` flag): its scheduled rows are kept."""
+        _, slots = state
+        if "_rows" in slots:
+            self._rows = slots["_rows"]
             return
-        live = len(self)
-        new_cap = cap
-        while live + extra > new_cap:
-            new_cap *= 2
-        for name in self._ARRAY_FIELDS:
-            buf = getattr(self, name)
-            if new_cap == cap:
-                # Enough dead space at the front: compact in place.
-                buf[: live] = buf[self._head : self._tail]
-            else:
-                grown = np.empty(new_cap, dtype=buf.dtype)
-                grown[:live] = buf[self._head : self._tail]
-                setattr(self, name, grown)
-        self._head, self._tail = 0, live
+        live = slice(slots["_head"], slots["_tail"])
+        sched = slots["_scheduled"][live]
+        cols = (
+            slots[name][live][sched].tolist()
+            for name in ("_arrival", "_end", "_tcio_rate", "_spill_time",
+                         "_spilled_fraction")
+        )
+        self._rows = list(zip(*cols))
 
     def append(
         self,
@@ -150,96 +138,66 @@ class SpilloverWindow:
         spill_time: float | None,
         spilled_fraction: float,
     ) -> None:
-        """Record one observed job (arrivals must be non-decreasing)."""
-        self._ensure_room(1)
-        i = self._tail
-        self._arrival[i] = arrival
-        self._end[i] = end
-        self._tcio_rate[i] = tcio_rate
-        self._scheduled[i] = scheduled_ssd
-        self._spill_time[i] = np.nan if spill_time is None else spill_time
-        self._spilled_fraction[i] = spilled_fraction
-        self._tail = i + 1
+        """Record one observed job; a job not scheduled to SSD is dropped."""
+        if scheduled_ssd:
+            self._rows.append((
+                arrival, end, tcio_rate,
+                math.nan if spill_time is None else spill_time,
+                spilled_fraction,
+            ))
 
     def extend(
         self,
-        arrival: np.ndarray,
-        end: np.ndarray,
-        tcio_rate: np.ndarray,
-        scheduled_ssd: np.ndarray,
-        spill_time: np.ndarray,
-        spilled_fraction: np.ndarray,
+        arrival: list[float],
+        end: list[float],
+        tcio_rate: list[float],
+        spill_time: list[float],
+        spilled_fraction: list[float],
     ) -> None:
-        """Bulk append (``spill_time`` NaN-encoded, arrivals sorted)."""
-        k = len(arrival)
-        if k == 0:
-            return
-        self._ensure_room(k)
-        s = slice(self._tail, self._tail + k)
-        self._arrival[s] = arrival
-        self._end[s] = end
-        self._tcio_rate[s] = tcio_rate
-        self._scheduled[s] = scheduled_ssd
-        self._spill_time[s] = spill_time
-        self._spilled_fraction[s] = spilled_fraction
-        self._tail += k
+        """Bulk append of SSD-scheduled jobs, one float list per column
+        (``spill_time`` NaN-encoded, arrivals sorted)."""
+        self._rows.extend(zip(arrival, end, tcio_rate, spill_time, spilled_fraction))
 
     def evict_older(self, window_start: float) -> None:
-        """Drop entries with ``arrival <= window_start`` (O(log n))."""
-        live = self._arrival[self._head : self._tail]
-        self._head += int(np.searchsorted(live, window_start, side="right"))
+        """Drop rows with ``arrival <= window_start``."""
+        k = bisect_right(self._rows, window_start, key=itemgetter(0))
+        if k:
+            del self._rows[:k]
 
     def percentage(self, t: float) -> float:
-        """Vectorized ``P_SPILLOVER_TCIO`` over the live window.
+        """``P_SPILLOVER_TCIO`` over the window at time ``t``.
 
-        Matches :func:`spillover_percentage` on the equivalent
-        ``ObservedJob`` list up to floating-point summation order.
+        Equals :func:`spillover_percentage` over :meth:`to_jobs`:
+        ``_tcio_hdd`` and ``spillover_tcio`` inlined, ``None`` spill
+        times read as NaN (which fails ``arrival <= ts``), and the
+        ``num += 0.0`` of a row that did not spill skipped (``num``
+        never holds -0.0, so adding +0.0 leaves it unchanged).
         """
-        h, tl = self._head, self._tail
-        if h == tl:
-            return 0.0
-        sched = self._scheduled[h:tl]
-        arrival = self._arrival[h:tl]
-        elapsed = np.minimum(t, self._end[h:tl]) - arrival
-        np.clip(elapsed, 0.0, None, out=elapsed)
-        tcio_hdd = self._tcio_rate[h:tl] * elapsed
-        den = float(tcio_hdd[sched].sum())
+        t = float(t)
+        num = 0.0
+        den = 0.0
+        for arrival, end, rate, ts, frac in self._rows:
+            elapsed = (end if end < t else t) - arrival
+            tcio = rate * (0.0 if 0.0 > elapsed else elapsed)
+            den += tcio
+            if arrival <= ts <= t:
+                span = t - arrival
+                if not span <= 0:
+                    num += frac * ((t - ts) / span) * tcio
         if den <= 0.0:
             return 0.0
-        ts = self._spill_time[h:tl]
-        span = t - arrival
-        with np.errstate(invalid="ignore", divide="ignore"):
-            weight = (t - ts) / span
-            valid = (
-                sched
-                & ~np.isnan(ts)
-                & (arrival <= ts)
-                & (ts <= t)
-                & (span > 0)
-            )
-            num = float(
-                np.where(valid, self._spilled_fraction[h:tl] * weight * tcio_hdd, 0.0).sum()
-            )
-        # num <= den holds exactly in real arithmetic; the two sums run
-        # in different orders, so clamp the last-ulp excursions.
-        return min(max(num / den, 0.0), 1.0)
+        return num / den
 
     def to_jobs(self) -> list[ObservedJob]:
-        """Materialize the live window as ``ObservedJob`` objects."""
-        out = []
-        for i in range(self._head, self._tail):
-            st = self._spill_time[i]
-            out.append(
-                ObservedJob(
-                    arrival=float(self._arrival[i]),
-                    end=float(self._end[i]),
-                    tcio_rate=float(self._tcio_rate[i]),
-                    scheduled_ssd=bool(self._scheduled[i]),
-                    spill_time=None if np.isnan(st) else float(st),
-                    spilled_fraction=float(self._spilled_fraction[i]),
-                )
+        """The window's scheduled jobs as ``ObservedJob`` objects."""
+        return [
+            ObservedJob(
+                arrival=arrival, end=end, tcio_rate=rate, scheduled_ssd=True,
+                spill_time=None if math.isnan(ts) else ts,
+                spilled_fraction=frac,
             )
-        return out
+            for arrival, end, rate, ts, frac in self._rows
+        ]
 
 
 def spillover_percentage(history: list[ObservedJob], t: float) -> float:

@@ -71,7 +71,7 @@ import copy
 import os
 import pickle
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, repeat
 from pathlib import Path
 from time import perf_counter
 from typing import Sequence
@@ -434,21 +434,21 @@ class PlacementService:
             self._m_cat[cat] = c
         return c
 
-    def _count_admissions(self, first: int, stop: int, requested) -> None:
-        """Per-category admission counting for one decided chunk.
+    def _count_admissions(self, first: int, stop: int, cand) -> None:
+        """Per-category admission counting for one decided chunk, from
+        its SSD candidates ``cand`` (chunk-relative rows).
 
         Categories come from the policy's ``categories`` column (full
         trace in replay mode, the streamed prefix under an online
         categorizer); policies without one skip the breakdown.
         """
         cats = getattr(self.policy, "categories", None)
-        if cats is None or len(cats) < stop:
+        if cats is None or len(cats) < stop or not cand.size:
             return
-        sel = np.asarray(cats[first:stop])[requested]
-        if sel.size:
-            counts = np.bincount(sel)
-            for cat in np.flatnonzero(counts).tolist():
-                self._cat_counter(cat).inc(int(counts[cat]))
+        # Ascending, so a category's counter registers in the order a
+        # sorted walk of the chunk meets it.
+        for cat in sorted(np.asarray(cats[first:stop])[cand].tolist()):
+            self._cat_counter(cat).inc()
 
     def _derived(self) -> list:
         """Every ``_DERIVED`` sample as ``(metric, row, lane)``.
@@ -1098,12 +1098,13 @@ class PlacementService:
             t = log._arrivals.data.item(stop - 1)
             if t > self._now:
                 self._now = t
-            self._track_live_chunk(outcomes, alloc_buf, rel_buf)
+            cand = outcomes.requested_ssd.nonzero()[0]
+            self._track_live_chunk(outcomes, cand, alloc_buf, rel_buf)
             out.append(_DecisionBatch(outcomes, alloc_buf, rel_buf, log.job_ids))
             self._decided = stop
             self.stats.n_decided += count
             self.stats.n_chunks += 1
-            self._count_admissions(first, stop, outcomes.requested_ssd)
+            self._count_admissions(first, stop, cand)
             self._m_chunk_jobs.observe(count)
             self._plan = None
             n = len(log)
@@ -1119,22 +1120,31 @@ class PlacementService:
 
     # -- completion events ----------------------------------------------
 
-    def _track_live_chunk(self, outcomes, alloc_buf, rel_buf) -> None:
-        """Vectorized live-table insert for one decided chunk."""
-        live = np.flatnonzero((alloc_buf > 0) & (rel_buf > self._now))
-        if not live.size:
+    def _track_live_chunk(self, outcomes, cand, alloc_buf, rel_buf) -> None:
+        """Live-table insert for one decided chunk.
+
+        Only the SSD candidates ``cand`` (chunk-relative rows) can hold
+        an allocation: the kernels write ``alloc_buf`` nowhere else.
+        """
+        if not cand.size:
             return
+        now = self._now
         first = outcomes.first
         lanes = outcomes.shards
         job_ids = self.log.job_ids
         table = self._live
-        allocs = alloc_buf[live].tolist()
-        rels = rel_buf[live].tolist()
-        lanes_l = [0] * live.size if lanes is None else lanes[live].tolist()
-        for k, alloc, release, lane in zip(live.tolist(), allocs, rels, lanes_l):
-            i = first + k
-            table[job_ids[i]] = (i, lane, alloc, release)
-        self._maybe_sweep_live()
+        lanes_l = repeat(0) if lanes is None else lanes[cand].tolist()
+        added = False
+        for k, alloc, release, lane in zip(
+            cand.tolist(), alloc_buf[cand].tolist(), rel_buf[cand].tolist(),
+            lanes_l,
+        ):
+            if alloc > 0 and release > now:
+                i = first + k
+                table[job_ids[i]] = (i, lane, alloc, release)
+                added = True
+        if added:
+            self._maybe_sweep_live()
 
     def _maybe_sweep_live(self) -> None:
         """Amortized prune of naturally-released live-table entries.

@@ -674,7 +674,7 @@ class TestAdmissionsByCategory:
         want: dict = {}
         for first in range(0, len(cats) - 20, 20):
             req = rng.random(20) < 0.5
-            svc._count_admissions(first, first + 20, req)
+            svc._count_admissions(first, first + 20, np.flatnonzero(req))
             chunk = cats[first:first + 20][req]
             for c, k in zip(*np.unique(chunk, return_counts=True)):
                 want[int(c)] = want.get(int(c), 0) + int(k)
@@ -961,6 +961,64 @@ class TestOldCheckpoints:
         feed(rec, mid, n)
         assert_bit_identical(ref.result(), rec.result())
         assert rec.kernel.counters() == ref.kernel.counters()
+
+    @pytest.mark.parametrize("kind", ("batch", "scalar", "fleet"))
+    def test_structure_of_arrays_spillover_window_restores(
+        self, trace, builders, kind
+    ):
+        """A checkpoint whose policy holds the numpy spillover window
+        (every observed job, scheduled or not, in column buffers between
+        ``_head`` and ``_tail``) restores to the window's scheduled rows
+        and continues with the uninterrupted run's decisions."""
+        import copy
+        from dataclasses import replace
+
+        from repro.core import ObservedJob
+
+        from test_spillover_window import structure_of_arrays_window
+
+        def build():
+            if kind == "fleet":
+                svc = FleetRouter(
+                    builders["adaptive"](), CAP, 4, mode="batch", n_workers=2
+                )
+            else:
+                svc = PlacementService(builders["adaptive"](), CAP, 4, mode=kind)
+            svc.open(trace)
+            return svc
+
+        def feed(svc, lo, hi):
+            jobs, decided = trace.jobs, []
+            for b in range(lo, hi, 17):
+                got = list(svc.submit_jobs(list(jobs[b:min(b + 17, hi)])))
+                decided += [(d.job_id, d.ssd_space_fraction) for d in got]
+                svc.complete(max(b - 20, 0))
+            return decided
+
+        n, mid = len(trace), 17 * 8
+        ref, svc = build(), build()
+        for s in (ref, svc):
+            feed(s, 0, mid)
+        snap = svc.snapshot()
+        svc.close()
+        policy = copy.copy(snap.payload["policy"])
+        rows = policy.history
+        assert rows  # scheduled jobs are live across the restore
+        # The old window also held the jobs sent to HDD.
+        observed = []
+        for j in rows:
+            observed.append(ObservedJob(j.arrival, j.arrival, 1.0, False, None, 0.0))
+            observed.append(j)
+        policy._window = structure_of_arrays_window(observed)
+        payload = {**snap.payload, "policy": policy}
+        old = pickle.loads(pickle.dumps(replace(snap, payload=payload)))
+        rec = (FleetRouter if kind == "fleet" else PlacementService).restore(old)
+        assert rec.policy.history == rows
+        assert feed(rec, mid, n) == feed(ref, mid, n)
+        assert rec.policy.trajectory == ref.policy.trajectory
+        assert_bit_identical(ref.result(), rec.result())
+        for s in (ref, rec):
+            s.close()
 
     def test_scalar_kernel_lane_subset_slots_are_dropped(self, trace, builders):
         """A scalar service checkpoint whose kernel still carries the

@@ -26,10 +26,13 @@ import pytest
 
 from repro.core import AdaptiveCategoryPolicy, ByomPipeline, prepare_cluster
 from repro.serve import OnlineAdaptivePolicy, OnlineCategorizer, PlacementService
+from repro.serve.log import JobLog
 from repro.storage import simulate
 from repro.units import DAY
 from repro.workloads import ClusterSpec, Trace, extract_features, generate_cluster_trace
 from repro.workloads.features import RESOURCE_FEATURES, OnlineFeatureExtractor
+
+from test_serve_service import assert_bit_identical
 
 
 @pytest.fixture(scope="module")
@@ -465,6 +468,54 @@ class TestOnlineService:
         assert res.n_ssd_requested == off.n_ssd_requested
         assert res.n_spilled == off.n_spilled
         assert res.realized_tco == off.realized_tco
+
+    @pytest.mark.parametrize("mode", ("batch", "scalar"))
+    def test_feedback_reads_no_whole_log_column(self, cluster, pipe, mode):
+        """Feedback reads only the decided jobs' own rows of the live
+        log: with whole-column ``ends`` and ``total_bytes`` that raise,
+        submits, completes and a drain decide exactly as the plain log."""
+
+        class RowsOnlyLog(JobLog):
+            @property
+            def ends(self):
+                raise AssertionError("read the whole ends column")
+
+            @property
+            def total_bytes(self):
+                raise AssertionError("read the whole total_bytes column")
+
+        cap = 0.05 * cluster.test.peak_ssd_usage()
+        jobs = list(cluster.test)
+
+        def run(strict):
+            svc = PlacementService(
+                OnlineAdaptivePolicy(
+                    pipe.model_params.n_categories, pipe.adaptive_params
+                ),
+                cap, 4, mode=mode, categorizer=OnlineCategorizer(pipe.model),
+            )
+            if strict:
+                svc.log.__class__ = RowsOnlyLog
+            svc.open()
+            decided = []
+            for lo in range(0, len(jobs), 64):
+                if mode == "batch":
+                    got = list(svc.submit_jobs(jobs[lo:lo + 64]))
+                else:
+                    got = [d for j in jobs[lo:lo + 64] for d in svc.submit(j)]
+                decided += got
+                placed = [d.job_id for d in got if d.ssd_space_fraction > 0.0]
+                if placed:
+                    svc.complete(placed[0])
+            decided += list(svc.drain())
+            svc.log.__class__ = JobLog
+            return [(d.job_id, d.ssd_space_fraction) for d in decided], svc
+
+        want, ref = run(False)
+        got, svc = run(True)
+        assert got == want
+        assert svc.policy.trajectory == ref.policy.trajectory
+        assert_bit_identical(ref.result(), svc.result())
 
     def test_online_policy_requires_log(self, cluster):
         policy = OnlineAdaptivePolicy(8)
